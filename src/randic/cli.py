@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -66,6 +67,17 @@ def _graph_from_args(args, parser: argparse.ArgumentParser) -> tuple[Graph, Opti
         return parse_edge_list(Path(args.input).read_text(encoding="utf-8")), None
     spec = _spec_from_args(args, parser)
     return generate(spec), spec
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite positive float."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid tolerance: {text!r}") from None
+    if not (tol > 0 and math.isfinite(tol)):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and positive (got {text})")
+    return tol
 
 
 def _poly_json(p: RatPoly) -> dict:
@@ -217,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_energy = sub.add_parser("energy", help="Randic energy (and adjacency energy)")
     _add_family_args(p_energy, with_input=True)
-    p_energy.add_argument("--tol", type=float, default=1e-12, help="eigensolver tolerance")
+    p_energy.add_argument("--tol", type=_tolerance, default=1e-12, help="eigensolver tolerance")
     p_energy.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p_energy.add_argument("--sweep", metavar="N1..N2", help="sweep n over a range")
     p_energy.add_argument("--adjacency", action="store_true", help="also print the adjacency energy")
@@ -225,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the full cross-check sweep")
     p_verify.add_argument("--max-n", type=int, default=12)
-    p_verify.add_argument("--tol", type=float, default=1e-9)
+    p_verify.add_argument("--tol", type=_tolerance, default=1e-9)
     p_verify.add_argument("--report", metavar="FILE", help="write the JSON report to FILE")
     p_verify.add_argument("--witness-max", type=int, default=20)
     p_verify.set_defaults(func=_cmd_verify)

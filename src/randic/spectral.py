@@ -1,5 +1,5 @@
 """Degree-normalized (Randic) matrices, exact characteristic polynomials,
-a cyclic Jacobi eigensolver, and the two spectral energies.
+a Householder + implicit-shift QL eigensolver, and the two spectral energies.
 
 The Randic matrix has entry 1/sqrt(d_i*d_j) on adjacent pairs. Its entries
 are irrational, but it is similar (via D^{1/2}) to the random-walk matrix
@@ -12,6 +12,8 @@ singular there).
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +22,7 @@ from .graphs import Graph
 from .ratpoly import RatPoly
 
 DEFAULT_SOLVER_TOL = 1e-12
-JACOBI_SWEEP_CAP = 100
+QL_ITERATION_CAP = 30
 EXACT_ORDER_CAP = 64
 
 
@@ -157,80 +159,117 @@ def charpoly_exact(g: Graph, order_cap: int = EXACT_ORDER_CAP) -> RatPoly:
     return RatPoly(coeffs).shift(isolated)
 
 
+def _tridiagonalize(a: list[list[float]]) -> tuple[list[float], list[float]]:
+    """Householder reduction of a symmetric matrix to tridiagonal form.
+
+    ``a`` is a full symmetric matrix as row lists and is overwritten. Returns
+    the diagonal d and the subdiagonal e (e[i] couples d[i] and d[i+1];
+    e[-1] = 0). Eigenvalues only: the reflections are not accumulated. A
+    column already zero below its subdiagonal is skipped, so a tridiagonal
+    input (a path) costs O(n^2).
+    """
+    n = len(a)
+    d = [row[i] for i, row in enumerate(a)]
+    e = [0.0] * n
+    for k in range(n - 2):
+        lo = k + 1
+        # column k below the diagonal, read from row k by symmetry
+        v = a[k][lo:]
+        if not any(v[1:]):
+            e[k] = v[0]
+            continue
+        # reflect the unit column onto alpha*e1; normalizing first keeps beta
+        # in [1/2, 1] even when the column is rounding residue near underflow
+        norm = math.hypot(*v)
+        v = [x / norm for x in v]
+        x0 = v[0]
+        alpha = -math.copysign(1.0, x0)
+        v[0] = x0 - alpha
+        beta = 1.0 / (1.0 + abs(x0))  # 2 / (v.v)
+        # trailing block B -= v w^T + w v^T with p = beta*B*v, w = p - (beta*p.v/2)*v
+        p = [beta * sum(map(operator.mul, a[i][lo:], v)) for i in range(lo, n)]
+        half = 0.5 * beta * sum(map(operator.mul, p, v))
+        w = [pi - half * vi for pi, vi in zip(p, v)]
+        for i in range(lo, n):
+            row = a[i]
+            vi = v[i - lo]
+            wi = w[i - lo]
+            # the sum is commutative, so the block stays exactly symmetric
+            row[lo:] = [x - (vi * wj + wi * vj) for x, vj, wj in zip(row[lo:], v, w)]
+            d[i] = row[i]
+        e[k] = alpha * norm
+    if n >= 2:
+        e[n - 2] = a[n - 2][n - 1]
+    return d, e
+
+
 def eigenvalues(
     mat: SymMatrix,
     tol: float = DEFAULT_SOLVER_TOL,
-    max_sweeps: int = JACOBI_SWEEP_CAP,
+    max_sweeps: int = QL_ITERATION_CAP,
 ) -> Spectrum:
-    """All eigenvalues of a symmetric matrix by cyclic-by-row Jacobi rotations.
+    """All eigenvalues of a symmetric matrix.
 
-    Sweeps stop once the off-diagonal Frobenius norm drops below ``tol``;
-    exceeding ``max_sweeps`` raises ConvergenceError carrying the residual.
+    Householder tridiagonalization followed by implicit Wilkinson-shift QL
+    (EISPACK tred2/tql1, eigenvalues only). A subdiagonal entry e_m is
+    deflated once |e_m| <= max(eps*(|d_m|+|d_{m+1}|), tol/sqrt(2(n-1))), so
+    the off-diagonal Frobenius norm dropped in total is at most ``tol`` beyond
+    rounding. ``max_sweeps`` caps the QL iterations spent on each eigenvalue;
+    exceeding it raises ConvergenceError carrying the off-diagonal Frobenius
+    norm of the current tridiagonal matrix.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
     if not mat.is_symmetric():
         raise ValueError("matrix is not symmetric")
     n = mat.order
-    if n == 0:
-        return Spectrum(())
-    if n == 1:
-        return Spectrum((mat.entries[0][0],))
-    a = [list(row) for row in mat.entries]
-
-    def off_norm() -> float:
-        s = 0.0
-        for i in range(n):
-            ai = a[i]
-            for j in range(i + 1, n):
-                s += ai[j] * ai[j]
-        return math.sqrt(2.0 * s)
-
-    sweeps = 0
-    while True:
-        residual = off_norm()
-        if residual < tol:
-            break
-        if sweeps >= max_sweeps:
-            raise ConvergenceError(
-                f"Jacobi did not converge in {max_sweeps} sweeps (residual {residual:.3e})",
-                residual,
-            )
-        sweeps += 1
-        for p in range(n - 1):
-            ap = a[p]
-            for q in range(p + 1, n):
-                apq = ap[q]
-                if apq == 0.0:
-                    continue
-                aq = a[q]
-                app = ap[p]
-                aqq = aq[q]
-                tau = (aqq - app) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                for i in range(n):
-                    if i == p or i == q:
-                        continue
-                    ai = a[i]
-                    aip = ai[p]
-                    aiq = ai[q]
-                    x = c * aip - s * aiq
-                    y = s * aip + c * aiq
-                    ai[p] = x
-                    ai[q] = y
-                    ap[i] = x
-                    aq[i] = y
-                ap[p] = app - t * apq
-                aq[q] = aqq + t * apq
-                ap[q] = 0.0
-                aq[p] = 0.0
-    diag = sorted((a[i][i] for i in range(n)), reverse=True)
-    return Spectrum(tuple(diag))
+    d, e = _tridiagonalize([list(row) for row in mat.entries])
+    floor = tol / math.sqrt(2.0 * max(n - 1, 1))
+    eps = sys.float_info.epsilon
+    for l in range(n):
+        iterations = 0
+        while True:
+            m = l
+            while m < n - 1 and abs(e[m]) > max(eps * (abs(d[m]) + abs(d[m + 1])), floor):
+                m += 1
+            if m == l:
+                break
+            if iterations >= max_sweeps:
+                residual = math.sqrt(2.0 * sum(x * x for x in e))
+                raise ConvergenceError(
+                    f"QL did not converge in {max_sweeps} iterations "
+                    f"for eigenvalue {l} (residual {residual:.3e})",
+                    residual,
+                )
+            iterations += 1
+            # implicit QL step on d[l..m] with the Wilkinson shift
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    # underflow: the block split at i+1; restart on it
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+    return Spectrum(tuple(sorted(d, reverse=True)))
 
 
 def randic_energy(g: Graph, tol: float = DEFAULT_SOLVER_TOL) -> float:

@@ -135,7 +135,17 @@ def _report_meta() -> dict:
 def _max_root_residual(poly: RatPoly, spectrum: Spectrum) -> float:
     if not spectrum.values:
         return 0.0
-    return max(abs(float(poly(v))) for v in spectrum.values)
+    # Horner in floats on coefficients converted once; bit-identical to
+    # float(poly(v)), where Fraction.__radd__ does float(c) + acc every step
+    coeffs = [float(c) for c in reversed(poly.coeffs)]
+
+    def at(v: float) -> float:
+        acc = 0.0
+        for c in coeffs:
+            acc = acc * v + c
+        return acc
+
+    return max(abs(at(v)) for v in spectrum.values)
 
 
 def _symmetry_err(spectrum: Spectrum) -> float:

@@ -200,6 +200,20 @@ def test_energy_json_single(capsys):
     assert abs(json.loads(out)["re"] - 2.0) < 1e-9
 
 
+BAD_TOLS = ["nan", "inf", "0", "-0.5"]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_energy_bad_tol_is_usage_error(capsys, tol):
+    assert run_usage_error(capsys, "energy", "--family", "path", "--n", "4", "--tol", tol) == 2
+
+
+def test_energy_explicit_tol(capsys):
+    code, out, _ = run_cli(capsys, "energy", "--family", "complete", "--n", "9", "--tol", "1e-10")
+    assert code == 0
+    assert abs(float(out) - 2.0) < 1e-9
+
+
 # ---------------------------------------------------------------- round trip
 
 
@@ -257,3 +271,8 @@ def test_verify_stdout_json(capsys):
 
 def test_verify_max_n_below_minimum_exit2(capsys):
     assert run_usage_error(capsys, "verify", "--max-n", "4") == 2
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_verify_bad_tol_is_usage_error(capsys, tol):
+    assert run_usage_error(capsys, "verify", "--max-n", "5", "--witness-max", "2", "--tol", tol) == 2

@@ -9,6 +9,7 @@ from randic import (
     ConvergenceError,
     DomainError,
     FamilySpec,
+    Graph,
     RatPoly,
     SymMatrix,
     adjacency_matrix,
@@ -184,7 +185,7 @@ def test_eigenvalues_randic_c4():
     assert spec.values == pytest.approx((1.0, 0.0, 0.0, -1.0), abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [3, 5, 8, 12])
+@pytest.mark.parametrize("n", [3, 5, 8, 12, 200])
 def test_eigenvalues_cycle_analytic(n):
     # normalized cycle matrix has spectrum cos(2πk/n)
     got = eigenvalues(randic_matrix(generate(FamilySpec("cycle", n)))).values
@@ -192,7 +193,7 @@ def test_eigenvalues_cycle_analytic(n):
     assert got == pytest.approx(want, abs=1e-11)
 
 
-@pytest.mark.parametrize("n", [2, 4, 7, 12])
+@pytest.mark.parametrize("n", [2, 4, 7, 12, 150])
 def test_eigenvalues_path_adjacency_analytic(n):
     got = eigenvalues(adjacency_matrix(generate(FamilySpec("path", n)))).values
     want = sorted((2.0 * math.cos(j * math.pi / (n + 1)) for j in range(1, n + 1)), reverse=True)
@@ -275,3 +276,71 @@ def test_energy_additive_over_disjoint_union():
         g1, g2 = rng.choice(pool), rng.choice(pool)
         whole = randic_energy(disjoint_union(g1, g2))
         assert whole == pytest.approx(randic_energy(g1) + randic_energy(g2), abs=1e-9)
+
+
+# ---------------------------------------------------------------- eigensolver at larger orders
+
+
+@pytest.mark.parametrize(
+    "spec, want",
+    [
+        # F_n: 1 once, 1/2 with multiplicity n-1, -1/2 with multiplicity n+1
+        (FamilySpec("friendship", 20), [1.0] + [0.5] * 19 + [-0.5] * 21),
+        (FamilySpec("complete", 60), [1.0] + [-1.0 / 59] * 59),
+        # rank 2: after two reflections the trailing block is rounding residue
+        # that shrinks towards underflow at every later step
+        (FamilySpec("complete_bipartite", 40, m=40), [1.0] + [0.0] * 78 + [-1.0]),
+    ],
+)
+def test_eigenvalues_degenerate_clusters(spec, want):
+    got = eigenvalues(randic_matrix(generate(spec))).values
+    assert got == pytest.approx(want, abs=1e-11)
+
+
+def test_eigenvalues_isolated_vertices_scattered():
+    parts = [generate(FamilySpec("cycle", 7)), generate(FamilySpec("star", 5)), Graph(4, frozenset())]
+    g = disjoint_union(disjoint_union(parts[0], parts[1]), parts[2])
+    perm = list(range(g.n))
+    random.Random(11).shuffle(perm)
+    g = permute_vertices(g, perm)
+    mat = randic_matrix(g)
+    assert sum(1 for row in mat.entries if not any(row)) == 4
+    want = sorted(
+        [v for p in parts[:2] for v in eigenvalues(randic_matrix(p)).values] + [0.0] * 4,
+        reverse=True,
+    )
+    assert eigenvalues(mat).values == pytest.approx(want, abs=1e-12)
+
+
+def test_eigenvalues_random_symmetric_trace_and_frobenius():
+    rng = random.Random(2014)
+    n = 60
+    rows = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = rng.uniform(-1.0, 1.0)
+    vals = eigenvalues(SymMatrix(tuple(tuple(r) for r in rows))).values
+    assert len(vals) == n
+    assert sum(vals) == pytest.approx(sum(rows[i][i] for i in range(n)), abs=1e-11)
+    frob = sum(x * x for r in rows for x in r)
+    assert sum(v * v for v in vals) == pytest.approx(frob, rel=1e-13)
+
+
+def test_eigenvalues_random_graph_roots_of_exact_charpoly():
+    from randic.verify import _max_root_residual
+
+    rng = random.Random(7)
+    n = 30
+    edges = {(i - 1, i) for i in range(1, n)}  # a path keeps every degree positive
+    while len(edges) < 55:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    g = Graph.from_edges(n, edges)
+    spectrum = eigenvalues(randic_matrix(g))
+    assert _max_root_residual(charpoly_exact(g), spectrum) < 1e-9
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-12, 0.0])
+def test_eigenvalues_rejects_nonfinite_or_nonpositive_tol(tol):
+    with pytest.raises(ValueError):
+        eigenvalues(SymMatrix(((0.0, 1.0), (1.0, 0.0))), tol=tol)

@@ -198,3 +198,19 @@ def test_union_additivity_respects_energy_values():
     assert math.isclose(
         randic_energy(star) + randic_energy(f3), 6.0, abs_tol=1e-9
     )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FamilySpec("path", 9), FamilySpec("friendship", 6), FamilySpec("complete", 12, minus_edge=True)],
+)
+def test_max_root_residual_bit_identical_to_rational_horner(spec):
+    from randic import Spectrum, eigenvalues, randic_matrix
+    from randic.verify import _max_root_residual
+
+    g = generate(spec)
+    poly = charpoly_exact(g)
+    spectrum = eigenvalues(randic_matrix(g))
+    assert _max_root_residual(poly, spectrum) == max(abs(float(poly(v))) for v in spectrum.values)
+    for v in spectrum.values + (0.3, -2.5):
+        assert _max_root_residual(poly, Spectrum((v,))) == abs(float(poly(v)))
