@@ -28,10 +28,8 @@ from .graphs import (
     PATH,
     STAR,
     FamilySpec,
-    generate,
 )
 from .ratpoly import RatPoly
-from .spectral import charpoly_exact
 
 _QUARTER = Fraction(1, 4)
 _HALF = Fraction(1, 2)
@@ -74,7 +72,7 @@ def _x2_minus(c) -> RatPoly:
 def closed_charpoly(spec: FamilySpec) -> RatPoly:
     """Fully expanded closed-form characteristic polynomial for a family spec.
 
-    Raises DomainError outside the validity range of the family's formula (callers fall back to exact computation there).
+    Raises DomainError outside the validity range of the family's formula.
     """
     fam, n, m = spec.family, spec.n, spec.m
     x = RatPoly.x()
@@ -90,8 +88,11 @@ def closed_charpoly(spec: FamilySpec) -> RatPoly:
             return (_x2_minus(1) * _x2_minus(Fraction(1, m * n))).shift(m + n - 4)
         raise UnsupportedFamilyError(f"no minus-edge closed form for {fam}")
     if fam == PATH:
-        if n < 5:
-            raise DomainError("path closed form requires n >= 5")
+        if n < 2:
+            raise DomainError("path closed form requires n >= 2")
+        if n == 2:
+            return _x2_minus(1)
+        # n = 3 reaches Λ_{-1} = 0
         return _x2_minus(1) * (x * lambda_poly(n - 3) - _QUARTER * lambda_poly(n - 4))
     if fam == CYCLE:
         if n < 3:
@@ -207,8 +208,13 @@ def _energy_form(spec: FamilySpec) -> str:
 
 
 def small_case_charpoly(spec: FamilySpec) -> RatPoly:
-    """Exact characteristic polynomial for specs below the closed-form domains."""
-    return charpoly_exact(generate(spec))
+    """Deprecated: ``closed_charpoly`` now covers paths from order 2 on.
+
+    Nothing in the library calls this, and it is no longer exported. It is
+    kept only because the benchmark's tracer (bench/tracing.py) wraps it by
+    name; remove the two together.
+    """
+    return closed_charpoly(spec)
 
 
 @dataclass(frozen=True)

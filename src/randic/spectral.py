@@ -4,9 +4,10 @@ a Householder + implicit-shift QL eigensolver, and the two spectral energies.
 The Randic matrix has entry 1/sqrt(d_i*d_j) on adjacent pairs. Its entries
 are irrational, but it is similar (via D^{1/2}) to the random-walk matrix
 W = D^{-1}A whose entries are rational, so the characteristic polynomial is
-computed exactly on W with arbitrary-precision arithmetic. Isolated
-vertices are split off first (each contributes one factor of λ, and D is
-singular there).
+computed exactly on W: isolated vertices are split off first (each
+contributes one factor of λ, and D is singular there), and the rest is one
+Hessenberg characteristic polynomial modulo a Mersenne prime chosen above an
+a-priori bound on the coefficients of det(λD - A), lifted back to rationals.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .ratpoly import RatPoly
 
 DEFAULT_SOLVER_TOL = 1e-12
 QL_ITERATION_CAP = 30
-EXACT_ORDER_CAP = 64
+EXACT_ORDER_CAP = 128
 
 
 @dataclass(frozen=True)
@@ -90,72 +91,136 @@ def randic_index(g: Graph) -> float:
     return sum(1.0 / math.sqrt(degs[u] * degs[v]) for u, v in g.edges)
 
 
-def _lcm_all(values) -> int:
-    out = 1
-    for v in values:
-        out = out * v // math.gcd(out, v)
-    return out
+# Exponents e of the Mersenne primes 2^e - 1 from 2^61 - 1 on. Every one is
+# a proven prime (Lucas-Lehmer), so no primality test runs here.
+MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
 
 
-def _int_charpoly(n: int, sparse_rows: list[list[tuple[int, int]]]) -> list[int]:
-    """Characteristic polynomial det(λI - M) of an integer matrix.
+def _modulus(bound: int) -> int:
+    """Smallest listed Mersenne prime above ``bound``."""
+    for e in MERSENNE_EXPONENTS:
+        p = (1 << e) - 1
+        if p > bound:
+            return p
+    raise DomainError(
+        f"exact characteristic polynomial needs a prime modulus above a {bound.bit_length()}-bit "
+        f"bound; the largest listed is 2^{MERSENNE_EXPONENTS[-1]} - 1"
+    )
 
-    Faddeev-LeVerrier trace recursion; every division is exact because the
-    coefficients of an integer matrix are integers. Returns ascending
-    coefficients c[0..n] with c[n] = 1. ``sparse_rows[i]`` lists the nonzero
-    (column, value) pairs of row i.
+
+def _hessenberg_charpoly(h: list[list[int]], p: int) -> list[int]:
+    """Characteristic polynomial det(λI - H) of a matrix over Z/p.
+
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9:
+    reduce H to upper Hessenberg form by elementary similarity transforms
+    (any nonzero pivot, with a row and column swap), then run the
+    Hessenberg determinant recurrence. ``h`` holds residues in [0, p) and
+    is overwritten. Returns ascending coefficients in [0, p), c[n] = 1.
     """
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    aux = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        prod = []
-        for i in range(n):
-            acc = [0] * n
-            for j, a in sparse_rows[i]:
-                row = aux[j]
-                if a == 1:
-                    acc = [x + y for x, y in zip(acc, row)]
-                else:
-                    acc = [x + a * y for x, y in zip(acc, row)]
-            prod.append(acc)
-        tr = sum(prod[i][i] for i in range(n))
-        if tr % k:
-            raise ArithmeticError("trace recursion produced a non-exact division")
-        c = -(tr // k)
-        coeffs[n - k] = c
-        if k < n:
-            for i in range(n):
-                prod[i][i] += c
-            aux = prod
-    return coeffs
+    n = len(h)
+    for m in range(1, n - 1):
+        col = m - 1
+        piv = next((i for i in range(m, n) if h[i][col]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[piv], h[m] = h[m], h[piv]
+            for row in h:
+                row[piv], row[m] = row[m], row[piv]
+        inv = pow(h[m][col], -1, p)
+        tail = h[m][m:]
+        # row_i -= u_i * row_m for each i > m (as row_i += (p - u_i) * row_m,
+        # which keeps the operands non-negative); these transforms commute,
+        # so the inverse column updates are applied together afterwards
+        idx, mults = [], []
+        for i in range(m + 1, n):
+            row = h[i]
+            if row[col]:
+                u = row[col] * inv % p
+                neg = p - u
+                row[col] = 0
+                row[m:] = [(a + neg * b) % p for a, b in zip(row[m:], tail)]
+                idx.append(i)
+                mults.append(u)
+        if len(idx) == 1:
+            i, u = idx[0], mults[0]
+            for row in h:
+                if row[i]:
+                    row[m] = (row[m] + u * row[i]) % p
+        elif idx:
+            # column_m += sum of u_i * column_i
+            pick = operator.itemgetter(*idx)
+            for row in h:
+                row[m] = (row[m] + sum(map(operator.mul, pick(row), mults))) % p
+    # P_0 = 1; P_{m+1} = (λ - h_mm) P_m - sum_i (h_{m,m-1}...h_{m-i+1,m-i}) h_{m-i,m} P_{m-i}
+    polys = [[1]]
+    for m in range(n):
+        prev = polys[m]
+        hm = h[m][m]
+        acc = [-hm * c for c in prev] + [0]
+        acc[1:] = [a + c for a, c in zip(acc[1:], prev)]
+        t = 1
+        for i in range(1, m + 1):
+            t = t * h[m - i + 1][m - i] % p
+            if not t:
+                break
+            s = t * h[m - i][m] % p
+            if s:
+                q = polys[m - i]
+                acc[: len(q)] = [a - s * c for a, c in zip(acc, q)]
+        polys.append([a % p for a in acc])
+    return polys[n]
 
 
 def charpoly_exact(g: Graph, order_cap: int = EXACT_ORDER_CAP) -> RatPoly:
     """Monic degree-n characteristic polynomial of the Randic matrix, exact.
 
     Computed on the similar rational matrix W = D^{-1}A after splitting off
-    isolated vertices (factor λ each). W is scaled by the lcm of the degrees
-    so the trace recursion runs on integers; the coefficients are rescaled
-    back exactly.
+    isolated vertices (factor λ each). With k vertices left and P the
+    product of their degrees, N(λ) = det(λD - A) = P·det(λI - W) has integer
+    coefficients, and since W's eigenvalues lie in [-1, 1], |N_j| <= P·C(k, j).
+    So one Hessenberg charpoly of W modulo a prime p > 2·P·C(k, k/2) (the
+    smallest Mersenne prime that large) determines N exactly: each
+    coefficient is lifted into (-p/2, p/2) and divided by P. Raises
+    DomainError beyond ``order_cap``, or when no listed prime is large enough.
     """
-    isolated = sum(1 for d in g.degrees if d == 0)
-    core = [v for v in range(g.n) if g.degrees[v] > 0]
-    k = len(core)
+    degs = g.degrees
+    isolated = degs.count(0)
+    k = g.n - isolated
     if k > order_cap:
         raise DomainError(f"exact characteristic polynomial capped at order {order_cap} (got {k})")
     if k == 0:
         return RatPoly.one().shift(isolated)
+    # the non-isolated vertices in reversed breadth-first order: the labeling
+    # does not change the polynomial, and this one keeps the Hessenberg
+    # fill-in of a sparse graph small
+    core: list[int] = []
+    seen = [d == 0 for d in degs]
+    for start in range(g.n):
+        if not seen[start]:
+            seen[start] = True
+            queue = [start]
+            for v in queue:
+                for w in g.adjacency[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        queue.append(w)
+            core += queue
+    core.reverse()
+    scale = math.prod(degs[v] for v in core)
+    p = _modulus(2 * scale * math.comb(k, k // 2))
     index = {v: i for i, v in enumerate(core)}
-    degs = g.degrees
-    scale = _lcm_all(degs[v] for v in core)
-    # row i of the scaled walk matrix: scale/d_i at each neighbor column
-    sparse_rows: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    inverse = {d: pow(d, -1, p) for d in set(degs[v] for v in core)}
+    # row i of W mod p: 1/d_i at each neighbor column
+    w = [[0] * k for _ in range(k)]
     for u, v in g.edges:
-        sparse_rows[index[u]].append((index[v], scale // degs[u]))
-        sparse_rows[index[v]].append((index[u], scale // degs[v]))
-    ints = _int_charpoly(k, sparse_rows)
-    coeffs = [Fraction(ints[j], scale ** (k - j)) for j in range(k + 1)]
+        w[index[u]][index[v]] = inverse[degs[u]]
+        w[index[v]][index[u]] = inverse[degs[v]]
+    half = p // 2
+    coeffs = []
+    for c in _hessenberg_charpoly(w, p):
+        c = c * scale % p
+        coeffs.append(Fraction(c - p if c > half else c, scale))
     return RatPoly(coeffs).shift(isolated)
 
 
@@ -216,12 +281,17 @@ def eigenvalues(
     the off-diagonal Frobenius norm dropped in total is at most ``tol`` beyond
     rounding. ``max_sweeps`` caps the QL iterations spent on each eigenvalue;
     exceeding it raises ConvergenceError carrying the off-diagonal Frobenius
-    norm of the current tridiagonal matrix.
+    norm of the current tridiagonal matrix. A non-finite or non-positive
+    ``tol``, a non-finite entry or an asymmetric matrix raises ValueError.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tol must be positive and finite")
-    if not mat.is_symmetric():
-        raise ValueError("matrix is not symmetric")
+    # one scan: each row is finite and equals the matching column
+    for row, col in zip(mat.entries, zip(*mat.entries)):
+        if not all(map(math.isfinite, row)):
+            raise ValueError("matrix has a non-finite entry")
+        if row != col:
+            raise ValueError("matrix is not symmetric")
     n = mat.order
     d, e = _tridiagonalize([list(row) for row in mat.entries])
     floor = tol / math.sqrt(2.0 * max(n - 1, 1))

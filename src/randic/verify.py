@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import __version__
-from .closed_forms import closed_charpoly, closed_energy, small_case_charpoly
+from .closed_forms import closed_charpoly, closed_energy
 from .errors import ConvergenceError, DomainError, UnsupportedFamilyError
 from .graphs import (
     COMPLETE,
@@ -148,6 +148,11 @@ def _max_root_residual(poly: RatPoly, spectrum: Spectrum) -> float:
     return max(abs(at(v)) for v in spectrum.values)
 
 
+def _check_tol(tol: float) -> None:
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite (got {tol!r})")
+
+
 def _symmetry_err(spectrum: Spectrum) -> float:
     vals = spectrum.values
     n = len(vals)
@@ -163,11 +168,7 @@ def verify_instance(spec: FamilySpec, tol: float = DEFAULT_REPORT_TOL) -> Verdic
     try:
         g = generate(spec)
         p_exact = charpoly_exact(g)
-        try:
-            p_closed = closed_charpoly(spec)
-        except DomainError:
-            p_closed = small_case_charpoly(spec)
-            notes.append("closed form below validity range; exact fallback")
+        p_closed = closed_charpoly(spec)
         spectrum = eigenvalues(randic_matrix(g), DEFAULT_SOLVER_TOL)
         re_numeric = sum(abs(v) for v in spectrum.values)
         energy_abs_err: Optional[float]
@@ -200,8 +201,7 @@ def verify_instance(spec: FamilySpec, tol: float = DEFAULT_REPORT_TOL) -> Verdic
 
 def check_union_additivity(g1: Graph, g2: Graph, tol: float = DEFAULT_REPORT_TOL) -> bool:
     """True iff the energy of the disjoint union equals the sum of the parts."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     combined = randic_energy(disjoint_union(g1, g2))
     return abs(combined - randic_energy(g1) - randic_energy(g2)) < tol
 
@@ -238,6 +238,7 @@ def check_edge_deletion_lemmas(tol: float = DEFAULT_REPORT_TOL, max_n: int = 20)
     """
     if max_n < 4:
         raise DomainError(f"check_edge_deletion_lemmas requires max_n >= 4 (got {max_n})")
+    _check_tol(tol)
     report = Report(tolerance=tol, meta=_report_meta())
     path_energy: dict[int, float] = {}
     path_poly: dict[int, RatPoly] = {}
@@ -340,6 +341,7 @@ def verify_all(
     """Sweep every family, run the lemma checks and the witness table."""
     if max_n < 5:
         raise DomainError(f"verify_all requires max_n >= 5 (got {max_n})")
+    _check_tol(tol)
     report = Report(tolerance=tol, meta=_report_meta())
     for spec in sweep_specs(max_n):
         report.records.append(verify_instance(spec, tol))

@@ -3,7 +3,7 @@
 The characteristic polynomial oracle expands det(λI - W) by recursive
 cofactors over polynomial entries, where W is the rational random-walk
 matrix (zero rows at isolated vertices). It shares no code path with the
-trace-recursion implementation under test. Practical up to ~8 vertices.
+modular Hessenberg implementation under test. Practical up to ~8 vertices.
 """
 
 from fractions import Fraction

@@ -91,10 +91,10 @@ def test_charpoly_cycle3_both(capsys):
 
 def test_charpoly_closed_outside_domain_exit1(capsys):
     code, _, err = run_cli(
-        capsys, "charpoly", "--family", "path", "--n", "4", "--mode", "closed"
+        capsys, "charpoly", "--family", "path", "--n", "1", "--mode", "closed"
     )
     assert code == 1
-    assert "n >= 5" in err
+    assert "n >= 2" in err
 
 
 def test_charpoly_json_coeff_strings(capsys):

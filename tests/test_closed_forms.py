@@ -18,7 +18,6 @@ from randic import (
     lambda_poly,
     path_graph_energy,
     randic_energy,
-    small_case_charpoly,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -111,8 +110,8 @@ def test_closed_charpoly_dutch4_two_blades():
 @pytest.mark.parametrize(
     "spec",
     [
-        FamilySpec("path", 4),
-        FamilySpec("path", 2),
+        FamilySpec("path", 1),
+        FamilySpec("path", 0),
         FamilySpec("cycle", 2),
         FamilySpec("star", 1),
         FamilySpec("complete", 1),
@@ -145,7 +144,8 @@ def test_closed_charpoly_minus_edge_unsupported_families():
     + [FamilySpec("friendship", n) for n in (2, 3, 5)]
     + [FamilySpec("dutch4", n) for n in (2, 3, 4)]
     + [FamilySpec("complete", n, minus_edge=True) for n in (3, 4, 7)]
-    + [FamilySpec("complete_bipartite", 3, m=2, minus_edge=True)],
+    + [FamilySpec("complete_bipartite", 3, m=2, minus_edge=True)]
+    + [FamilySpec("path", n) for n in range(2, 5)],
 )
 def test_closed_charpoly_equals_exact(spec):
     assert closed_charpoly(spec) == charpoly_exact(generate(spec))
@@ -252,20 +252,13 @@ def test_closed_energy_matches_numeric(spec):
 # ---------------------------------------------------------------- small cases
 
 
-def test_small_case_charpoly_fills_domain_gaps():
-    assert small_case_charpoly(FamilySpec("path", 2)) == RatPoly([-1, 0, 1])
-    assert small_case_charpoly(FamilySpec("path", 4)) == RatPoly(
+def test_closed_charpoly_small_paths():
+    assert closed_charpoly(FamilySpec("path", 2)) == RatPoly([-1, 0, 1])
+    assert closed_charpoly(FamilySpec("path", 3)) == RatPoly([0, -1, 0, 1])
+    assert closed_charpoly(FamilySpec("path", 4)) == RatPoly(
         [Fr(1, 4), 0, Fr(-5, 4), 0, 1]
     )
-    assert small_case_charpoly(FamilySpec("star", 2)) == RatPoly([-1, 0, 1])
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [FamilySpec("star", 2), FamilySpec("cycle", 3), FamilySpec("complete", 3)],
-)
-def test_small_case_agrees_with_closed_form(spec):
-    assert small_case_charpoly(spec) == closed_charpoly(spec)
+    assert closed_charpoly(FamilySpec("star", 2)) == RatPoly([-1, 0, 1])
 
 
 def test_closed_form_bundle():

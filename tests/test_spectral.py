@@ -5,6 +5,7 @@ from fractions import Fraction as Fr
 import pytest
 from oracles import charpoly_bruteforce
 
+from randic import spectral
 from randic import (
     ConvergenceError,
     DomainError,
@@ -14,6 +15,7 @@ from randic import (
     SymMatrix,
     adjacency_matrix,
     charpoly_exact,
+    closed_charpoly,
     delete_edge,
     disjoint_union,
     eigenvalues,
@@ -161,10 +163,99 @@ def test_charpoly_empty_and_edgeless_graphs():
 
 
 def test_charpoly_order_cap():
-    g = generate(FamilySpec("path", 70))
+    g = generate(FamilySpec("path", 130))
     with pytest.raises(DomainError):
         charpoly_exact(g)
-    assert charpoly_exact(g, order_cap=70).degree == 70
+    assert charpoly_exact(g, order_cap=130).degree == 130
+
+
+# ---------------------------------------------------------------- modular kernel
+
+
+@pytest.mark.parametrize("e", spectral.MERSENNE_EXPONENTS)
+def test_mersenne_exponents_are_prime(e):
+    # Lucas-Lehmer: for an odd prime e, 2^e - 1 is prime iff s_{e-2} = 0
+    assert e > 2 and all(e % q for q in range(2, math.isqrt(e) + 1))
+    p = (1 << e) - 1
+    s = 4
+    for _ in range(e - 2):
+        s = (s * s - 2) % p
+    assert s == 0
+
+
+def _random_graph(rng, n, isolated):
+    core = n - isolated
+    pairs = [(u, v) for u in range(core) for v in range(u + 1, core)]
+    edges = rng.sample(pairs, rng.randint(1, len(pairs)))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return permute_vertices(Graph.from_edges(n, edges), perm)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_charpoly_matches_cofactor_oracle_random(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 8)
+    g = _random_graph(rng, n, isolated=seed % 3 if n > 3 else 0)
+    assert charpoly_exact(g) == charpoly_bruteforce(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        # each of these needs at least one pivot swap in the Hessenberg
+        # reduction (a star: its two leaves come first, so W[1][0] = 0)
+        generate(FamilySpec("star", 6)),
+        generate(FamilySpec("dutch4", 2)),
+        delete_edge(generate(FamilySpec("star", 5)), 0, 1),
+        Graph.from_edges(7, [(0, 3), (3, 1), (3, 2), (2, 4), (4, 5)]),
+    ],
+)
+def test_charpoly_pivot_swap_matches_cofactor_oracle(g):
+    assert charpoly_exact(g) == charpoly_bruteforce(g)
+
+
+def test_hessenberg_kernel_pivot_swap():
+    # h[1][0] = 0 but h[2][0] != 0, so the first step swaps rows/columns 1, 2
+    p = (1 << 61) - 1
+    h = [[1, 2, 3], [0, 4, 5], [6, 7, 8]]
+    # det(λI - H) = λ^3 - tr·λ^2 + (sum of principal 2-minors)·λ - det
+    minors = (1 * 4 - 2 * 0) + (1 * 8 - 3 * 6) + (4 * 8 - 5 * 7)
+    det = 1 * (4 * 8 - 5 * 7) - 2 * (0 * 8 - 5 * 6) + 3 * (0 * 7 - 4 * 6)
+    want = [-det % p, minors % p, -13 % p, 1]
+    assert spectral._hessenberg_charpoly(h, p) == want
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FamilySpec("complete", 128),
+        FamilySpec("complete_bipartite", 64, m=64),
+        FamilySpec("complete", 100, minus_edge=True),
+    ],
+)
+def test_charpoly_largest_coefficients_match_closed_form(spec):
+    assert charpoly_exact(generate(spec)) == closed_charpoly(spec)
+
+
+def test_charpoly_label_invariant_order_100():
+    rng = random.Random(100)
+    n = 100
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < 150:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    g = Graph.from_edges(n, edges)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    assert charpoly_exact(permute_vertices(g, perm)) == charpoly_exact(g)
+
+
+def test_charpoly_beyond_largest_modulus_is_domain_error():
+    # 2·459^460·C(460, 230) has more bits than 2^4423 - 1
+    g = generate(FamilySpec("complete", 460))
+    with pytest.raises(DomainError, match="modulus"):
+        charpoly_exact(g, order_cap=460)
 
 
 # ---------------------------------------------------------------- eigensolver
@@ -338,6 +429,20 @@ def test_eigenvalues_random_graph_roots_of_exact_charpoly():
     g = Graph.from_edges(n, edges)
     spectrum = eigenvalues(randic_matrix(g))
     assert _max_root_residual(charpoly_exact(g), spectrum) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        ((0.0, math.inf), (math.inf, 0.0)),
+        ((math.inf, 1.0), (1.0, 0.0)),
+        ((0.0, -math.inf), (-math.inf, 0.0)),
+        ((math.nan, 1.0), (1.0, 0.0)),
+    ],
+)
+def test_eigenvalues_rejects_nonfinite_entries(entries):
+    with pytest.raises(ValueError, match="non-finite"):
+        eigenvalues(SymMatrix(entries))
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-12, 0.0])

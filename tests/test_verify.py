@@ -68,6 +68,31 @@ def test_verify_instance_bad_spec_is_recorded_not_raised():
     assert rec.notes.startswith("error:")
 
 
+def test_verify_instance_closed_domain_error_is_hard_failure():
+    # path(1) generates, but no closed form covers it
+    rec = verify_instance(FamilySpec("path", 1), 1e-9)
+    assert rec.hard_failure
+    assert not rec.passed(1e-9)
+    assert rec.notes.startswith("error:")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_verify_instance_small_paths_check_against_closed_form(monkeypatch, n):
+    # a wrong exact route must fail the record: it is compared with the
+    # closed form, never with itself (so it is swapped out on both sides)
+    import randic.closed_forms
+    import randic.verify
+
+    def wrong(g):
+        return RatPoly.monomial(g.n)
+
+    monkeypatch.setattr(randic.verify, "charpoly_exact", wrong)
+    monkeypatch.setattr(randic.closed_forms, "charpoly_exact", wrong, raising=False)
+    rec = verify_instance(FamilySpec("path", n), 1e-9)
+    assert not rec.charpoly_match
+    assert not rec.passed(1e-9)
+
+
 def test_verify_instance_fills_symmetry_for_bipartite_only():
     bip = verify_instance(FamilySpec("path", 6), 1e-9)
     assert bip.spectrum_sym_err is not None and bip.spectrum_sym_err < 1e-9
@@ -86,6 +111,28 @@ def test_check_union_additivity_examples():
     assert check_union_additivity(f2, f2, 1e-9)
     with pytest.raises(ValueError):
         check_union_additivity(p2, p3, 0.0)
+
+
+BAD_TOLS = [float("nan"), float("inf"), 0.0, -1e-9]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_check_union_additivity_rejects_bad_tol(tol):
+    p2 = generate(FamilySpec("path", 2))
+    with pytest.raises(ValueError):
+        check_union_additivity(p2, p2, tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_verify_all_rejects_bad_tol(tol):
+    with pytest.raises(ValueError):
+        verify_all(5, tol, witness_max=2)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_edge_deletion_lemmas_reject_bad_tol(tol):
+    with pytest.raises(ValueError):
+        check_edge_deletion_lemmas(tol, 4)
 
 
 def test_edge_deletion_lemmas_all_pass():
