@@ -6,8 +6,9 @@ are irrational, but it is similar (via D^{1/2}) to the random-walk matrix
 W = D^{-1}A whose entries are rational, so the characteristic polynomial is
 computed exactly on W: isolated vertices are split off first (each
 contributes one factor of λ, and D is singular there), and the rest is one
-Hessenberg characteristic polynomial modulo a Mersenne prime chosen above an
-a-priori bound on the coefficients of det(λD - A), lifted back to rationals.
+Hessenberg characteristic polynomial modulo a prime from a table of certified
+primes, the smallest above an a-priori bound on the coefficients of
+det(λD - A), lifted back to rationals.
 """
 
 from __future__ import annotations
@@ -91,20 +92,70 @@ def randic_index(g: Graph) -> float:
     return sum(1.0 / math.sqrt(degs[u] * degs[v]) for u, v in g.edges)
 
 
-# Exponents e of the Mersenne primes 2^e - 1 from 2^61 - 1 on. Every one is
-# a proven prime (Lucas-Lehmer), so no primality test runs here.
-MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
+# The moduli of the exact route, ascending, each a proven prime stored with
+# its certificate, so no primality test runs here: (p, None) for a Mersenne
+# prime p = 2^e - 1 (Lucas-Lehmer), and (p, a) for a Proth prime
+# p = k·2^e + 1 with k odd and k < 2^e, prime because a^((p-1)/2) = -1 mod p
+# (Proth's theorem). From 2^61 - 1 to past the coefficient bound of
+# complete(128) there is a Proth prime of exactly 30j bits for each j >= 3, so
+# a residue is at most one 30-bit digit of a Python int wider than the bound.
+CERTIFIED_PRIMES = (
+    ((1 << 61) - 1, None),
+    ((1 << 89) - 1, None),
+    ((65503 << 74) + 1, 3),
+    ((1 << 107) - 1, None),
+    ((65521 << 104) + 1, 3),
+    ((1 << 127) - 1, None),
+    ((65517 << 134) + 1, 7),
+    ((65523 << 164) + 1, 7),
+    ((65493 << 194) + 1, 5),
+    ((64933 << 224) + 1, 3),
+    ((65517 << 254) + 1, 7),
+    ((65503 << 284) + 1, 3),
+    ((65323 << 314) + 1, 3),
+    ((65467 << 344) + 1, 3),
+    ((65499 << 374) + 1, 5),
+    ((65391 << 404) + 1, 5),
+    ((64887 << 434) + 1, 7),
+    ((65527 << 464) + 1, 3),
+    ((65505 << 494) + 1, 13),
+    ((1 << 521) - 1, None),
+    ((65515 << 524) + 1, 3),
+    ((65139 << 554) + 1, 5),
+    ((64767 << 584) + 1, 5),
+    ((1 << 607) - 1, None),
+    ((65389 << 614) + 1, 3),
+    ((65535 << 644) + 1, 7),
+    ((64359 << 674) + 1, 5),
+    ((65391 << 704) + 1, 5),
+    ((64659 << 734) + 1, 5),
+    ((65527 << 764) + 1, 3),
+    ((65293 << 794) + 1, 3),
+    ((64981 << 824) + 1, 3),
+    ((64915 << 854) + 1, 3),
+    ((64543 << 884) + 1, 3),
+    ((64555 << 914) + 1, 3),
+    ((65373 << 944) + 1, 23),
+    ((64845 << 974) + 1, 7),
+    ((65445 << 1004) + 1, 13),
+    ((64329 << 1034) + 1, 5),
+    ((1 << 1279) - 1, None),
+    ((1 << 2203) - 1, None),
+    ((1 << 2281) - 1, None),
+    ((1 << 3217) - 1, None),
+    ((1 << 4253) - 1, None),
+    ((1 << 4423) - 1, None),
+)
 
 
 def _modulus(bound: int) -> int:
-    """Smallest listed Mersenne prime above ``bound``."""
-    for e in MERSENNE_EXPONENTS:
-        p = (1 << e) - 1
+    """Smallest prime of ``CERTIFIED_PRIMES`` above ``bound``."""
+    for p, _ in CERTIFIED_PRIMES:
         if p > bound:
             return p
     raise DomainError(
         f"exact characteristic polynomial needs a prime modulus above a {bound.bit_length()}-bit "
-        f"bound; the largest listed is 2^{MERSENNE_EXPONENTS[-1]} - 1"
+        f"bound; the largest certified prime has {CERTIFIED_PRIMES[-1][0].bit_length()} bits"
     )
 
 
@@ -180,9 +231,10 @@ def charpoly_exact(g: Graph, order_cap: int = EXACT_ORDER_CAP) -> RatPoly:
     product of their degrees, N(λ) = det(λD - A) = P·det(λI - W) has integer
     coefficients, and since W's eigenvalues lie in [-1, 1], |N_j| <= P·C(k, j).
     So one Hessenberg charpoly of W modulo a prime p > 2·P·C(k, k/2) (the
-    smallest Mersenne prime that large) determines N exactly: each
+    smallest in ``CERTIFIED_PRIMES`` that large) determines N exactly: each
     coefficient is lifted into (-p/2, p/2) and divided by P. Raises
-    DomainError beyond ``order_cap``, or when no listed prime is large enough.
+    DomainError beyond ``order_cap``, or when no certified prime is large
+    enough.
     """
     degs = g.degrees
     isolated = degs.count(0)

@@ -161,8 +161,22 @@ def _symmetry_err(spectrum: Spectrum) -> float:
     return max(abs(vals[i] + vals[n - 1 - i]) for i in range(n))
 
 
+def _hard_failure(spec: FamilySpec, note: str, start: float) -> VerdictRecord:
+    return VerdictRecord(
+        spec=spec,
+        charpoly_match=False,
+        energy_abs_err=None,
+        max_root_residual=float("inf"),
+        spectrum_sym_err=None,
+        elapsed=time.perf_counter() - start,
+        notes=note,
+        hard_failure=True,
+    )
+
+
 def verify_instance(spec: FamilySpec, tol: float = DEFAULT_REPORT_TOL) -> VerdictRecord:
     """Run the full three-way cross-check on one family instance."""
+    _check_tol(tol)
     start = time.perf_counter()
     notes: list[str] = []
     try:
@@ -178,16 +192,7 @@ def verify_instance(spec: FamilySpec, tol: float = DEFAULT_REPORT_TOL) -> Verdic
             energy_abs_err = None
             notes.append("no closed energy below validity range")
     except (DomainError, UnsupportedFamilyError, ConvergenceError) as exc:
-        return VerdictRecord(
-            spec=spec,
-            charpoly_match=False,
-            energy_abs_err=None,
-            max_root_residual=float("inf"),
-            spectrum_sym_err=None,
-            elapsed=time.perf_counter() - start,
-            notes=f"error: {exc}",
-            hard_failure=True,
-        )
+        return _hard_failure(spec, f"error: {exc}", start)
     return VerdictRecord(
         spec=spec,
         charpoly_match=p_exact == p_closed,
@@ -206,23 +211,24 @@ def check_union_additivity(g1: Graph, g2: Graph, tol: float = DEFAULT_REPORT_TOL
     return abs(combined - randic_energy(g1) - randic_energy(g2)) < tol
 
 
-def _deletion_record(
+def _reference_record(
     spec: FamilySpec,
-    g_del: Graph,
+    g: Graph,
     reference_energy: float,
-    poly_ok: bool,
+    reference_poly: RatPoly,
     note: str,
     start: float,
 ) -> VerdictRecord:
-    p_exact = charpoly_exact(g_del)
-    spectrum = eigenvalues(randic_matrix(g_del), DEFAULT_SOLVER_TOL)
+    """Check ``g``'s exact polynomial and numeric energy against references."""
+    p_exact = charpoly_exact(g)
+    spectrum = eigenvalues(randic_matrix(g), DEFAULT_SOLVER_TOL)
     re_numeric = sum(abs(v) for v in spectrum.values)
     return VerdictRecord(
         spec=spec,
-        charpoly_match=poly_ok,
+        charpoly_match=p_exact == reference_poly,
         energy_abs_err=abs(re_numeric - reference_energy),
         max_root_residual=_max_root_residual(p_exact, spectrum),
-        spectrum_sym_err=_symmetry_err(spectrum) if is_bipartite(g_del) else None,
+        spectrum_sym_err=_symmetry_err(spectrum) if is_bipartite(g) else None,
         elapsed=time.perf_counter() - start,
         notes=note,
     )
@@ -251,48 +257,51 @@ def check_edge_deletion_lemmas(tol: float = DEFAULT_REPORT_TOL, max_n: int = 20)
         for r in range(1, n):
             start = time.perf_counter()
             s = n - r
-            g_del = delete_edge(base, r - 1, r)
-            poly_ok = charpoly_exact(g_del) == path_poly[r] * path_poly[s]
             report.records.append(
-                _deletion_record(
+                _reference_record(
                     FamilySpec(PATH, n, minus_edge=True),
-                    g_del,
+                    delete_edge(base, r - 1, r),
                     path_energy[r] + path_energy[s],
-                    poly_ok,
+                    path_poly[r] * path_poly[s],
                     f"path split r={r} s={s}",
                     start,
                 )
             )
     for n in range(3, max_n + 1):
         start = time.perf_counter()
-        g_del = delete_edge(generate(FamilySpec(CYCLE, n)), 0, 1)
-        poly_ok = charpoly_exact(g_del) == path_poly[n]
         report.records.append(
-            _deletion_record(
+            _reference_record(
                 FamilySpec(CYCLE, n, minus_edge=True),
-                g_del,
+                delete_edge(generate(FamilySpec(CYCLE, n)), 0, 1),
                 path_energy[n],
-                poly_ok,
+                path_poly[n],
                 "cycle minus edge vs path",
                 start,
             )
         )
     for n in range(3, max_n + 1):
         start = time.perf_counter()
-        g_del = delete_edge(generate(FamilySpec(STAR, n)), 0, 1)
         smaller = charpoly_exact(generate(FamilySpec(STAR, n - 1))) if n > 2 else RatPoly.one()
-        poly_ok = charpoly_exact(g_del) == smaller.shift(1)
         report.records.append(
-            _deletion_record(
+            _reference_record(
                 FamilySpec(STAR, n, minus_edge=True),
-                g_del,
+                delete_edge(generate(FamilySpec(STAR, n)), 0, 1),
                 2.0,
-                poly_ok,
+                smaller.shift(1),
                 "star minus edge vs 2",
                 start,
             )
         )
     return report
+
+
+def _witness_specs(m_max: int) -> list[tuple[int, FamilySpec]]:
+    if m_max < 2:
+        raise DomainError(f"integer_energy_witnesses requires m_max >= 2 (got {m_max})")
+    return [
+        (m, FamilySpec(COMPLETE, 2) if m == 2 else FamilySpec(FRIENDSHIP, m - 1))
+        for m in range(2, m_max + 1)
+    ]
 
 
 def integer_energy_witnesses(m_max: int) -> list[tuple[int, FamilySpec, float]]:
@@ -301,13 +310,7 @@ def integer_energy_witnesses(m_max: int) -> list[tuple[int, FamilySpec, float]]:
     m = 2 uses the two-vertex complete graph; m >= 3 uses the friendship
     graph with m-1 triangles (energy m).
     """
-    if m_max < 2:
-        raise DomainError(f"integer_energy_witnesses requires m_max >= 2 (got {m_max})")
-    out: list[tuple[int, FamilySpec, float]] = []
-    for m in range(2, m_max + 1):
-        spec = FamilySpec(COMPLETE, 2) if m == 2 else FamilySpec(FRIENDSHIP, m - 1)
-        out.append((m, spec, randic_energy(generate(spec))))
-    return out
+    return [(m, spec, randic_energy(generate(spec))) for m, spec in _witness_specs(m_max)]
 
 
 def sweep_specs(max_n: int) -> list[FamilySpec]:
@@ -338,25 +341,26 @@ def verify_all(
     tol: float = DEFAULT_REPORT_TOL,
     witness_max: int = 20,
 ) -> Report:
-    """Sweep every family, run the lemma checks and the witness table."""
+    """Sweep every family, run the lemma checks and the witness table.
+
+    Each witness record checks the exact polynomial against the closed form,
+    the numeric energy against m, and the numeric spectrum against the exact
+    polynomial's roots.
+    """
     if max_n < 5:
         raise DomainError(f"verify_all requires max_n >= 5 (got {max_n})")
     _check_tol(tol)
+    witnesses = _witness_specs(witness_max)
     report = Report(tolerance=tol, meta=_report_meta())
     for spec in sweep_specs(max_n):
         report.records.append(verify_instance(spec, tol))
     report.records.extend(check_edge_deletion_lemmas(tol, max_n).records)
-    for m, spec, energy in integer_energy_witnesses(witness_max):
+    for m, spec in witnesses:
         start = time.perf_counter()
-        report.records.append(
-            VerdictRecord(
-                spec=spec,
-                charpoly_match=True,
-                energy_abs_err=abs(energy - m),
-                max_root_residual=0.0,
-                spectrum_sym_err=None,
-                elapsed=time.perf_counter() - start,
-                notes=f"integer energy witness m={m}",
-            )
-        )
+        note = f"integer energy witness m={m}"
+        try:
+            record = _reference_record(spec, generate(spec), m, closed_charpoly(spec), note, start)
+        except (DomainError, ConvergenceError) as exc:
+            record = _hard_failure(spec, f"{note}; error: {exc}", start)
+        report.records.append(record)
     return report

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
-from oracles import charpoly_bruteforce
+from oracles import charpoly_at, charpoly_bruteforce
 
 from randic import spectral
 from randic import (
@@ -172,15 +172,53 @@ def test_charpoly_order_cap():
 # ---------------------------------------------------------------- modular kernel
 
 
-@pytest.mark.parametrize("e", spectral.MERSENNE_EXPONENTS)
+MERSENNE_ENTRIES = [p for p, a in spectral.CERTIFIED_PRIMES if a is None]
+PROTH_ENTRIES = [(p, a) for p, a in spectral.CERTIFIED_PRIMES if a is not None]
+
+
+@pytest.mark.parametrize("e", [p.bit_length() for p in MERSENNE_ENTRIES])
 def test_mersenne_exponents_are_prime(e):
     # Lucas-Lehmer: for an odd prime e, 2^e - 1 is prime iff s_{e-2} = 0
     assert e > 2 and all(e % q for q in range(2, math.isqrt(e) + 1))
     p = (1 << e) - 1
+    assert p in MERSENNE_ENTRIES
     s = 4
     for _ in range(e - 2):
         s = (s * s - 2) % p
     assert s == 0
+
+
+@pytest.mark.parametrize("p, a", PROTH_ENTRIES, ids=[f"{p.bit_length()}bit" for p, _ in PROTH_ENTRIES])
+def test_proth_entries_are_prime(p, a):
+    # Proth: p = k·2^e + 1 with k odd, k < 2^e, is prime if a^((p-1)/2) = -1 mod p
+    e = ((p - 1) & (1 - p)).bit_length() - 1
+    k = (p - 1) >> e
+    assert k % 2 == 1 and k < 1 << e
+    assert pow(a, (p - 1) // 2, p) == p - 1
+
+
+def test_certified_primes_table_shape():
+    primes = [p for p, _ in spectral.CERTIFIED_PRIMES]
+    assert primes == sorted(set(primes))
+    assert primes[0] == (1 << 61) - 1
+    assert primes[-1] >= (1 << 4423) - 1
+    # up to the coefficient bound of complete(128), each entry is at most
+    # 32 bits above the one before it
+    cap = spectral.EXACT_ORDER_CAP
+    bound = 2 * (cap - 1) ** cap * math.comb(cap, cap // 2)
+    dense = [p for p in primes if p <= bound]
+    dense.append(primes[len(dense)])
+    assert all(b < a << 32 for a, b in zip(dense, dense[1:]))
+
+
+@pytest.mark.parametrize(
+    "bound, bits",
+    [(0, 61), ((1 << 53) - 1, 61), ((1 << 61) - 2, 61), ((1 << 61) - 1, 89), (1 << 151, 180), (1 << 1019, 1020)],
+)
+def test_modulus_is_smallest_certified_prime_above_bound(bound, bits):
+    p = spectral._modulus(bound)
+    assert p > bound and p.bit_length() == bits
+    assert all(q <= bound for q, _ in spectral.CERTIFIED_PRIMES if q < p)
 
 
 def _random_graph(rng, n, isolated):
@@ -238,17 +276,37 @@ def test_charpoly_largest_coefficients_match_closed_form(spec):
     assert charpoly_exact(generate(spec)) == closed_charpoly(spec)
 
 
-def test_charpoly_label_invariant_order_100():
-    rng = random.Random(100)
-    n = 100
+def _connected_graph(rng, n, m):
+    """A random tree on n vertices plus random edges up to m in all."""
     edges = {(rng.randrange(v), v) for v in range(1, n)}
-    while len(edges) < 150:
+    while len(edges) < m:
         u, v = sorted(rng.sample(range(n), 2))
         edges.add((u, v))
-    g = Graph.from_edges(n, edges)
-    perm = list(range(n))
+    return Graph.from_edges(n, edges)
+
+
+def _shuffled(rng, g):
+    perm = list(range(g.n))
     rng.shuffle(perm)
-    assert charpoly_exact(permute_vertices(g, perm)) == charpoly_exact(g)
+    return permute_vertices(g, perm)
+
+
+def test_charpoly_label_invariant_order_100():
+    rng = random.Random(100)
+    g = _connected_graph(rng, 100, 150)
+    assert charpoly_exact(_shuffled(rng, g)) == charpoly_exact(g)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_charpoly_sparse_order_64_against_elimination(seed):
+    # coefficient bounds of ~150 bits, between the Mersenne primes 2^127 - 1
+    # and 2^521 - 1
+    rng = random.Random(f"sparse-64:{seed}")
+    g = _connected_graph(rng, 64, 96)
+    p = charpoly_exact(g)
+    for x in (0, 2, Fr(-1, 2)):
+        assert p(x) == charpoly_at(g, x)
+    assert charpoly_exact(_shuffled(rng, g)) == p
 
 
 def test_charpoly_beyond_largest_modulus_is_domain_error():

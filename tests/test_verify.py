@@ -12,6 +12,7 @@ from randic import (
     charpoly_exact,
     check_edge_deletion_lemmas,
     check_union_additivity,
+    closed_charpoly,
     generate,
     integer_energy_witnesses,
     sweep_specs,
@@ -123,6 +124,12 @@ def test_check_union_additivity_rejects_bad_tol(tol):
         check_union_additivity(p2, p2, tol)
 
 
+@pytest.mark.parametrize("tol", BAD_TOLS + [-1.0])
+def test_verify_instance_rejects_bad_tol(tol):
+    with pytest.raises(ValueError):
+        verify_instance(FamilySpec("path", 5), tol)
+
+
 @pytest.mark.parametrize("tol", BAD_TOLS)
 def test_verify_all_rejects_bad_tol(tol):
     with pytest.raises(ValueError):
@@ -160,6 +167,39 @@ def test_integer_energy_witnesses_table():
         assert abs(re - m) < 1e-9
     with pytest.raises(DomainError):
         integer_energy_witnesses(1)
+
+
+def test_witness_records_check_exact_polynomial_and_roots(monkeypatch):
+    import randic.verify
+
+    def wrong(g):
+        return charpoly_exact(g) + RatPoly.one()
+
+    monkeypatch.setattr(randic.verify, "charpoly_exact", wrong)
+    report = verify_all(5, 1e-9, witness_max=4)
+    witnesses = [r for r in report.records if r.notes.startswith("integer energy witness")]
+    assert [r.notes for r in witnesses] == [f"integer energy witness m={m}" for m in (2, 3, 4)]
+    for r in witnesses:
+        assert not r.charpoly_match
+        assert r.max_root_residual > 0.5
+        assert not r.passed(1e-9)
+
+
+def test_witness_domain_error_is_hard_failure(monkeypatch):
+    import randic.verify
+
+    def closed(spec):
+        if spec.family == "friendship":
+            raise DomainError("out of range")
+        return closed_charpoly(spec)
+
+    monkeypatch.setattr(randic.verify, "closed_charpoly", closed)
+    report = verify_all(5, 1e-9, witness_max=3)
+    two, three = report.records[-2:]
+    assert two.notes == "integer energy witness m=2" and two.passed(1e-9)
+    assert three.spec == FamilySpec("friendship", 2)
+    assert three.hard_failure and not three.passed(1e-9)
+    assert three.notes.startswith("integer energy witness m=3; error:")
 
 
 def test_verify_all_small_sweep():
