@@ -18,7 +18,6 @@ from .graphs import (
     format_edge_list,
     generate,
     is_bipartite,
-    is_connected,
     parse_edge_list,
     permute_vertices,
 )
@@ -35,11 +34,8 @@ from .spectral import (
     randic_matrix,
 )
 from .closed_forms import (
-    ClosedForm,
-    cheb_u,
     closed_charpoly,
     closed_energy,
-    closed_form,
     lambda_poly,
     path_graph_energy,
 )
@@ -68,7 +64,6 @@ __all__ = [
     "format_edge_list",
     "generate",
     "is_bipartite",
-    "is_connected",
     "parse_edge_list",
     "permute_vertices",
     "RatPoly",
@@ -82,11 +77,8 @@ __all__ = [
     "randic_energy",
     "randic_index",
     "randic_matrix",
-    "ClosedForm",
-    "cheb_u",
     "closed_charpoly",
     "closed_energy",
-    "closed_form",
     "lambda_poly",
     "path_graph_energy",
     "Report",

@@ -24,7 +24,7 @@ from .graphs import (
     parse_edge_list,
 )
 from .ratpoly import RatPoly, format_poly
-from .spectral import charpoly_exact, graph_energy, randic_energy
+from .spectral import EXACT_ORDER_CAP, charpoly_exact, graph_energy, randic_energy
 from .verify import verify_all
 
 _FAMILY_CHOICES = [
@@ -47,16 +47,22 @@ def _add_family_args(sub: argparse.ArgumentParser, with_input: bool) -> None:
     sub.add_argument("--minus-edge", action="store_true", help="delete the canonical edge")
 
 
-def _spec_from_args(args, parser: argparse.ArgumentParser) -> FamilySpec:
+def _family_from_args(args, parser: argparse.ArgumentParser) -> str:
+    """The --family value in library spelling, once --m is checked against it."""
     if args.family is None:
         parser.error("--family is required (or --input where supported)")
-    if args.n is None:
-        parser.error("--n is required with --family")
     family = args.family.replace("-", "_")
     if args.m is not None and family != COMPLETE_BIPARTITE:
         parser.error("--m is only valid with --family complete-bipartite")
     if family == COMPLETE_BIPARTITE and args.m is None:
         parser.error("--family complete-bipartite requires --m")
+    return family
+
+
+def _spec_from_args(args, parser: argparse.ArgumentParser) -> FamilySpec:
+    if args.family is not None and args.n is None:
+        parser.error("--n is required with --family")
+    family = _family_from_args(args, parser)
     return FamilySpec(family, args.n, m=args.m, minus_edge=args.minus_edge)
 
 
@@ -135,12 +141,10 @@ def _cmd_energy(args, parser) -> int:
         if getattr(args, "input", None):
             parser.error("--sweep requires --family, not --input")
         lo, hi = _parse_sweep(args.sweep, parser)
+        family = _family_from_args(args, parser)
         rows = []
         for n in range(lo, hi + 1):
-            spec = _spec_from_args(
-                argparse.Namespace(family=args.family, n=n, m=args.m, minus_edge=args.minus_edge),
-                parser,
-            )
+            spec = FamilySpec(family, n, m=args.m, minus_edge=args.minus_edge)
             re_num = randic_energy(generate(spec), args.tol)
             try:
                 re_closed: Optional[float] = closed_energy(spec)
@@ -196,8 +200,9 @@ def _cmd_energy(args, parser) -> int:
 def _cmd_verify(args, parser) -> int:
     if args.max_n < 5:
         parser.error("--max-n must be at least 5")
-    if args.witness_max < 2:
-        parser.error("--witness-max must be at least 2")
+    most = (EXACT_ORDER_CAP + 1) // 2  # the witness for m has 2m - 1 vertices
+    if not 2 <= args.witness_max <= most:
+        parser.error(f"--witness-max must be between 2 and {most}")
     report = verify_all(args.max_n, args.tol, witness_max=args.witness_max)
     text = report.to_json()
     if args.report:

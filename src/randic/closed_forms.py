@@ -1,21 +1,20 @@
 """Closed-form characteristic polynomials and energies for the named families.
 
 The path and cycle polynomials are built from the tridiagonal determinant
-sequence Λ_k (diagonal λ, off-diagonal -1/2), which satisfies
+sequence Λ_k (diagonal λ, off-diagonal -1/2), taken straight from its
+explicit coefficients
 
-    Λ_k = λ·Λ_{k-1} - (1/4)·Λ_{k-2},   Λ_1 = λ,  Λ_2 = λ² - 1/4,
+    Λ_k = Σ_j (-1)^j·C(k-j, j)/4^j·λ^(k-2j),   0 <= j <= k/2,
 
-and equals U_k(λ)/2^k where U_k is the Chebyshev polynomial of the second
-kind; that identity is kept around as an independent oracle. The recurrence
-is extended backward with Λ_0 = 1 and Λ_{-1} = 0 so the small-n formulas
-close under one code path.
+with Λ_0 = 1 and Λ_{-1} = 0 so the small-n formulas close under one code
+path. The tests check these against the recurrence
+Λ_k = λ·Λ_{k-1} - (1/4)·Λ_{k-2} and against the identity Λ_k = U_k(λ)/2^k,
+with U_k the Chebyshev polynomial of the second kind.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, UnsupportedFamilyError
@@ -34,35 +33,15 @@ from .ratpoly import RatPoly
 _QUARTER = Fraction(1, 4)
 _HALF = Fraction(1, 2)
 
-# caches index k+1 for lambda (so Λ_{-1} sits at slot 0) and k for cheb
-_lambda_cache: list[RatPoly] = [RatPoly.zero(), RatPoly.one()]
-_lambda_lock = threading.Lock()
-_cheb_cache: list[RatPoly] = [RatPoly.one(), RatPoly((0, 2))]
-_cheb_lock = threading.Lock()
-
 
 def lambda_poly(k: int) -> RatPoly:
     """Determinant of the k-by-k tridiagonal matrix with λ diagonal, -1/2 off."""
     if k < -1:
         raise DomainError(f"lambda_poly requires k >= -1 (got {k})")
-    with _lambda_lock:
-        x = RatPoly.x()
-        while len(_lambda_cache) < k + 2:
-            nxt = x * _lambda_cache[-1] - _QUARTER * _lambda_cache[-2]
-            _lambda_cache.append(nxt)
-        return _lambda_cache[k + 1]
-
-
-def cheb_u(k: int) -> RatPoly:
-    """Chebyshev polynomial of the second kind: U_k = 2λ·U_{k-1} - U_{k-2}."""
-    if k < 0:
-        raise DomainError(f"cheb_u requires k >= 0 (got {k})")
-    with _cheb_lock:
-        two_x = RatPoly((0, 2))
-        while len(_cheb_cache) < k + 1:
-            nxt = two_x * _cheb_cache[-1] - _cheb_cache[-2]
-            _cheb_cache.append(nxt)
-        return _cheb_cache[k]
+    coeffs = [0] * (k + 1)
+    for j in range(k // 2 + 1):
+        coeffs[k - 2 * j] = Fraction((-1) ** j * math.comb(k - j, j), 4**j)
+    return RatPoly(coeffs)
 
 
 def _x2_minus(c) -> RatPoly:
@@ -187,26 +166,6 @@ def closed_energy(spec: FamilySpec) -> float:
     raise DomainError(f"unknown family {fam!r}")
 
 
-def _energy_form(spec: FamilySpec) -> str:
-    fam, n, m = spec.family, spec.n, spec.m
-    if spec.minus_edge:
-        if fam == COMPLETE:
-            return "2"
-        return f"2 + 2/√{m * n}"
-    if fam in (STAR, COMPLETE, COMPLETE_BIPARTITE):
-        return "2"
-    if fam == FRIENDSHIP:
-        return str(n + 1)
-    if fam == DUTCH4:
-        return f"2 + {n - 1}·√2"
-    if fam == PATH:
-        return f"2 + E(P_{n - 2})/2"
-    if n % 2 == 0:
-        h = n // 2
-        return f"2·sin(({h // 2}+1/2)·π/{h})/sin(π/{2 * h})"
-    return f"Σ|cos(2πk/{n})|, k=0..{n - 1}"
-
-
 def small_case_charpoly(spec: FamilySpec) -> RatPoly:
     """Deprecated: ``closed_charpoly`` now covers paths from order 2 on.
 
@@ -215,23 +174,3 @@ def small_case_charpoly(spec: FamilySpec) -> RatPoly:
     name; remove the two together.
     """
     return closed_charpoly(spec)
-
-
-@dataclass(frozen=True)
-class ClosedForm:
-    """A family's closed-form polynomial and energy, with a readable energy form."""
-
-    family: FamilySpec
-    charpoly: RatPoly
-    energy: float
-    energy_form: str
-
-
-def closed_form(spec: FamilySpec) -> ClosedForm:
-    """Bundle the closed-form polynomial and energy for one family spec."""
-    return ClosedForm(
-        family=spec,
-        charpoly=closed_charpoly(spec),
-        energy=closed_energy(spec),
-        energy_form=_energy_form(spec),
-    )

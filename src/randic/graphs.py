@@ -82,9 +82,6 @@ class Graph:
             nbrs[v].append(u)
         return tuple(tuple(sorted(ns)) for ns in nbrs)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={sorted(self.edges)})"
 
@@ -191,24 +188,6 @@ def permute_vertices(g: Graph, perm: Sequence[int]) -> Graph:
     if sorted(perm) != list(range(g.n)):
         raise ValueError("perm is not a permutation of the vertex set")
     return Graph.from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges))
-
-
-def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    seen = [False] * g.n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    adj = g.adjacency
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                queue.append(w)
-    return count == g.n
 
 
 def is_bipartite(g: Graph) -> bool:

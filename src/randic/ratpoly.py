@@ -36,12 +36,6 @@ class RatPoly:
     def x(cls) -> "RatPoly":
         return cls((0, 1))
 
-    @classmethod
-    def monomial(cls, power: int, coeff: Scalar = 1) -> "RatPoly":
-        if power < 0:
-            raise ValueError("monomial power must be non-negative")
-        return cls((0,) * power + (Fraction(coeff),))
-
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
@@ -50,21 +44,6 @@ class RatPoly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return Fraction(0)
 
     def shift(self, k: int) -> "RatPoly":
         """Multiply by x**k."""

@@ -44,11 +44,6 @@ class SymMatrix:
     def order(self) -> int:
         return len(self.entries)
 
-    def is_symmetric(self) -> bool:
-        a = self.entries
-        n = len(a)
-        return all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
-
 
 @dataclass(frozen=True)
 class Spectrum:

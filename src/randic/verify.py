@@ -14,7 +14,8 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cache, partial
+from typing import Callable, Optional
 
 from . import __version__
 from .closed_forms import closed_charpoly, closed_energy
@@ -37,6 +38,7 @@ from .graphs import (
 from .ratpoly import RatPoly
 from .spectral import (
     DEFAULT_SOLVER_TOL,
+    EXACT_ORDER_CAP,
     Spectrum,
     charpoly_exact,
     eigenvalues,
@@ -161,41 +163,39 @@ def _symmetry_err(spectrum: Spectrum) -> float:
     return max(abs(vals[i] + vals[n - 1 - i]) for i in range(n))
 
 
-def _hard_failure(spec: FamilySpec, note: str, start: float) -> VerdictRecord:
-    return VerdictRecord(
-        spec=spec,
-        charpoly_match=False,
-        energy_abs_err=None,
-        max_root_residual=float("inf"),
-        spectrum_sym_err=None,
-        elapsed=time.perf_counter() - start,
-        notes=note,
-        hard_failure=True,
-    )
+def _record(spec: FamilySpec, note: str, reference: Callable) -> VerdictRecord:
+    """Check a graph's exact polynomial and numeric spectrum against a reference.
 
-
-def verify_instance(spec: FamilySpec, tol: float = DEFAULT_REPORT_TOL) -> VerdictRecord:
-    """Run the full three-way cross-check on one family instance."""
-    _check_tol(tol)
+    ``reference()`` returns (graph, expected polynomial, expected energy),
+    the energy None below the closed energy's validity range. An error in
+    it, in ``charpoly_exact`` or in ``eigenvalues`` makes a hard-failure
+    record, so one bad instance never aborts a sweep.
+    """
     start = time.perf_counter()
-    notes: list[str] = []
+    notes = [note] if note else []
     try:
-        g = generate(spec)
+        g, expected_poly, expected_energy = reference()
         p_exact = charpoly_exact(g)
-        p_closed = closed_charpoly(spec)
         spectrum = eigenvalues(randic_matrix(g), DEFAULT_SOLVER_TOL)
-        re_numeric = sum(abs(v) for v in spectrum.values)
-        energy_abs_err: Optional[float]
-        try:
-            energy_abs_err = abs(re_numeric - closed_energy(spec))
-        except DomainError:
-            energy_abs_err = None
-            notes.append("no closed energy below validity range")
     except (DomainError, UnsupportedFamilyError, ConvergenceError) as exc:
-        return _hard_failure(spec, f"error: {exc}", start)
+        return VerdictRecord(
+            spec=spec,
+            charpoly_match=False,
+            energy_abs_err=None,
+            max_root_residual=float("inf"),
+            spectrum_sym_err=None,
+            elapsed=time.perf_counter() - start,
+            notes="; ".join(notes + [f"error: {exc}"]),
+            hard_failure=True,
+        )
+    energy_abs_err: Optional[float] = None
+    if expected_energy is None:
+        notes.append("no closed energy below validity range")
+    else:
+        energy_abs_err = abs(sum(abs(v) for v in spectrum.values) - expected_energy)
     return VerdictRecord(
         spec=spec,
-        charpoly_match=p_exact == p_closed,
+        charpoly_match=p_exact == expected_poly,
         energy_abs_err=energy_abs_err,
         max_root_residual=_max_root_residual(p_exact, spectrum),
         spectrum_sym_err=_symmetry_err(spectrum) if is_bipartite(g) else None,
@@ -204,34 +204,26 @@ def verify_instance(spec: FamilySpec, tol: float = DEFAULT_REPORT_TOL) -> Verdic
     )
 
 
+def verify_instance(spec: FamilySpec, tol: float = DEFAULT_REPORT_TOL) -> VerdictRecord:
+    """Run the full three-way cross-check on one family instance."""
+    _check_tol(tol)
+
+    def reference() -> tuple[Graph, RatPoly, Optional[float]]:
+        g = generate(spec)
+        poly = closed_charpoly(spec)
+        try:
+            return g, poly, closed_energy(spec)
+        except DomainError:
+            return g, poly, None
+
+    return _record(spec, "", reference)
+
+
 def check_union_additivity(g1: Graph, g2: Graph, tol: float = DEFAULT_REPORT_TOL) -> bool:
     """True iff the energy of the disjoint union equals the sum of the parts."""
     _check_tol(tol)
     combined = randic_energy(disjoint_union(g1, g2))
     return abs(combined - randic_energy(g1) - randic_energy(g2)) < tol
-
-
-def _reference_record(
-    spec: FamilySpec,
-    g: Graph,
-    reference_energy: float,
-    reference_poly: RatPoly,
-    note: str,
-    start: float,
-) -> VerdictRecord:
-    """Check ``g``'s exact polynomial and numeric energy against references."""
-    p_exact = charpoly_exact(g)
-    spectrum = eigenvalues(randic_matrix(g), DEFAULT_SOLVER_TOL)
-    re_numeric = sum(abs(v) for v in spectrum.values)
-    return VerdictRecord(
-        spec=spec,
-        charpoly_match=p_exact == reference_poly,
-        energy_abs_err=abs(re_numeric - reference_energy),
-        max_root_residual=_max_root_residual(p_exact, spectrum),
-        spectrum_sym_err=_symmetry_err(spectrum) if is_bipartite(g) else None,
-        elapsed=time.perf_counter() - start,
-        notes=note,
-    )
 
 
 def check_edge_deletion_lemmas(tol: float = DEFAULT_REPORT_TOL, max_n: int = 20) -> Report:
@@ -245,59 +237,50 @@ def check_edge_deletion_lemmas(tol: float = DEFAULT_REPORT_TOL, max_n: int = 20)
     if max_n < 4:
         raise DomainError(f"check_edge_deletion_lemmas requires max_n >= 4 (got {max_n})")
     _check_tol(tol)
+    # the paths, and their exact polynomials and numeric energies, are
+    # computed once per call, when a record's reference first needs them
+    @cache
+    def path_graph(k: int) -> Graph:
+        return generate(FamilySpec(PATH, k))
+
+    @cache
+    def path(k: int) -> tuple[RatPoly, float]:
+        return charpoly_exact(path_graph(k)), randic_energy(path_graph(k))
+
+    def split(n: int, r: int) -> tuple[Graph, RatPoly, float]:
+        (p_r, e_r), (p_s, e_s) = path(r), path(n - r)
+        return delete_edge(path_graph(n), r - 1, r), p_r * p_s, e_r + e_s
+
+    def cycle(n: int) -> tuple[Graph, RatPoly, float]:
+        return (delete_edge(generate(FamilySpec(CYCLE, n)), 0, 1), *path(n))
+
+    def star(n: int) -> tuple[Graph, RatPoly, float]:
+        smaller = charpoly_exact(generate(FamilySpec(STAR, n - 1)))
+        return delete_edge(generate(FamilySpec(STAR, n)), 0, 1), smaller.shift(1), 2.0
+
+    checks = [
+        (FamilySpec(PATH, n, minus_edge=True), f"path split r={r} s={n - r}", partial(split, n, r))
+        for n in range(2, max_n + 1)
+        for r in range(1, n)
+    ]
+    checks += [
+        (FamilySpec(CYCLE, n, minus_edge=True), "cycle minus edge vs path", partial(cycle, n))
+        for n in range(3, max_n + 1)
+    ]
+    checks += [
+        (FamilySpec(STAR, n, minus_edge=True), "star minus edge vs 2", partial(star, n))
+        for n in range(3, max_n + 1)
+    ]
     report = Report(tolerance=tol, meta=_report_meta())
-    path_energy: dict[int, float] = {}
-    path_poly: dict[int, RatPoly] = {}
-    for k in range(1, max_n + 1):
-        g = generate(FamilySpec(PATH, k))
-        path_energy[k] = randic_energy(g)
-        path_poly[k] = charpoly_exact(g)
-    for n in range(2, max_n + 1):
-        base = generate(FamilySpec(PATH, n))
-        for r in range(1, n):
-            start = time.perf_counter()
-            s = n - r
-            report.records.append(
-                _reference_record(
-                    FamilySpec(PATH, n, minus_edge=True),
-                    delete_edge(base, r - 1, r),
-                    path_energy[r] + path_energy[s],
-                    path_poly[r] * path_poly[s],
-                    f"path split r={r} s={s}",
-                    start,
-                )
-            )
-    for n in range(3, max_n + 1):
-        start = time.perf_counter()
-        report.records.append(
-            _reference_record(
-                FamilySpec(CYCLE, n, minus_edge=True),
-                delete_edge(generate(FamilySpec(CYCLE, n)), 0, 1),
-                path_energy[n],
-                path_poly[n],
-                "cycle minus edge vs path",
-                start,
-            )
-        )
-    for n in range(3, max_n + 1):
-        start = time.perf_counter()
-        smaller = charpoly_exact(generate(FamilySpec(STAR, n - 1))) if n > 2 else RatPoly.one()
-        report.records.append(
-            _reference_record(
-                FamilySpec(STAR, n, minus_edge=True),
-                delete_edge(generate(FamilySpec(STAR, n)), 0, 1),
-                2.0,
-                smaller.shift(1),
-                "star minus edge vs 2",
-                start,
-            )
-        )
+    report.records = [_record(*check) for check in checks]
     return report
 
 
 def _witness_specs(m_max: int) -> list[tuple[int, FamilySpec]]:
-    if m_max < 2:
-        raise DomainError(f"integer_energy_witnesses requires m_max >= 2 (got {m_max})")
+    # the witness for m has 2m - 1 vertices, all within reach of the exact route
+    most = (EXACT_ORDER_CAP + 1) // 2
+    if not 2 <= m_max <= most:
+        raise DomainError(f"integer_energy_witnesses requires 2 <= m_max <= {most} (got {m_max})")
     return [
         (m, FamilySpec(COMPLETE, 2) if m == 2 else FamilySpec(FRIENDSHIP, m - 1))
         for m in range(2, m_max + 1)
@@ -308,7 +291,8 @@ def integer_energy_witnesses(m_max: int) -> list[tuple[int, FamilySpec, float]]:
     """For each integer 2 <= m <= m_max, a graph whose Randic energy is m.
 
     m = 2 uses the two-vertex complete graph; m >= 3 uses the friendship
-    graph with m-1 triangles (energy m).
+    graph with m-1 triangles (energy m). m_max is at most 64, so that every
+    witness has at most ``EXACT_ORDER_CAP`` = 128 vertices.
     """
     return [(m, spec, randic_energy(generate(spec))) for m, spec in _witness_specs(m_max)]
 
@@ -352,15 +336,13 @@ def verify_all(
     _check_tol(tol)
     witnesses = _witness_specs(witness_max)
     report = Report(tolerance=tol, meta=_report_meta())
-    for spec in sweep_specs(max_n):
-        report.records.append(verify_instance(spec, tol))
-    report.records.extend(check_edge_deletion_lemmas(tol, max_n).records)
-    for m, spec in witnesses:
-        start = time.perf_counter()
-        note = f"integer energy witness m={m}"
-        try:
-            record = _reference_record(spec, generate(spec), m, closed_charpoly(spec), note, start)
-        except (DomainError, ConvergenceError) as exc:
-            record = _hard_failure(spec, f"{note}; error: {exc}", start)
-        report.records.append(record)
+    report.records = [verify_instance(spec, tol) for spec in sweep_specs(max_n)]
+    report.records += check_edge_deletion_lemmas(tol, max_n).records
+    # each reference runs inside its _record call, while m and spec are current
+    report.records += [
+        _record(
+            spec, f"integer energy witness m={m}", lambda: (generate(spec), closed_charpoly(spec), m)
+        )
+        for m, spec in witnesses
+    ]
     return report

@@ -8,12 +8,46 @@ modular Hessenberg implementation under test. Practical up to ~8 vertices.
 ``charpoly_at`` evaluates the same polynomial at one rational point as
 det(xD - A)/∏d by Gaussian elimination over Fractions, for graphs without
 isolated vertices; it is practical at order 64.
+
+``cheb_u`` builds the Chebyshev polynomials of the second kind by their
+recurrence, an independent check on the library's explicit coefficients of
+the tridiagonal determinants Λ_k = U_k(λ)/2^k. ``is_connected`` is a plain
+breadth-first search.
 """
 
 import math
+from collections import deque
 from fractions import Fraction
 
-from randic import Graph, RatPoly
+from randic import DomainError, Graph, RatPoly
+
+
+def cheb_u(k: int) -> RatPoly:
+    """Chebyshev polynomial of the second kind: U_k = 2λ·U_{k-1} - U_{k-2}."""
+    if k < 0:
+        raise DomainError(f"cheb_u requires k >= 0 (got {k})")
+    two_x = RatPoly((0, 2))
+    prev, cur = RatPoly.one(), two_x
+    for _ in range(k):
+        prev, cur = cur, two_x * cur - prev
+    return prev
+
+
+def is_connected(g: Graph) -> bool:
+    if g.n <= 1:
+        return True
+    seen = [False] * g.n
+    seen[0] = True
+    queue = deque([0])
+    count = 1
+    while queue:
+        u = queue.popleft()
+        for w in g.adjacency[u]:
+            if not seen[w]:
+                seen[w] = True
+                count += 1
+                queue.append(w)
+    return count == g.n
 
 
 def det_poly(mat: list[list[RatPoly]]) -> RatPoly:
@@ -41,7 +75,7 @@ def charpoly_bruteforce(g: Graph) -> RatPoly:
         for j in range(g.n):
             if i == j:
                 row.append(lam)
-            elif g.has_edge(i, j):
+            elif j in g.adjacency[i]:
                 row.append(RatPoly((-Fraction(1, degs[i]),)))
             else:
                 row.append(RatPoly.zero())
@@ -56,7 +90,7 @@ def charpoly_at(g: Graph, x) -> Fraction:
         raise ValueError("isolated vertex: D is singular")
     n = g.n
     rows = [
-        [Fraction(x * degs[i]) if i == j else Fraction(-1 if g.has_edge(i, j) else 0) for j in range(n)]
+        [Fraction(x * degs[i]) if i == j else Fraction(-1 if j in g.adjacency[i] else 0) for j in range(n)]
         for i in range(n)
     ]
     det = Fraction(1)

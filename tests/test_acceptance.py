@@ -20,7 +20,6 @@ from randic import (
     Graph,
     RatPoly,
     charpoly_exact,
-    cheb_u,
     check_edge_deletion_lemmas,
     check_union_additivity,
     closed_charpoly,
@@ -30,12 +29,13 @@ from randic import (
     graph_energy,
     integer_energy_witnesses,
     is_bipartite,
-    is_connected,
     lambda_poly,
     path_graph_energy,
     randic_matrix,
 )
 from randic.cli import main as cli_main
+
+from oracles import cheb_u, is_connected
 
 ENERGY_TOL = 1e-9
 RESIDUAL_TOL = 1e-6

@@ -276,3 +276,11 @@ def test_verify_max_n_below_minimum_exit2(capsys):
 @pytest.mark.parametrize("tol", BAD_TOLS)
 def test_verify_bad_tol_is_usage_error(capsys, tol):
     assert run_usage_error(capsys, "verify", "--max-n", "5", "--witness-max", "2", "--tol", tol) == 2
+
+
+def test_verify_witness_max_above_exact_reach_is_usage_error(capsys):
+    # the witness for m = 65 is friendship(64), 129 vertices: beyond the exact route
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--max-n", "5", "--witness-max", "65"])
+    assert err.value.code == 2
+    assert "--witness-max must be between 2 and 64" in capsys.readouterr().err

@@ -10,15 +10,15 @@ from randic import (
     RatPoly,
     UnsupportedFamilyError,
     charpoly_exact,
-    cheb_u,
     closed_charpoly,
     closed_energy,
-    closed_form,
     generate,
     lambda_poly,
     path_graph_energy,
     randic_energy,
 )
+
+from oracles import cheb_u
 
 SQRT2 = math.sqrt(2.0)
 
@@ -47,7 +47,7 @@ def test_lambda_domain_error():
 def test_lambda_monic_with_degree_k(k):
     p = lambda_poly(k)
     assert p.degree == k
-    assert p.is_monic
+    assert p.coeffs[-1] == 1
 
 
 def test_cheb_u_base_and_steps():
@@ -59,9 +59,15 @@ def test_cheb_u_base_and_steps():
         cheb_u(-1)
 
 
-@pytest.mark.parametrize("k", range(1, 33))
+@pytest.mark.parametrize("k", range(1, 65))
 def test_chebyshev_scaling_oracle(k):
     assert lambda_poly(k) * 2**k == cheb_u(k)
+
+
+def test_lambda_explicit_coefficients_satisfy_recurrence():
+    # Λ_k = λ·Λ_{k-1} - Λ_{k-2}/4, from Λ_{-1} = 0 and Λ_0 = 1
+    for k in range(1, 65):
+        assert lambda_poly(k) == RatPoly.x() * lambda_poly(k - 1) - Fr(1, 4) * lambda_poly(k - 2)
 
 
 def test_caches_safe_under_concurrent_access():
@@ -163,7 +169,7 @@ def test_closed_charpoly_equals_exact(spec):
 )
 def test_closed_charpoly_roots_sum_to_zero(spec):
     p = closed_charpoly(spec)
-    assert p.coefficient(p.degree - 1) == 0
+    assert p.coeffs[p.degree - 1] == 0
 
 
 # ---------------------------------------------------------------- closed energies
@@ -260,11 +266,3 @@ def test_closed_charpoly_small_paths():
     )
     assert closed_charpoly(FamilySpec("star", 2)) == RatPoly([-1, 0, 1])
 
-
-def test_closed_form_bundle():
-    cf = closed_form(FamilySpec("dutch4", 4))
-    assert cf.charpoly.degree == generate(cf.family).n
-    assert cf.energy == pytest.approx(2.0 + 3.0 * SQRT2, abs=1e-12)
-    assert cf.energy >= 0
-    assert "√2" in cf.energy_form
-    assert closed_form(FamilySpec("complete", 5)).energy_form == "2"

@@ -18,9 +18,6 @@ def test_degree_and_leading():
     assert RatPoly([5]).degree == 0
     p = RatPoly([Fr(1, 4), 0, 1])
     assert p.degree == 2
-    assert p.leading == 1
-    assert p.is_monic
-    assert not RatPoly([1, 2]).is_monic
 
 
 def test_product_matches_expanded_form():
@@ -47,9 +44,9 @@ def test_add_sub_scalar_mul():
 
 
 def test_shift_and_monomial():
-    assert RatPoly([1]).shift(3) == RatPoly.monomial(3)
+    assert RatPoly([1]).shift(3) == RatPoly([0, 0, 0, 1])
     assert RatPoly.zero().shift(5).is_zero
-    assert RatPoly.monomial(2, Fr(1, 2)) == RatPoly([0, 0, Fr(1, 2)])
+    assert RatPoly([Fr(1, 2)]).shift(2) == RatPoly([0, 0, Fr(1, 2)])
 
 
 def test_evaluate_exact_and_float():
@@ -57,12 +54,6 @@ def test_evaluate_exact_and_float():
     assert p(Fr(1, 2)) == Fr(1, 2) ** 4 - Fr(5, 4) * Fr(1, 4) + Fr(1, 4)
     assert p(1) == 0
     assert abs(p(0.5)) < 1e-15
-
-
-def test_coefficient_accessor():
-    p = RatPoly([Fr(1, 4), 0, 1])
-    assert p.coefficient(0) == Fr(1, 4)
-    assert p.coefficient(7) == 0
 
 
 def test_hash_consistent_with_eq():

@@ -76,7 +76,7 @@ def test_randic_matrix_isolated_rows_zero():
 @pytest.mark.parametrize("spec", SMALL_SPECS)
 def test_randic_matrix_exactly_symmetric(spec):
     mat = randic_matrix(generate(spec))
-    assert mat.is_symmetric()
+    assert mat.entries == tuple(zip(*mat.entries))
 
 
 def test_randic_index_examples():
@@ -130,11 +130,11 @@ def test_charpoly_monic_degree_and_coefficient_identities(spec):
     g = generate(spec)
     p = charpoly_exact(g)
     assert p.degree == g.n
-    assert p.is_monic
+    assert p.coeffs[g.n] == 1
     # zero trace and the exact second coefficient identity
-    assert p.coefficient(g.n - 1) == 0
+    assert p.coeffs[g.n - 1] == 0
     expected = -sum(Fr(1, g.degrees[u] * g.degrees[v]) for u, v in g.edges)
-    assert p.coefficient(g.n - 2) == expected
+    assert p.coeffs[g.n - 2] == expected
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS)
@@ -151,7 +151,7 @@ def test_charpoly_label_invariant(spec):
 def test_charpoly_isolated_vertices_factor_lambda():
     g = delete_edge(generate(FamilySpec("star", 4)), 0, 1)
     p = charpoly_exact(g)
-    assert p.coefficient(0) == 0
+    assert p.coeffs[0] == 0
     assert p == charpoly_exact(generate(FamilySpec("star", 3))).shift(1)
 
 
@@ -159,7 +159,7 @@ def test_charpoly_empty_and_edgeless_graphs():
     from randic import Graph
 
     assert charpoly_exact(Graph(0, frozenset())) == RatPoly.one()
-    assert charpoly_exact(Graph(3, frozenset())) == RatPoly.monomial(3)
+    assert charpoly_exact(Graph(3, frozenset())) == RatPoly([0, 0, 0, 1])
 
 
 def test_charpoly_order_cap():

@@ -85,7 +85,7 @@ def test_verify_instance_small_paths_check_against_closed_form(monkeypatch, n):
     import randic.verify
 
     def wrong(g):
-        return RatPoly.monomial(g.n)
+        return RatPoly.one().shift(g.n)
 
     monkeypatch.setattr(randic.verify, "charpoly_exact", wrong)
     monkeypatch.setattr(randic.closed_forms, "charpoly_exact", wrong, raising=False)
@@ -200,6 +200,40 @@ def test_witness_domain_error_is_hard_failure(monkeypatch):
     assert three.spec == FamilySpec("friendship", 2)
     assert three.hard_failure and not three.passed(1e-9)
     assert three.notes.startswith("integer energy witness m=3; error:")
+
+
+def test_lemma_error_is_hard_failure_not_abort(monkeypatch):
+    # an exact route that stops at order 4 fails every lemma graph of order 5
+    # in its own record; the sweep still returns a whole Report
+    import randic.verify
+
+    monkeypatch.setattr(randic.verify, "charpoly_exact", lambda g: charpoly_exact(g, order_cap=4))
+    report = verify_all(5, 1e-9, witness_max=3)
+    assert isinstance(report, Report)
+    assert len(report.records) == 194
+    notes = {r.notes.split(";")[0]: r for r in report.records[176:]}
+    error = "error: exact characteristic polynomial capped at order 4 (got 5)"
+    for note in ("path split r=2 s=3", "path split r=3 s=2", "integer energy witness m=3"):
+        assert notes[note].hard_failure and not notes[note].passed(1e-9)
+        assert notes[note].notes == f"{note}; {error}"
+    cycles = [r for r in report.records if r.notes.startswith("cycle minus edge vs path")]
+    assert [r.hard_failure for r in cycles] == [False, False, True]
+    # P_1 ∪ P_4 has four non-isolated vertices, so its record still checks and passes
+    assert notes["path split r=1 s=4"].passed(1e-9)
+    assert sum(r.hard_failure for r in report.records) == 165
+
+
+def test_witness_max_limited_by_exact_order_cap():
+    from randic.spectral import EXACT_ORDER_CAP
+    from randic.verify import _witness_specs
+
+    specs = _witness_specs(64)
+    assert specs[-1] == (64, FamilySpec("friendship", 63))
+    assert generate(specs[-1][1]).n == 127 <= EXACT_ORDER_CAP
+    with pytest.raises(DomainError, match="m_max <= 64"):
+        _witness_specs(65)
+    with pytest.raises(DomainError):
+        verify_all(5, 1e-9, witness_max=65)
 
 
 def test_verify_all_small_sweep():
