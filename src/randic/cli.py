@@ -149,7 +149,7 @@ def _cmd_energy(args, parser) -> int:
             try:
                 re_closed: Optional[float] = closed_energy(spec)
                 err: Optional[float] = abs(re_num - re_closed)
-            except DomainError:
+            except (DomainError, UnsupportedFamilyError):
                 re_closed = None
                 err = None
             rows.append((spec, re_num, re_closed, err))

@@ -216,8 +216,19 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Largest vertex count an edge-list header may declare. The exact route is
+# capped at 128 non-isolated vertices and the dense numeric one is cubic, so a
+# graph this large could only be mostly isolated vertices; the limit rejects an
+# absurd header before anything is sized by it.
+EDGE_LIST_MAX_ORDER = 100_000
+
+
 def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list format; blank lines and lines starting with '#' are ignored."""
+    """Parse the edge-list format; blank lines and lines starting with '#' are ignored.
+
+    Raises ValueError on malformed input and on a header vertex count above
+    ``EDGE_LIST_MAX_ORDER``.
+    """
     rows = [ln.strip() for ln in text.splitlines()]
     rows = [ln for ln in rows if ln and not ln.startswith("#")]
     if not rows:
@@ -226,6 +237,8 @@ def parse_edge_list(text: str) -> Graph:
     if len(head) != 2:
         raise ValueError(f"header must be 'n m', got {rows[0]!r}")
     n, m = int(head[0]), int(head[1])
+    if n > EDGE_LIST_MAX_ORDER:
+        raise ValueError(f"header declares {n} vertices; the limit is {EDGE_LIST_MAX_ORDER}")
     if len(rows) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(rows) - 1}")
     edges: set[tuple[int, int]] = set()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -13,13 +14,16 @@ class RatPoly:
 
     Coefficients are normalized ``Fraction`` values with trailing zeros
     trimmed; the zero polynomial is the empty coefficient tuple. Equality
-    and hashing are exact and coefficient-wise.
+    and hashing are exact and coefficient-wise. Products run as integer
+    convolutions: each factor is scaled to integer numerators over its
+    common denominator, so the only ``Fraction`` arithmetic left is one
+    normalization per output coefficient.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
@@ -73,14 +77,15 @@ class RatPoly:
             return RatPoly(tuple(c * other for c in self.coeffs))
         if self.is_zero or other.is_zero:
             return RatPoly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return RatPoly(out)
+        a, da = _integer_numerators(self.coeffs)
+        b, db = _integer_numerators(other.coeffs)
+        width = len(b)
+        out = [0] * (len(a) + width - 1)
+        for i, x in enumerate(a):
+            if x:
+                out[i : i + width] = [o + x * y for o, y in zip(out[i : i + width], b)]
+        den = da * db
+        return RatPoly([Fraction(c, den) for c in out])
 
     def __rmul__(self, other: Scalar) -> "RatPoly":
         return self.__mul__(other)
@@ -122,6 +127,12 @@ class RatPoly:
 
     def __str__(self) -> str:
         return format_poly(self)
+
+
+def _integer_numerators(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Integers c_i and a common denominator d with coeffs[i] = c_i / d."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def format_poly(p: RatPoly, variable: str = "λ", descending: bool = True) -> str:

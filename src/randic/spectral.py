@@ -199,14 +199,17 @@ def _hessenberg_charpoly(h: list[list[int]], p: int) -> list[int]:
             for row in h:
                 row[m] = (row[m] + sum(map(operator.mul, pick(row), mults))) % p
     # P_0 = 1; P_{m+1} = (λ - h_mm) P_m - sum_i (h_{m,m-1}...h_{m-i+1,m-i}) h_{m-i,m} P_{m-i}
+    # Column m's terms stop at its first nonzero row: every later one has
+    # h_{m-i,m} = 0, so a tridiagonal or sparse core costs O(n) terms, not O(n^2)
     polys = [[1]]
     for m in range(n):
         prev = polys[m]
         hm = h[m][m]
         acc = [-hm * c for c in prev] + [0]
         acc[1:] = [a + c for a, c in zip(acc[1:], prev)]
+        top = next((r for r in range(m) if h[r][m]), m)
         t = 1
-        for i in range(1, m + 1):
+        for i in range(1, m - top + 1):
             t = t * h[m - i + 1][m - i] % p
             if not t:
                 break
@@ -347,7 +350,7 @@ def eigenvalues(
         iterations = 0
         while True:
             m = l
-            while m < n - 1 and abs(e[m]) > max(eps * (abs(d[m]) + abs(d[m + 1])), floor):
+            while m < n - 1 and (em := abs(e[m])) > floor and em > eps * (abs(d[m]) + abs(d[m + 1])):
                 m += 1
             if m == l:
                 break
@@ -389,11 +392,26 @@ def eigenvalues(
     return Spectrum(tuple(sorted(d, reverse=True)))
 
 
+def _without_isolated(g: Graph) -> Graph:
+    """``g`` less its isolated vertices, the others relabeled in order.
+
+    An isolated vertex is a zero row and column of both the Randic and the
+    adjacency matrix: a free zero eigenvalue that adds nothing to an energy.
+    """
+    degs = g.degrees
+    if 0 not in degs:
+        return g
+    index = {v: i for i, v in enumerate(v for v, d in enumerate(degs) if d)}
+    return Graph(len(index), frozenset((index[u], index[v]) for u, v in g.edges))
+
+
 def randic_energy(g: Graph, tol: float = DEFAULT_SOLVER_TOL) -> float:
-    """Sum of absolute eigenvalues of the Randic matrix."""
-    return sum(abs(v) for v in eigenvalues(randic_matrix(g), tol).values)
+    """Sum of absolute eigenvalues of the Randic matrix (isolated vertices add 0)."""
+    spectrum = eigenvalues(randic_matrix(_without_isolated(g)), tol)
+    return sum((abs(v) for v in spectrum.values), 0.0)
 
 
 def graph_energy(g: Graph, tol: float = DEFAULT_SOLVER_TOL) -> float:
-    """Sum of absolute eigenvalues of the adjacency matrix."""
-    return sum(abs(v) for v in eigenvalues(adjacency_matrix(g), tol).values)
+    """Sum of absolute eigenvalues of the adjacency matrix (isolated vertices add 0)."""
+    spectrum = eigenvalues(adjacency_matrix(_without_isolated(g)), tol)
+    return sum((abs(v) for v in spectrum.values), 0.0)

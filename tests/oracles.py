@@ -1,13 +1,18 @@
 """Independent oracles used by the tests.
 
-The characteristic polynomial oracle expands det(λI - W) by recursive
-cofactors over polynomial entries, where W is the rational random-walk
-matrix (zero rows at isolated vertices). It shares no code path with the
-modular Hessenberg implementation under test. Practical up to ~8 vertices.
+The characteristic polynomial oracle expands det(λI - W) by cofactors over
+polynomial entries, where W is the rational random-walk matrix (zero rows at
+isolated vertices). It shares no code path with the modular Hessenberg
+implementation under test. Each minor is expanded once, so it is practical
+up to ~12 vertices.
 
 ``charpoly_at`` evaluates the same polynomial at one rational point as
 det(xD - A)/∏d by Gaussian elimination over Fractions, for graphs without
 isolated vertices; it is practical at order 64.
+
+``schoolbook_product`` multiplies two coefficient lists term by term in
+``Fraction`` arithmetic, the reference for ``RatPoly``'s integer
+convolution.
 
 ``cheb_u`` builds the Chebyshev polynomials of the second kind by their
 recurrence, an independent check on the library's explicit coefficients of
@@ -17,6 +22,7 @@ breadth-first search.
 
 import math
 from collections import deque
+from functools import cache
 from fractions import Fraction
 
 from randic import DomainError, Graph, RatPoly
@@ -31,6 +37,17 @@ def cheb_u(k: int) -> RatPoly:
     for _ in range(k):
         prev, cur = cur, two_x * cur - prev
     return prev
+
+
+def schoolbook_product(a, b) -> tuple[Fraction, ...]:
+    """Ascending coefficients of the product, trailing zeros trimmed."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += Fraction(x) * Fraction(y)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 def is_connected(g: Graph) -> bool:
@@ -51,19 +68,26 @@ def is_connected(g: Graph) -> bool:
 
 
 def det_poly(mat: list[list[RatPoly]]) -> RatPoly:
+    """Laplace expansion along the rows, memoized on the set of columns still
+    free, so each minor is expanded once: n·2^n products in place of n!."""
     n = len(mat)
-    if n == 0:
-        return RatPoly.one()
-    if n == 1:
-        return mat[0][0]
-    total = RatPoly.zero()
-    for j, entry in enumerate(mat[0]):
-        if entry.is_zero:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        term = entry * det_poly(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+
+    @cache
+    def minor(cols: int) -> RatPoly:
+        if not cols:
+            return RatPoly.one()
+        row = mat[n - cols.bit_count()]
+        total = RatPoly.zero()
+        sign = 1
+        for j in range(n):
+            if cols >> j & 1:
+                if not row[j].is_zero:
+                    term = row[j] * minor(cols & ~(1 << j))
+                    total = total + term if sign > 0 else total - term
+                sign = -sign
+        return total
+
+    return minor((1 << n) - 1)
 
 
 def charpoly_bruteforce(g: Graph) -> RatPoly:

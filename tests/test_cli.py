@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from randic import spectral
 from randic.cli import main
 
 
@@ -183,6 +184,18 @@ def test_energy_sweep_json_handles_missing_closed(capsys):
     assert rows[1]["re_closed"] is not None
 
 
+def test_energy_sweep_without_minus_edge_closed_energy(capsys):
+    # no family of paths minus an edge has a closed energy: every row keeps
+    # its numeric energy and leaves the closed fields empty
+    code, out, _ = run_cli(
+        capsys, "energy", "--family", "path", "--minus-edge", "--sweep", "2..5", "--format", "csv"
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [(r[1], r[4], r[5]) for r in rows] == [(str(n), "", "") for n in range(2, 6)]
+    assert [float(r[3]) for r in rows] == pytest.approx([0.0, 2.0, 2.0, 3.0], abs=1e-12)
+
+
 def test_energy_csv_without_sweep_is_usage_error(capsys):
     assert (
         run_usage_error(
@@ -239,6 +252,40 @@ def test_energy_input_missing_file_exit1(capsys):
     code, _, err = run_cli(capsys, "energy", "--input", "/nonexistent/graph.txt")
     assert code == 1
     assert "error:" in err
+
+
+@pytest.fixture
+def small_matrices_only(monkeypatch):
+    """Fail, before any allocation, a matrix build above order 2."""
+
+    def small_only(build):
+        def guarded(g):
+            assert g.n < 3, f"{build.__name__} asked for order {g.n}"
+            return build(g)
+
+        return guarded
+
+    for name in ("randic_matrix", "adjacency_matrix"):
+        monkeypatch.setattr(spectral, name, small_only(getattr(spectral, name)))
+
+
+def test_energy_input_isolated_vertices_build_no_matrix(tmp_path, capsys, small_matrices_only):
+    f = tmp_path / "iso.txt"
+    f.write_text("3000 0\n")
+    code, out, _ = run_cli(capsys, "energy", "--input", str(f), "--adjacency")
+    assert (code, out) == (0, "RE 0.0\nE 0.0\n")
+    f.write_text("3000 1\n5 2999\n")
+    code, out, _ = run_cli(capsys, "energy", "--input", str(f), "--adjacency")
+    assert code == 0
+    assert [float(line.split()[1]) for line in out.splitlines()] == pytest.approx([2.0, 2.0])
+
+
+def test_energy_input_absurd_header_exit1(tmp_path, capsys, small_matrices_only):
+    f = tmp_path / "huge.txt"
+    f.write_text("1000000000000 0\n")
+    code, out, err = run_cli(capsys, "energy", "--input", str(f))
+    assert code == 1 and out == ""
+    assert "limit" in err
 
 
 # ---------------------------------------------------------------- verify

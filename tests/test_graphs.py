@@ -19,6 +19,8 @@ from randic import (
 
 from oracles import is_connected
 
+from randic.graphs import EDGE_LIST_MAX_ORDER
+
 
 def test_path_canonical_labels():
     g = generate(FamilySpec("path", 3))
@@ -231,3 +233,9 @@ def test_edge_list_comments_and_blanks():
 def test_edge_list_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse_edge_list(text)
+
+
+def test_edge_list_header_order_limit():
+    assert parse_edge_list(f"{EDGE_LIST_MAX_ORDER} 1\n0 1\n").n == EDGE_LIST_MAX_ORDER
+    with pytest.raises(ValueError, match="limit"):
+        parse_edge_list(f"{EDGE_LIST_MAX_ORDER + 1} 1\n0 1\n")

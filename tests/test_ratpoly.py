@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction as Fr
 
 import pytest
+from oracles import schoolbook_product
 
 from randic import RatPoly, format_poly
 
@@ -24,6 +26,41 @@ def test_product_matches_expanded_form():
     # (x^2-1)(x^2-1/4) == x^4 - 5/4 x^2 + 1/4
     left = RatPoly([-1, 0, 1]) * RatPoly([Fr(-1, 4), 0, 1])
     assert left == RatPoly([Fr(1, 4), 0, Fr(-5, 4), 0, 1])
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([Fr(1, 3), Fr(-5, 6), Fr(7, 4)], [Fr(2, 9), 0, Fr(-1, 10), Fr(3, 8)]),
+        ([Fr(-1, 2), 0, Fr(-1, 4)], [Fr(-3, 7), Fr(1, 2)]),
+        ([1, -2, 3], [-4, 0, 5]),
+        ([Fr(6, 5)], [0, 0, Fr(-10, 3)]),
+        ([], [1, Fr(1, 2)]),
+        ([Fr(2, 3), 1], []),
+        ([], []),
+    ],
+)
+def test_product_matches_schoolbook(a, b):
+    assert (RatPoly(a) * RatPoly(b)).coeffs == schoolbook_product(a, b)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_product_matches_schoolbook_random(seed):
+    rng = random.Random(seed)
+
+    def coeffs():
+        return [Fr(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(rng.randint(0, 9))]
+
+    a, b = coeffs(), coeffs()
+    assert (RatPoly(a) * RatPoly(b)).coeffs == schoolbook_product(a, b)
+
+
+@pytest.mark.parametrize("a", [[Fr(-1, 3), Fr(5, 6), 1], [2, -1], [Fr(3, 4)], []])
+def test_pow_matches_repeated_schoolbook(a):
+    want: tuple = (Fr(1),)
+    for k in range(7):
+        assert (RatPoly(a) ** k).coeffs == want
+        want = schoolbook_product(want, a)
 
 
 def test_pow_binomial():

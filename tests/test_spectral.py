@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+import oracles
 from oracles import charpoly_at, charpoly_bruteforce
 
 from randic import spectral
@@ -251,6 +252,40 @@ def test_charpoly_matches_cofactor_oracle_random(seed):
 )
 def test_charpoly_pivot_swap_matches_cofactor_oracle(g):
     assert charpoly_exact(g) == charpoly_bruteforce(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        # columns whose first nonzero row lies far above the diagonal, so the
+        # determinant recurrence runs its longest and its shortened inner loops
+        Graph.from_edges(9, [(i, 8) for i in range(8)]),  # star, center last
+        generate(FamilySpec("complete", 9)),
+        _random_graph(random.Random(2024), 11, isolated=0),
+        disjoint_union(
+            disjoint_union(generate(FamilySpec("path", 3)), generate(FamilySpec("path", 4))),
+            generate(FamilySpec("path", 5)),
+        ),
+    ],
+)
+def test_charpoly_far_from_tridiagonal_matches_cofactor_oracle(g):
+    assert charpoly_exact(g) == charpoly_bruteforce(g)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_hessenberg_kernel_sparse_random_matches_cofactor_oracle(seed):
+    # a non-symmetric matrix with most entries zero, so after the reduction
+    # columns start at scattered rows; compared with det(λI - H) over Q mod p
+    rng = random.Random(seed)
+    n, p = 9, 10007
+    h = [[rng.randrange(1, p) if rng.random() < 0.3 else 0 for _ in range(n)] for _ in range(n)]
+    lam = RatPoly.x()
+    mat = [
+        [(lam if i == j else RatPoly.zero()) - RatPoly([h[i][j]]) for j in range(n)]
+        for i in range(n)
+    ]
+    want = [int(c) % p for c in oracles.det_poly(mat).coeffs]
+    assert spectral._hessenberg_charpoly([row[:] for row in h], p) == want
 
 
 def test_hessenberg_kernel_pivot_swap():
