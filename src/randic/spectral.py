@@ -9,6 +9,15 @@ contributes one factor of λ, and D is singular there), and the rest is one
 Hessenberg characteristic polynomial modulo a prime from a table of certified
 primes, the smallest above an a-priori bound on the coefficients of
 det(λD - A), lifted back to rationals.
+
+The eigensolver first splits off twins: indices whose rows agree outside
+the pair and whose diagonals agree, compared exactly (in a graph's Randic or
+adjacency matrix, vertices with the same open or closed neighbourhood; see
+Cvetkovic, Rowlinson and Simic, An Introduction to the Theory of Graph
+Spectra, 1.3). A class of t twins gives t - 1 known eigenvalues and one
+merged index, by an orthogonal similarity, so a degenerate spectrum
+(complete, complete bipartite, star, friendship) skips most or all of the
+cubic Householder reduction.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .errors import ConvergenceError, DomainError
 from .graphs import Graph
@@ -26,6 +36,9 @@ from .ratpoly import RatPoly
 DEFAULT_SOLVER_TOL = 1e-12
 QL_ITERATION_CAP = 30
 EXACT_ORDER_CAP = 128
+# the energies build a dense matrix of the non-isolated vertices and run a
+# cubic solver on it; beyond this order they raise DomainError instead
+ENERGY_ORDER_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -274,22 +287,26 @@ def charpoly_exact(g: Graph, order_cap: int = EXACT_ORDER_CAP) -> RatPoly:
     return RatPoly(coeffs).shift(isolated)
 
 
-def _tridiagonalize(a: list[list[float]]) -> tuple[list[float], list[float]]:
+def _tridiagonalize(rows) -> tuple[list[float], list[float]]:
     """Householder reduction of a symmetric matrix to tridiagonal form.
 
-    ``a`` is a full symmetric matrix as row lists and is overwritten. Returns
-    the diagonal d and the subdiagonal e (e[i] couples d[i] and d[i+1];
-    e[-1] = 0). Eigenvalues only: the reflections are not accumulated. A
-    column already zero below its subdiagonal is skipped, so a tridiagonal
-    input (a path) costs O(n^2).
+    ``rows`` are the rows of a full symmetric matrix, as any sequences; they
+    are read, never written. Returns the diagonal d and the subdiagonal e
+    (e[i] couples d[i] and d[i+1]; e[-1] = 0). Eigenvalues only: the
+    reflections are not accumulated. A column already zero below its
+    subdiagonal is skipped, so a tridiagonal input (a path) costs O(n^2).
     """
-    n = len(a)
+    n = len(rows)
+    a = list(rows)
     d = [row[i] for i, row in enumerate(a)]
     e = [0.0] * n
+    # step k replaces each row i > k by a new list of its columns k+1..n-1
+    # (the columns left of the trailing block are never read again), so a
+    # row always ends at column n-1 and column j of row i is a[i][j - n]
     for k in range(n - 2):
         lo = k + 1
         # column k below the diagonal, read from row k by symmetry
-        v = a[k][lo:]
+        v = a[k][lo - n :]
         if not any(v[1:]):
             e[k] = v[0]
             continue
@@ -302,20 +319,85 @@ def _tridiagonalize(a: list[list[float]]) -> tuple[list[float], list[float]]:
         v[0] = x0 - alpha
         beta = 1.0 / (1.0 + abs(x0))  # 2 / (v.v)
         # trailing block B -= v w^T + w v^T with p = beta*B*v, w = p - (beta*p.v/2)*v
-        p = [beta * sum(map(operator.mul, a[i][lo:], v)) for i in range(lo, n)]
+        p = [beta * sum(map(operator.mul, a[i][lo - n :], v)) for i in range(lo, n)]
         half = 0.5 * beta * sum(map(operator.mul, p, v))
         w = [pi - half * vi for pi, vi in zip(p, v)]
         for i in range(lo, n):
-            row = a[i]
             vi = v[i - lo]
             wi = w[i - lo]
             # the sum is commutative, so the block stays exactly symmetric
-            row[lo:] = [x - (vi * wj + wi * vj) for x, vj, wj in zip(row[lo:], v, w)]
-            d[i] = row[i]
+            a[i] = row = [x - (vi * wj + wi * vj) for x, vj, wj in zip(a[i][lo - n :], v, w)]
+            d[i] = row[i - lo]
         e[k] = alpha * norm
     if n >= 2:
-        e[n - 2] = a[n - 2][n - 1]
+        e[n - 2] = a[n - 2][-1]
     return d, e
+
+
+def _twin_classes(rows, supports: list[int]) -> list[list[int]]:
+    """The classes of two or more twins of a symmetric matrix, ascending.
+
+    Indices u != v are twins when rows u and v agree outside {u, v} and
+    M[u][u] == M[v][v], compared exactly. ``supports[i]`` is the support of
+    row i, its nonzero columns as a bitmask. Twins with M[u][v] == 0 have
+    the same support less their own index, and twins with M[u][v] != 0 the
+    same support with it, so each row is keyed by its support s and by s
+    with its own bit toggled (one is s less i, the other s with i), and only
+    rows that share a key are compared.
+    """
+    toggled = [s ^ (1 << i) for i, s in enumerate(supports)]
+    if len({*supports, *toggled}) == 2 * len(supports):
+        return []
+    groups: dict[int, list[int]] = {}
+    for i, keys in enumerate(zip(supports, toggled)):
+        for key in keys:
+            groups.setdefault(key, []).append(i)
+    classes = []
+    for members in groups.values():
+        while len(members) > 1:
+            u = members[0]
+            ru = rows[u]
+            same, rest = [u], []
+            for v in members[1:]:
+                rv = rows[v]
+                twin = (
+                    ru[u] == rv[v]
+                    and ru[:u] == rv[:u]
+                    and ru[u + 1 : v] == rv[u + 1 : v]
+                    and ru[v + 1 :] == rv[v + 1 :]
+                )
+                (same if twin else rest).append(v)
+            if len(same) > 1:
+                classes.append(same)
+            members = rest
+    return classes
+
+
+def _split_twins(rows, classes: list[list[int]]) -> tuple[list[list[float]], list[float]]:
+    """Split each twin class off a symmetric matrix by an orthogonal similarity.
+
+    The twin relation is transitive, so a class S of t indices has a common
+    diagonal a, a common entry c inside S and equal rows outside S. The
+    vectors on S summing to zero are eigenvectors for a - c, t - 1 of them;
+    on the unit vector of S the matrix is a + (t-1)c, with entry
+    sqrt(t*t')*M[u][j] towards an index (or class of t' indices) j. Returns
+    the rows of that reduced matrix, one index for each class in place of
+    its first, and the split eigenvalues.
+    """
+    inner = {cls[0]: (len(cls), rows[cls[0]][cls[1]]) for cls in classes}
+    split = [rows[u][u] - c for u, (t, c) in inner.items() for _ in range(t - 1)]
+    dropped = {v for cls in classes for v in cls[1:]}
+    keep = [i for i in range(len(rows)) if i not in dropped]
+    sizes = [inner[i][0] if i in inner else 1 for i in keep]
+    reduced = []
+    for k, (i, ti) in enumerate(zip(keep, sizes)):
+        src = rows[i]
+        # sqrt(ti*tj) is symmetric in i and j, so the rows stay exactly symmetric
+        row = [src[j] if ti * tj == 1 else math.sqrt(ti * tj) * src[j] for j, tj in zip(keep, sizes)]
+        if ti > 1:
+            row[k] = src[i] + (ti - 1) * inner[i][1]
+        reduced.append(row)
+    return reduced, split
 
 
 def eigenvalues(
@@ -325,25 +407,40 @@ def eigenvalues(
 ) -> Spectrum:
     """All eigenvalues of a symmetric matrix.
 
-    Householder tridiagonalization followed by implicit Wilkinson-shift QL
+    Twin indices (rows equal outside the pair, equal diagonals, compared
+    exactly; twin vertices of a graph) are split off first, a class of t
+    twins at a time: t - 1 eigenvalues are known and the class becomes one
+    index, repeatedly until no twins remain. The reduced matrix then goes
+    through Householder tridiagonalization and implicit Wilkinson-shift QL
     (EISPACK tred2/tql1, eigenvalues only). A subdiagonal entry e_m is
-    deflated once |e_m| <= max(eps*(|d_m|+|d_{m+1}|), tol/sqrt(2(n-1))), so
-    the off-diagonal Frobenius norm dropped in total is at most ``tol`` beyond
-    rounding. ``max_sweeps`` caps the QL iterations spent on each eigenvalue;
-    exceeding it raises ConvergenceError carrying the off-diagonal Frobenius
-    norm of the current tridiagonal matrix. A non-finite or non-positive
-    ``tol``, a non-finite entry or an asymmetric matrix raises ValueError.
+    deflated once |e_m| <= max(eps*(|d_m|+|d_{m+1}|), tol/sqrt(2(k-1))) at
+    reduced order k, so the off-diagonal Frobenius norm dropped in total is
+    at most ``tol`` beyond rounding. ``max_sweeps`` caps the QL iterations
+    spent on each eigenvalue of the reduced matrix; exceeding it raises
+    ConvergenceError carrying the off-diagonal Frobenius norm of its current
+    tridiagonal form. A non-finite or non-positive ``tol``, a non-finite
+    entry or an asymmetric matrix raises ValueError.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tol must be positive and finite")
-    # one scan: each row is finite and equals the matching column
+    # one scan: each row is finite and equals the matching column, and its
+    # support is taken for the twin search
+    bits = [1 << j for j in range(mat.order)]
+    supports = []
     for row, col in zip(mat.entries, zip(*mat.entries)):
         if not all(map(math.isfinite, row)):
             raise ValueError("matrix has a non-finite entry")
         if row != col:
             raise ValueError("matrix is not symmetric")
-    n = mat.order
-    d, e = _tridiagonalize([list(row) for row in mat.entries])
+        supports.append(sum(compress(bits, row)))
+    rows, split = mat.entries, []
+    while classes := _twin_classes(rows, supports):
+        rows, known = _split_twins(rows, classes)
+        split += known
+        # compress stops at the shorter input, so bits serves shorter rows
+        supports = [sum(compress(bits, row)) for row in rows]
+    d, e = _tridiagonalize(rows)
+    n = len(d)
     floor = tol / math.sqrt(2.0 * max(n - 1, 1))
     eps = sys.float_info.epsilon
     for l in range(n):
@@ -389,7 +486,7 @@ def eigenvalues(
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
-    return Spectrum(tuple(sorted(d, reverse=True)))
+    return Spectrum(tuple(sorted(d + split, reverse=True)))
 
 
 def _without_isolated(g: Graph) -> Graph:
@@ -405,13 +502,22 @@ def _without_isolated(g: Graph) -> Graph:
     return Graph(len(index), frozenset((index[u], index[v]) for u, v in g.edges))
 
 
+def _energy(g: Graph, matrix, tol: float) -> float:
+    """Sum of absolute eigenvalues of ``matrix`` built on ``g`` less its
+    isolated vertices; DomainError when more than ``ENERGY_ORDER_CAP`` remain."""
+    core = _without_isolated(g)
+    if core.n > ENERGY_ORDER_CAP:
+        raise DomainError(
+            f"energies capped at {ENERGY_ORDER_CAP} non-isolated vertices (got {core.n})"
+        )
+    return sum((abs(v) for v in eigenvalues(matrix(core), tol).values), 0.0)
+
+
 def randic_energy(g: Graph, tol: float = DEFAULT_SOLVER_TOL) -> float:
     """Sum of absolute eigenvalues of the Randic matrix (isolated vertices add 0)."""
-    spectrum = eigenvalues(randic_matrix(_without_isolated(g)), tol)
-    return sum((abs(v) for v in spectrum.values), 0.0)
+    return _energy(g, randic_matrix, tol)
 
 
 def graph_energy(g: Graph, tol: float = DEFAULT_SOLVER_TOL) -> float:
     """Sum of absolute eigenvalues of the adjacency matrix (isolated vertices add 0)."""
-    spectrum = eigenvalues(adjacency_matrix(_without_isolated(g)), tol)
-    return sum((abs(v) for v in spectrum.values), 0.0)
+    return _energy(g, adjacency_matrix, tol)

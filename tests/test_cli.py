@@ -288,6 +288,15 @@ def test_energy_input_absurd_header_exit1(tmp_path, capsys, small_matrices_only)
     assert "limit" in err
 
 
+def test_energy_input_above_energy_order_cap_exit1(tmp_path, capsys, small_matrices_only):
+    # 50,000 disjoint edges: within the header limit, and no vertex is isolated
+    f = tmp_path / "matching.txt"
+    f.write_text("100000 50000\n" + "".join(f"{2 * i} {2 * i + 1}\n" for i in range(50000)))
+    code, out, err = run_cli(capsys, "energy", "--input", str(f), "--adjacency")
+    assert code == 1 and out == ""
+    assert f"capped at {spectral.ENERGY_ORDER_CAP}" in err
+
+
 # ---------------------------------------------------------------- verify
 
 

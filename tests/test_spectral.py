@@ -404,10 +404,13 @@ def test_eigenvalues_trivial_orders():
 
 
 def test_convergence_error_carries_residual():
-    mat = SymMatrix(((0.0, 1.0), (1.0, 0.0)))
+    # no twins (the diagonals differ), so the QL iteration is needed
+    mat = SymMatrix(((0.0, 1.0), (1.0, 1.0)))
     with pytest.raises(ConvergenceError) as err:
         eigenvalues(mat, max_sweeps=0)
     assert err.value.residual == pytest.approx(SQRT2, abs=1e-12)
+    # K2 is a twin pair: split off exactly, with no QL iteration
+    assert eigenvalues(SymMatrix(((0.0, 1.0), (1.0, 0.0))), max_sweeps=0).values == (1.0, -1.0)
 
 
 # ---------------------------------------------------------------- energies
@@ -522,6 +525,171 @@ def test_eigenvalues_random_graph_roots_of_exact_charpoly():
     g = Graph.from_edges(n, edges)
     spectrum = eigenvalues(randic_matrix(g))
     assert _max_root_residual(charpoly_exact(g), spectrum) < 1e-9
+
+
+# ---------------------------------------------------------------- twin split
+
+
+def _random_orthogonal(rng, n):
+    """Rows of a random orthogonal matrix: Gram-Schmidt, run twice, on
+    Gaussian rows."""
+    q = []
+    for _ in range(n):
+        v = [rng.gauss(0.0, 1.0) for _ in range(n)]
+        for _ in range(2):
+            for u in q:
+                dot = sum(a * b for a, b in zip(u, v))
+                v = [a - dot * b for a, b in zip(v, u)]
+        norm = math.sqrt(sum(a * a for a in v))
+        q.append([a / norm for a in v])
+    return q
+
+
+def _rotated(mat, seed):
+    """Q M Q^T for a seeded random orthogonal Q, symmetrized exactly."""
+    n = mat.order
+    q = _random_orthogonal(random.Random(seed), n)
+    qm = [[sum(qi[k] * mat.entries[k][j] for k in range(n)) for j in range(n)] for qi in q]
+    b = [[sum(a * c for a, c in zip(row, qj)) for qj in q] for row in qm]
+    return SymMatrix(tuple(tuple(0.5 * (b[i][j] + b[j][i]) for j in range(n)) for i in range(n)))
+
+
+def _assert_matches_rotation(mat, seed=0):
+    got = eigenvalues(mat).values
+    rotated = _rotated(mat, seed)
+    # the rotation leaves no twins, so this spectrum comes from QL alone
+    assert _twin_classes(rotated) == []
+    want = eigenvalues(rotated).values
+    assert got == pytest.approx(want, abs=1e-12 * max(mat.order, 1))
+
+
+def _twin_classes(mat):
+    """The twin classes found in one pass over ``mat``, sorted."""
+    supports = [sum(1 << j for j, x in enumerate(r) if x) for r in mat.entries]
+    return sorted(spectral._twin_classes(mat.entries, supports))
+
+
+def _with_planted_twins(rng, n, m, copies):
+    """A random graph on n vertices and m edges plus ``copies`` added
+    vertices, each a duplicate (same neighbours) or a co-duplicate (same
+    neighbours and the original) of an earlier vertex."""
+    edges = set()
+    while len(edges) < m:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    adj = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    for new in range(n, n + copies):
+        old = rng.randrange(new)
+        adj[new] = set(adj[old]) | ({old} if rng.random() < 0.5 else set())
+        for w in adj[new]:
+            adj[w].add(new)
+    return Graph.from_edges(n + copies, {(min(u, v), max(u, v)) for u in adj for v in adj[u]})
+
+
+TWIN_GRAPHS = [
+    generate(FamilySpec("complete", 9)),
+    generate(FamilySpec("complete", 9, minus_edge=True)),
+    generate(FamilySpec("complete_bipartite", 4, m=7)),
+    generate(FamilySpec("complete_bipartite", 5, m=5, minus_edge=True)),
+    generate(FamilySpec("friendship", 6)),
+    delete_edge(generate(FamilySpec("friendship", 6)), 1, 2),
+    generate(FamilySpec("dutch4", 5)),
+    delete_edge(generate(FamilySpec("dutch4", 5)), 0, 1),
+    generate(FamilySpec("star", 12)),
+    generate(FamilySpec("star", 12, minus_edge=True)),
+] + [_with_planted_twins(random.Random(seed), 14, 24, 8) for seed in range(4)]
+
+
+@pytest.mark.parametrize("g", TWIN_GRAPHS, ids=range(len(TWIN_GRAPHS)))
+@pytest.mark.parametrize("build", [randic_matrix, adjacency_matrix])
+def test_twin_split_matches_rotated_spectrum(g, build):
+    _assert_matches_rotation(build(g), seed=g.n)
+
+
+def _planted_matrix(rng, n, classes):
+    """A random symmetric matrix with a nonzero diagonal in which each
+    (members, c) of ``classes`` is a twin class with inner entry c."""
+    rows = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = rng.choice([0.0, rng.uniform(-1.0, 1.0)])
+        rows[i][i] = rng.uniform(0.5, 2.0)
+    for members, c in classes:
+        first = members[0]
+        for v in members:
+            for j in range(n):
+                if j not in members:
+                    rows[v][j] = rows[j][v] = rows[first][j]
+            rows[v][v] = rows[first][first]
+            for w in members:
+                if w != v:
+                    rows[v][w] = c
+    return SymMatrix(tuple(tuple(r) for r in rows))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_twin_split_nonzero_diagonal_matches_rotated_spectrum(seed):
+    rng = random.Random(seed)
+    classes = [([0, 3, 7], 0.0), ([1, 5], 0.0), ([2, 8, 9, 11], -0.375), ([4, 10], 1.5)]
+    mat = _planted_matrix(rng, 13, classes)
+    assert _twin_classes(mat) == sorted(members for members, _ in classes)
+    _assert_matches_rotation(mat, seed)
+
+
+@pytest.mark.parametrize(
+    "spec, u, v, want",
+    [
+        # blade (1, 2) of friendship(4) stops being a twin pair when the
+        # entry 1-0 or the diagonal of 1 moves by one ulp
+        (FamilySpec("friendship", 4), 1, 0, [[3, 4], [5, 6], [7, 8]]),
+        (FamilySpec("friendship", 4), 1, 1, [[3, 4], [5, 6], [7, 8]]),
+        # in complete(6), the entry 1-5 parts 1 and 5 from the rest, a
+        # difference past both indices of the pair (0, 1)
+        (FamilySpec("complete", 6), 1, 5, [[0, 2, 3, 4], [1, 5]]),
+    ],
+)
+def test_near_twins_one_ulp_apart_are_not_split(spec, u, v, want):
+    entries = [list(r) for r in randic_matrix(generate(spec)).entries]
+    entries[u][v] = entries[v][u] = math.nextafter(entries[u][v], 1.0)
+    mat = SymMatrix(tuple(tuple(r) for r in entries))
+    assert _twin_classes(mat) == want
+    _assert_matches_rotation(mat)
+
+
+def test_twin_split_class_structure():
+    def classes(spec):
+        return _twin_classes(randic_matrix(generate(spec)))
+
+    assert classes(FamilySpec("complete", 5)) == [[0, 1, 2, 3, 4]]
+    assert classes(FamilySpec("complete_bipartite", 3, m=2)) == [[0, 1], [2, 3, 4]]
+    # friendship splits its blades in pairs first, then merges the blades
+    assert classes(FamilySpec("friendship", 3)) == [[1, 2], [3, 4], [5, 6]]
+    assert classes(FamilySpec("cycle", 7)) == []
+
+
+def test_twin_split_exact_values():
+    values = eigenvalues(randic_matrix(generate(FamilySpec("complete", 128)))).values
+    assert values[0] == pytest.approx(1.0, abs=1e-12)
+    assert values[1:] == (-1.0 / 127,) * 127
+    assert randic_energy(generate(FamilySpec("friendship", 63))) == pytest.approx(64.0, abs=1e-9)
+    # complete and complete bipartite graphs split down to one index: no QL step
+    for spec in (FamilySpec("complete", 40), FamilySpec("complete_bipartite", 20, m=30)):
+        assert len(eigenvalues(randic_matrix(generate(spec)), max_sweeps=0)) == spec.n + (spec.m or 0)
+
+
+def test_energies_order_cap():
+    cap = spectral.ENERGY_ORDER_CAP
+    # a perfect matching is twin pairs, so the solve at the cap is quick
+    at_cap = Graph.from_edges(cap + 3, [(2 * i, 2 * i + 1) for i in range(cap // 2)])
+    assert randic_energy(at_cap) == pytest.approx(cap, abs=1e-9)
+    assert graph_energy(at_cap) == pytest.approx(cap, abs=1e-9)
+    above = Graph.from_edges(cap + 2, [(2 * i, 2 * i + 1) for i in range(cap // 2 + 1)])
+    for energy in (randic_energy, graph_energy):
+        with pytest.raises(DomainError, match="capped"):
+            energy(above)
 
 
 @pytest.mark.parametrize(
