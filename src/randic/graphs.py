@@ -103,6 +103,29 @@ class FamilySpec:
         return base + "-e" if self.minus_edge else base
 
 
+# Most edges a family instance may have. Generating a graph builds its edge
+# set, so the limit is checked on the count worked out from n and m before
+# anything is built. It is C(1024, 2), the edges of the largest complete
+# graph whose energies the numeric route accepts (spectral.ENERGY_ORDER_CAP).
+FAMILY_MAX_EDGES = 523_776
+
+
+def _family_size(spec: FamilySpec) -> tuple[int, int]:
+    """Vertex and edge counts of a family instance, from its parameters alone."""
+    fam, n = spec.family, spec.n
+    if fam == COMPLETE_BIPARTITE:
+        order, size = spec.m + n, spec.m * n
+    elif fam == FRIENDSHIP:
+        order, size = 2 * n + 1, 3 * n
+    elif fam == DUTCH4:
+        order, size = 3 * n + 1, 4 * n
+    elif fam == COMPLETE:
+        order, size = n, n * (n - 1) // 2
+    else:
+        order, size = n, n if fam == CYCLE else n - 1
+    return order, size - 1 if spec.minus_edge else size
+
+
 def _validate_spec(spec: FamilySpec) -> None:
     if spec.family not in FAMILIES:
         raise DomainError(f"unknown family {spec.family!r}")
@@ -121,6 +144,9 @@ def _validate_spec(spec: FamilySpec) -> None:
             raise UnsupportedFamilyError(f"minus_edge is not supported for {spec.family}")
         if spec.family in (PATH, COMPLETE) and spec.n < 2:
             raise DomainError(f"{spec.family} with minus_edge requires n >= 2 (needs an edge)")
+    edges = _family_size(spec)[1]
+    if edges > FAMILY_MAX_EDGES:
+        raise DomainError(f"{spec.label()} has {edges} edges; the limit is {FAMILY_MAX_EDGES}")
 
 
 def generate(spec: FamilySpec) -> Graph:
@@ -133,33 +159,27 @@ def generate(spec: FamilySpec) -> Graph:
     fam, n = spec.family, spec.n
     edges: list[tuple[int, int]]
     if fam == PATH:
-        order = n
         edges = [(i, i + 1) for i in range(n - 1)]
     elif fam == CYCLE:
-        order = n
         edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
     elif fam == STAR:
-        order = n
         edges = [(0, i) for i in range(1, n)]
     elif fam == COMPLETE:
-        order = n
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
     elif fam == COMPLETE_BIPARTITE:
         m = spec.m
-        order = m + n
         edges = [(i, m + j) for i in range(m) for j in range(n)]
     elif fam == FRIENDSHIP:
-        order = 2 * n + 1
         edges = []
         for i in range(1, n + 1):
             a, b = 2 * i - 1, 2 * i
             edges += [(0, a), (0, b), (a, b)]
     else:  # DUTCH4
-        order = 3 * n + 1
         edges = []
         for i in range(1, n + 1):
             a, b, c = 3 * i - 2, 3 * i - 1, 3 * i
             edges += [(0, a), (a, b), (b, c), (0, c)]
+    order, _ = _family_size(spec)
     g = Graph.from_edges(order, edges)
     if spec.minus_edge:
         u, v = (0, spec.m) if fam == COMPLETE_BIPARTITE else (0, 1)

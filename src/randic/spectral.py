@@ -1,5 +1,6 @@
 """Degree-normalized (Randic) matrices, exact characteristic polynomials,
-a Householder + implicit-shift QL eigensolver, and the two spectral energies.
+a tridiagonal-reduction + implicit-shift QL eigensolver, and the two
+spectral energies.
 
 The Randic matrix has entry 1/sqrt(d_i*d_j) on adjacent pairs. Its entries
 are irrational, but it is similar (via D^{1/2}) to the random-walk matrix
@@ -17,7 +18,15 @@ Cvetkovic, Rowlinson and Simic, An Introduction to the Theory of Graph
 Spectra, 1.3). A class of t twins gives t - 1 known eigenvalues and one
 merged index, by an orthogonal similarity, so a degenerate spectrum
 (complete, complete bipartite, star, friendship) skips most or all of the
-cubic Householder reduction.
+cubic reduction. What remains is cut into the connected components of its
+support, read from the support bitmasks the twin pass already has, and each
+block is brought to tridiagonal form on its own. A bipartite block (zero
+diagonal, 2-colourable support) is [[0, B], [B^T, 0]] with one colour class
+first; its eigenvalues are the singular values of B and their negatives,
+and Golub-Kahan bidiagonalization (Golub and Kahan, SIAM J. Numer. Anal. B
+2, 1965) reduces B alone, at about a sixth of the arithmetic of Householder
+tridiagonalization on the whole block, which any other block goes through.
+The blocks' tridiagonals are joined and solved by one QL run.
 """
 
 from __future__ import annotations
@@ -287,6 +296,20 @@ def charpoly_exact(g: Graph, order_cap: int = EXACT_ORDER_CAP) -> RatPoly:
     return RatPoly(coeffs).shift(isolated)
 
 
+def _reflector(x: list[float]) -> tuple[list[float], float, float]:
+    """Householder reflector I - beta*v*v^T taking a nonzero x onto r*e1.
+
+    Returns (v, beta, r). Normalizing x first keeps beta in [1/2, 1] even
+    when x is rounding residue near underflow.
+    """
+    norm = math.hypot(*x)
+    v = [xi / norm for xi in x]
+    x0 = v[0]
+    alpha = -math.copysign(1.0, x0)
+    v[0] = x0 - alpha
+    return v, 1.0 / (1.0 + abs(x0)), alpha * norm  # beta = 2 / (v.v)
+
+
 def _tridiagonalize(rows) -> tuple[list[float], list[float]]:
     """Householder reduction of a symmetric matrix to tridiagonal form.
 
@@ -310,14 +333,7 @@ def _tridiagonalize(rows) -> tuple[list[float], list[float]]:
         if not any(v[1:]):
             e[k] = v[0]
             continue
-        # reflect the unit column onto alpha*e1; normalizing first keeps beta
-        # in [1/2, 1] even when the column is rounding residue near underflow
-        norm = math.hypot(*v)
-        v = [x / norm for x in v]
-        x0 = v[0]
-        alpha = -math.copysign(1.0, x0)
-        v[0] = x0 - alpha
-        beta = 1.0 / (1.0 + abs(x0))  # 2 / (v.v)
+        v, beta, e[k] = _reflector(v)
         # trailing block B -= v w^T + w v^T with p = beta*B*v, w = p - (beta*p.v/2)*v
         p = [beta * sum(map(operator.mul, a[i][lo - n :], v)) for i in range(lo, n)]
         half = 0.5 * beta * sum(map(operator.mul, p, v))
@@ -328,10 +344,65 @@ def _tridiagonalize(rows) -> tuple[list[float], list[float]]:
             # the sum is commutative, so the block stays exactly symmetric
             a[i] = row = [x - (vi * wj + wi * vj) for x, vj, wj in zip(a[i][lo - n :], v, w)]
             d[i] = row[i - lo]
-        e[k] = alpha * norm
     if n >= 2:
         e[n - 2] = a[n - 2][-1]
     return d, e
+
+
+def _bidiagonalize(b, q: int) -> list[float]:
+    """Golub-Kahan upper bidiagonalization of a p x q matrix B, p <= q.
+
+    ``b`` are the p rows of B, as any sequences of length q; they are read,
+    never written. Reflections from the left (on column k) and the right (on
+    row k past its diagonal) give U^T B V upper bidiagonal, with diagonal
+    a_1..a_p and superdiagonal b_1..b_p (b_p couples row p to column p+1,
+    and is 0 when q = p). Returns a_1, b_1, ..., a_p, b_p: the subdiagonal
+    of the tridiagonal that [[0, B], [B^T, 0]] becomes with its indices in
+    the order column 1, row 1, column 2, row 2, ... (Golub and Van Loan,
+    Matrix Computations, 5.4.8 and 8.6.1). A column or row already zero
+    past its first entry is skipped, so an upper bidiagonal B costs O(pq).
+    """
+    p = len(b)
+    a = list(b)
+    e: list[float] = []
+    # as in _tridiagonalize, a row always ends at column q-1, so column j of
+    # row i is a[i][j - q]; a reflection replaces rows by shorter lists
+    for k in range(p):
+        lo = k + 1
+        x = list(map(operator.itemgetter(k - q), a[k:]))
+        if lo == q:
+            # the last row of a square B: a 1 x 1 block is left
+            e += [x[0], 0.0]
+            break
+        top = a[k][lo - q :]
+        left = any(x[1:])
+        if not left and not any(top[1:]):
+            e += [x[0], top[0]]
+            continue
+        rest = [a[i][lo - q :] for i in range(lo, p)]
+        # the left reflection I - beta*v*v^T on rows k..p-1 takes column k
+        # onto alpha*e1 and row i to row_i - c_i*u, with u = v^T R, c_i = beta*v_i
+        if left:
+            v, beta, alpha = _reflector(x)
+            u = [sum(map(operator.mul, v, col)) for col in zip(top, *rest)]
+            cs = [beta * vi for vi in v]
+            top = [y - cs[0] * uj for y, uj in zip(top, u)]
+        else:
+            alpha, u, cs = x[0], [0.0] * (q - lo), [0.0] * (p - k)
+        # the right reflection I - gamma*w*w^T on columns lo..q-1 takes row k
+        # (past its diagonal) onto b_k*e1
+        if any(top[1:]):
+            w, gamma, b_k = _reflector(top)
+        else:
+            w, gamma, b_k = [0.0] * (q - lo), 0.0, top[0]
+        e += [alpha, b_k]
+        # both applied to rows k+1..p-1 in one pass:
+        # row_i <- row_i - c_i*u - s_i*w with s_i = gamma*(row_i - c_i*u).w
+        wu = sum(map(operator.mul, w, u))
+        for i, c, row in zip(range(lo, p), cs[1:], rest):
+            s = gamma * (sum(map(operator.mul, row, w)) - c * wu)
+            a[i] = [y - c * uj - s * wj for y, uj, wj in zip(row, u, w)]
+    return e
 
 
 def _twin_classes(rows, supports: list[int]) -> list[list[int]]:
@@ -373,7 +444,7 @@ def _twin_classes(rows, supports: list[int]) -> list[list[int]]:
     return classes
 
 
-def _split_twins(rows, classes: list[list[int]]) -> tuple[list[list[float]], list[float]]:
+def _split_twins(rows, classes: list[list[int]]) -> tuple[list[list[float]], list[int], list[float]]:
     """Split each twin class off a symmetric matrix by an orthogonal similarity.
 
     The twin relation is transitive, so a class S of t indices has a common
@@ -382,14 +453,15 @@ def _split_twins(rows, classes: list[list[int]]) -> tuple[list[list[float]], lis
     on the unit vector of S the matrix is a + (t-1)c, with entry
     sqrt(t*t')*M[u][j] towards an index (or class of t' indices) j. Returns
     the rows of that reduced matrix, one index for each class in place of
-    its first, and the split eigenvalues.
+    its first, their supports as bitmasks, and the split eigenvalues.
     """
     inner = {cls[0]: (len(cls), rows[cls[0]][cls[1]]) for cls in classes}
     split = [rows[u][u] - c for u, (t, c) in inner.items() for _ in range(t - 1)]
     dropped = {v for cls in classes for v in cls[1:]}
     keep = [i for i in range(len(rows)) if i not in dropped]
     sizes = [inner[i][0] if i in inner else 1 for i in keep]
-    reduced = []
+    bits = [1 << k for k in range(len(keep))]
+    reduced, supports = [], []
     for k, (i, ti) in enumerate(zip(keep, sizes)):
         src = rows[i]
         # sqrt(ti*tj) is symmetric in i and j, so the rows stay exactly symmetric
@@ -397,7 +469,49 @@ def _split_twins(rows, classes: list[list[int]]) -> tuple[list[list[float]], lis
         if ti > 1:
             row[k] = src[i] + (ti - 1) * inner[i][1]
         reduced.append(row)
-    return reduced, split
+        supports.append(sum(compress(bits, row)))
+    return reduced, supports, split
+
+
+def _submatrix(rows, top: list[int], side: list[int]) -> list[tuple[float, ...]]:
+    """Rows ``top`` of a matrix, restricted to the columns ``side``, which
+    must hold two or more indices."""
+    pick = operator.itemgetter(*side)
+    return [pick(rows[i]) for i in top]
+
+
+def _blocks(supports: list[int]):
+    """Connected components of a symmetric matrix's support graph.
+
+    ``supports[i]`` is the support of row i as a bitmask. Yields, for each
+    component in the order of its smallest index, its two halves (the
+    indices at even and at odd breadth-first distance from that smallest
+    index, in visiting order) and whether it is bipartite: whether no
+    nonzero entry joins two indices of one half. A nonzero diagonal entry
+    joins an index to itself, so a bipartite component has a zero diagonal.
+    """
+    unseen = (1 << len(supports)) - 1
+    while unseen:
+        layer = seen = unseen & -unseen
+        halves: tuple[list[int], list[int]] = ([], [])
+        side = 0
+        bipartite = True
+        while layer:
+            members = halves[side]
+            reach = 0
+            rest = layer
+            while rest:
+                j = (rest & -rest).bit_length() - 1
+                members.append(j)
+                reach |= supports[j]
+                rest &= rest - 1
+            if reach & layer:
+                bipartite = False
+            layer = reach & ~seen
+            seen |= layer
+            side ^= 1
+        unseen ^= seen
+        yield halves, bipartite
 
 
 def eigenvalues(
@@ -410,21 +524,29 @@ def eigenvalues(
     Twin indices (rows equal outside the pair, equal diagonals, compared
     exactly; twin vertices of a graph) are split off first, a class of t
     twins at a time: t - 1 eigenvalues are known and the class becomes one
-    index, repeatedly until no twins remain. The reduced matrix then goes
-    through Householder tridiagonalization and implicit Wilkinson-shift QL
-    (EISPACK tred2/tql1, eigenvalues only). A subdiagonal entry e_m is
+    index, repeatedly until no twins remain. The reduced matrix is then cut
+    into the connected components of its support (the blocks of a
+    disconnected graph), and each block is reduced to a tridiagonal on its
+    own: a single index is its diagonal entry; a bipartite block (zero
+    diagonal, its support 2-colourable) is [[0, B], [B^T, 0]] up to order,
+    and Golub-Kahan bidiagonalization of B gives its tridiagonal with zero
+    diagonal, the |p - q| indices left over when the halves have p and q
+    indices being exact zeros; any other block goes through Householder
+    tridiagonalization. The blocks' tridiagonals are joined, with a zero
+    subdiagonal entry at each seam, and go through implicit Wilkinson-shift
+    QL once (EISPACK tql1, eigenvalues only). A subdiagonal entry e_m is
     deflated once |e_m| <= max(eps*(|d_m|+|d_{m+1}|), tol/sqrt(2(k-1))) at
     reduced order k, so the off-diagonal Frobenius norm dropped in total is
     at most ``tol`` beyond rounding. ``max_sweeps`` caps the QL iterations
-    spent on each eigenvalue of the reduced matrix; exceeding it raises
-    ConvergenceError carrying the off-diagonal Frobenius norm of its current
-    tridiagonal form. A non-finite or non-positive ``tol``, a non-finite
-    entry or an asymmetric matrix raises ValueError.
+    spent on each eigenvalue of the joined tridiagonal; exceeding it raises
+    ConvergenceError carrying the off-diagonal Frobenius norm of the joined
+    tridiagonal in its current form. A non-finite or non-positive ``tol``,
+    a non-finite entry or an asymmetric matrix raises ValueError.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tol must be positive and finite")
     # one scan: each row is finite and equals the matching column, and its
-    # support is taken for the twin search
+    # support is taken for the twin search and the blocks
     bits = [1 << j for j in range(mat.order)]
     supports = []
     for row, col in zip(mat.entries, zip(*mat.entries)):
@@ -435,11 +557,34 @@ def eigenvalues(
         supports.append(sum(compress(bits, row)))
     rows, split = mat.entries, []
     while classes := _twin_classes(rows, supports):
-        rows, known = _split_twins(rows, classes)
+        rows, supports, known = _split_twins(rows, classes)
         split += known
-        # compress stops at the shorter input, so bits serves shorter rows
-        supports = [sum(compress(bits, row)) for row in rows]
-    d, e = _tridiagonalize(rows)
+    d: list[float] = []
+    e: list[float] = []
+    for (even, odd), bipartite in _blocks(supports):
+        if bipartite and odd:
+            # B has the smaller half as its rows (on a tie the half without
+            # the block's first index), so a path's B is upper bidiagonal.
+            # Two indices would be a twin pair, split off already, so B has
+            # two or more columns.
+            top, side = (odd, even) if len(odd) <= len(even) else (even, odd)
+            top.sort()
+            side.sort()
+            e += _bidiagonalize(_submatrix(rows, top, side), len(side))
+            e += [0.0] * (len(side) - len(top))
+            d += [0.0] * (len(top) + len(side))
+        elif not odd:
+            (i,) = even
+            d.append(rows[i][i])
+            e.append(0.0)
+        else:
+            block = rows
+            if len(even) + len(odd) < len(rows):
+                index = sorted(even + odd)
+                block = _submatrix(rows, index, index)
+            db, eb = _tridiagonalize(block)
+            d += db
+            e += eb
     n = len(d)
     floor = tol / math.sqrt(2.0 * max(n - 1, 1))
     eps = sys.float_info.epsilon

@@ -61,6 +61,15 @@ def test_gen_domain_error_exit1(capsys):
     assert "error:" in err
 
 
+def test_gen_above_family_edge_limit_exit1(tmp_path, capsys):
+    # complete(1025) has 524,800 edges, one vertex past the largest the energies accept
+    out_file = tmp_path / "k1025.txt"
+    code, out, err = run_cli(capsys, "gen", "--family", "complete", "--n", "1025", "--out", str(out_file))
+    assert code == 1 and out == ""
+    assert "limit is 523776" in err
+    assert not out_file.exists()
+
+
 def test_gen_usage_errors_exit2(capsys):
     assert run_usage_error(capsys, "gen", "--family", "path") == 2  # missing --n
     assert run_usage_error(capsys, "gen", "--family", "path", "--n", "3", "--m", "2") == 2

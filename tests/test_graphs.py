@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -19,7 +20,8 @@ from randic import (
 
 from oracles import is_connected
 
-from randic.graphs import EDGE_LIST_MAX_ORDER
+from randic import graphs, spectral
+from randic.graphs import EDGE_LIST_MAX_ORDER, FAMILY_MAX_EDGES
 
 
 def test_path_canonical_labels():
@@ -87,6 +89,45 @@ def test_complete_bipartite_counts(m, n):
 def test_generate_domain_errors(spec):
     with pytest.raises(DomainError):
         generate(spec)
+
+
+def test_family_edge_limit_admits_every_energy_order():
+    assert FAMILY_MAX_EDGES == math.comb(spectral.ENERGY_ORDER_CAP, 2)
+    graphs._validate_spec(FamilySpec("complete", spectral.ENERGY_ORDER_CAP))
+    with pytest.raises(DomainError, match="limit"):
+        generate(FamilySpec("complete", spectral.ENERGY_ORDER_CAP + 1))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FamilySpec("path", FAMILY_MAX_EDGES + 2),
+        FamilySpec("cycle", FAMILY_MAX_EDGES + 1),
+        FamilySpec("cycle", FAMILY_MAX_EDGES + 2, minus_edge=True),
+        FamilySpec("star", 10**12),
+        FamilySpec("complete", 100_000),
+        FamilySpec("complete_bipartite", 1024, m=512),
+        FamilySpec("friendship", FAMILY_MAX_EDGES // 3 + 1),
+        FamilySpec("dutch4", FAMILY_MAX_EDGES // 4 + 1),
+    ],
+    ids=FamilySpec.label,
+)
+def test_family_above_edge_limit_is_domain_error(spec):
+    # rejected from n and m alone: none of these is ever built
+    with pytest.raises(DomainError, match="limit"):
+        generate(spec)
+
+
+@pytest.mark.parametrize("family", sorted(graphs.FAMILIES))
+@pytest.mark.parametrize("minus_edge", [False, True])
+def test_family_size_matches_generated_graph(family, minus_edge):
+    for n in range(1, 8):
+        spec = FamilySpec(family, n, m=3 if family == "complete_bipartite" else None, minus_edge=minus_edge)
+        try:
+            g = generate(spec)
+        except (DomainError, UnsupportedFamilyError):
+            continue
+        assert graphs._family_size(spec) == (g.n, len(g.edges))
 
 
 @pytest.mark.parametrize("family", ["friendship", "dutch4"])

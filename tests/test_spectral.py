@@ -17,6 +17,7 @@ from randic import (
     adjacency_matrix,
     charpoly_exact,
     closed_charpoly,
+    closed_energy,
     delete_edge,
     disjoint_union,
     eigenvalues,
@@ -678,6 +679,103 @@ def test_twin_split_exact_values():
     # complete and complete bipartite graphs split down to one index: no QL step
     for spec in (FamilySpec("complete", 40), FamilySpec("complete_bipartite", 20, m=30)):
         assert len(eigenvalues(randic_matrix(generate(spec)), max_sweeps=0)) == spec.n + (spec.m or 0)
+
+
+# ---------------------------------------------------------------- blocks
+
+
+def _random_bipartite(rng, p, q, m, isolated):
+    """A random graph with m edges between halves of p and q vertices, plus
+    ``isolated`` vertices, all relabeled at random."""
+    edges = set()
+    while len(edges) < m:
+        edges.add((rng.randrange(p), p + rng.randrange(q)))
+    n = p + q + isolated
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, {(perm[u], perm[v]) for u, v in edges})
+
+
+def _shuffled_union(seed, *specs):
+    """Disjoint union of family graphs, relabeled at random."""
+    g = Graph(0, frozenset())
+    for spec in specs:
+        g = disjoint_union(g, generate(spec))
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return permute_vertices(g, perm)
+
+
+BLOCK_GRAPHS = [
+    generate(FamilySpec("cycle", 10)),
+    generate(FamilySpec("cycle", 11)),
+    generate(FamilySpec("path", 9)),
+    generate(FamilySpec("path", 12)),
+    generate(FamilySpec("complete_bipartite", 6, m=3, minus_edge=True)),
+    generate(FamilySpec("complete_bipartite", 2, m=7, minus_edge=True)),
+    generate(FamilySpec("dutch4", 4)),
+    _random_bipartite(random.Random(1), 5, 9, 16, 2),
+    _random_bipartite(random.Random(2), 8, 3, 14, 3),
+    _random_bipartite(random.Random(3), 4, 12, 20, 1),
+    _shuffled_union(4, FamilySpec("path", 5), FamilySpec("cycle", 5), FamilySpec("dutch4", 3)),
+    _shuffled_union(5, FamilySpec("cycle", 6), FamilySpec("complete", 4), FamilySpec("path", 1), FamilySpec("star", 5)),
+    _shuffled_union(6, FamilySpec("friendship", 3), FamilySpec("path", 7), FamilySpec("cycle", 7)),
+    disjoint_union(generate(FamilySpec("path", 4)), generate(FamilySpec("path", 7))),
+]
+
+
+@pytest.mark.parametrize("g", BLOCK_GRAPHS, ids=range(len(BLOCK_GRAPHS)))
+@pytest.mark.parametrize("build", [randic_matrix, adjacency_matrix])
+def test_block_split_matches_rotated_spectrum(g, build):
+    _assert_matches_rotation(build(g), seed=g.n)
+
+
+def _with_diagonal(mat, i, x):
+    rows = [list(r) for r in mat.entries]
+    rows[i][i] = x
+    return SymMatrix(tuple(tuple(r) for r in rows))
+
+
+def _blocks(mat):
+    supports = [sum(1 << j for j, x in enumerate(r) if x) for r in mat.entries]
+    return [(sorted(even + odd), bipartite) for (even, odd), bipartite in spectral._blocks(supports)]
+
+
+def test_bipartite_support_with_a_diagonal_entry_takes_householder():
+    path = adjacency_matrix(disjoint_union(generate(FamilySpec("path", 6)), generate(FamilySpec("cycle", 8))))
+    assert _blocks(path) == [(list(range(6)), True), (list(range(6, 14)), True)]
+    mat = _with_diagonal(path, 9, 0.5)
+    assert _blocks(mat) == [(list(range(6)), True), (list(range(6, 14)), False)]
+    _assert_matches_rotation(mat)
+
+
+def test_negative_zero_diagonal_is_bipartite():
+    cycle = randic_matrix(generate(FamilySpec("cycle", 10)))
+    mat = _with_diagonal(cycle, 3, -0.0)
+    assert _blocks(mat) == [(list(range(10)), True)]
+    assert eigenvalues(mat).values == eigenvalues(cycle).values
+    _assert_matches_rotation(mat)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9])
+def test_bidiagonalization_of_a_path_is_its_own_weights(n):
+    # B, odd vertices by even ones, is already upper bidiagonal: no reflection
+    mat = randic_matrix(generate(FamilySpec("path", n)))
+    odd, even = range(1, n, 2), range(0, n, 2)
+    b = [[mat.entries[i][j] for j in even] for i in odd]
+    weights = [mat.entries[i][i + 1] for i in range(n - 1)]
+    assert spectral._bidiagonalize(b, len(even)) == weights + [0.0] * (2 * len(odd) - n + 1)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FamilySpec("cycle", n) for n in (3, 4, 5, 64, 129, 256)]
+    + [FamilySpec("path", n) for n in (3, 4, 63, 128, 255, 256)]
+    + [FamilySpec("dutch4", n) for n in (2, 3, 21, 85)],
+    ids=FamilySpec.label,
+)
+def test_block_route_energy_matches_closed_form(spec):
+    assert randic_energy(generate(spec)) == pytest.approx(closed_energy(spec), abs=1e-9)
 
 
 def test_energies_order_cap():
