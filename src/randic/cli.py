@@ -131,6 +131,8 @@ def _parse_sweep(text: str, parser) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if not sep or not lo.isdigit() or not hi.isdigit():
         parser.error("--sweep expects a range like 2..8")
+    if int(lo) > int(hi):
+        parser.error(f"--sweep range {text} is empty: N1 must not exceed N2")
     return int(lo), int(hi)
 
 
@@ -198,8 +200,8 @@ def _cmd_energy(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    if args.max_n < 5:
-        parser.error("--max-n must be at least 5")
+    if not 5 <= args.max_n <= EXACT_ORDER_CAP:
+        parser.error(f"--max-n must be between 5 and {EXACT_ORDER_CAP}")
     most = (EXACT_ORDER_CAP + 1) // 2  # the witness for m has 2m - 1 vertices
     if not 2 <= args.witness_max <= most:
         parser.error(f"--witness-max must be between 2 and {most}")

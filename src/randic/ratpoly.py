@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -79,13 +79,8 @@ class RatPoly:
             return RatPoly(())
         a, da = _integer_numerators(self.coeffs)
         b, db = _integer_numerators(other.coeffs)
-        width = len(b)
-        out = [0] * (len(a) + width - 1)
-        for i, x in enumerate(a):
-            if x:
-                out[i : i + width] = [o + x * y for o, y in zip(out[i : i + width], b)]
         den = da * db
-        return RatPoly([Fraction(c, den) for c in out])
+        return RatPoly([Fraction(c, den) for c in convolve(a, b)])
 
     def __rmul__(self, other: Scalar) -> "RatPoly":
         return self.__mul__(other)
@@ -127,6 +122,18 @@ class RatPoly:
 
     def __str__(self) -> str:
         return format_poly(self)
+
+
+def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Ascending coefficients of the product of two non-empty integer
+    coefficient lists; a zero in ``a`` costs nothing, so put the sparser
+    factor first."""
+    width = len(b)
+    out = [0] * (len(a) + width - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i : i + width] = [o + x * y for o, y in zip(out[i : i + width], b)]
+    return out
 
 
 def _integer_numerators(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:

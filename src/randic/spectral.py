@@ -6,10 +6,15 @@ The Randic matrix has entry 1/sqrt(d_i*d_j) on adjacent pairs. Its entries
 are irrational, but it is similar (via D^{1/2}) to the random-walk matrix
 W = D^{-1}A whose entries are rational, so the characteristic polynomial is
 computed exactly on W: isolated vertices are split off first (each
-contributes one factor of λ, and D is singular there), and the rest is one
-Hessenberg characteristic polynomial modulo a prime from a table of certified
-primes, the smallest above an a-priori bound on the coefficients of
-det(λD - A), lifted back to rationals.
+contributes one factor of λ, and D is singular there), then twin vertices.
+A class of t vertices of degree d with one open neighbourhood N(v) puts
+W(e_u - e_v) = 0, t - 1 factors of λ; one with a closed neighbourhood N[v]
+puts W(e_u - e_v) = -(e_u - e_v)/d, t - 1 factors of λ + 1/d. The classes
+form an equitable partition, and the rest is the characteristic polynomial
+of its quotient, one vertex per class, computed by a Hessenberg reduction
+modulo a prime from a table of certified primes, the smallest above an
+a-priori bound on the coefficients of the quotient's det(λD' - A'), lifted
+back to rationals.
 
 The eigensolver first splits off twins: indices whose rows agree outside
 the pair and whose diagonals agree, compared exactly (in a graph's Randic or
@@ -40,7 +45,7 @@ from itertools import compress
 
 from .errors import ConvergenceError, DomainError
 from .graphs import Graph
-from .ratpoly import RatPoly
+from .ratpoly import RatPoly, convolve
 
 DEFAULT_SOLVER_TOL = 1e-12
 QL_ITERATION_CAP = 30
@@ -247,14 +252,27 @@ def charpoly_exact(g: Graph, order_cap: int = EXACT_ORDER_CAP) -> RatPoly:
     """Monic degree-n characteristic polynomial of the Randic matrix, exact.
 
     Computed on the similar rational matrix W = D^{-1}A after splitting off
-    isolated vertices (factor λ each). With k vertices left and P the
-    product of their degrees, N(λ) = det(λD - A) = P·det(λI - W) has integer
-    coefficients, and since W's eigenvalues lie in [-1, 1], |N_j| <= P·C(k, j).
-    So one Hessenberg charpoly of W modulo a prime p > 2·P·C(k, k/2) (the
-    smallest in ``CERTIFIED_PRIMES`` that large) determines N exactly: each
-    coefficient is lifted into (-p/2, p/2) and divided by P. Raises
-    DomainError beyond ``order_cap``, or when no certified prime is large
-    enough.
+    isolated vertices (factor λ each). The k vertices left are grouped by
+    open neighbourhood N(v) and by closed neighbourhood N[v]; no vertex is in
+    a class of two or more of each kind. A class of t open twins of degree d
+    gives λ^(t-1), since W(e_u - e_v) = 0, and a class of t closed twins
+    gives (λ + 1/d)^(t-1), since W(e_u - e_v) = -(e_u - e_v)/d. One
+    representative per class remains, k' in all. The quotient has
+    A'[I][J] = |J|·A[i][j] between classes, |J| - 1 on the diagonal of a
+    closed class and 0 on that of an open one, and D' the representatives'
+    degrees. The classes are an equitable partition: the class-constant
+    vectors are invariant under W, which acts on them as W' = D'^{-1}A', so
+    the characteristic polynomial of W is that of W' times the twin factors,
+    and the eigenvalues of W' are some of those of W, in [-1, 1]. With P' the
+    product of D', N'(λ) = det(λD' - A') = P'·det(λI - W') then has integer
+    coefficients with |N'_j| <= P'·C(k', j), and one Hessenberg charpoly of
+    W' modulo a prime p > 2·P'·C(k', k'/2) (the smallest in
+    ``CERTIFIED_PRIMES`` that large) determines N' exactly: each coefficient
+    is lifted into (-p/2, p/2). The integer factors dλ and dλ + 1, one per
+    twin beyond its class's representative, are multiplied in, and each
+    coefficient is divided by the product of all k degrees. A twin-free
+    graph is its own quotient. Raises DomainError when k exceeds
+    ``order_cap``, or when no certified prime is large enough.
     """
     degs = g.degrees
     isolated = degs.count(0)
@@ -279,21 +297,52 @@ def charpoly_exact(g: Graph, order_cap: int = EXACT_ORDER_CAP) -> RatPoly:
                         queue.append(w)
             core += queue
     core.reverse()
+    # twin classes: the vertices of one open neighbourhood N(v) (pairwise
+    # non-adjacent) or of one closed neighbourhood N[v] (pairwise adjacent).
+    # No N(u) equals an N[v], so one dict holds both kinds of key, and a
+    # vertex is in at most one class of two or more.
+    twins: dict[frozenset[int], list[int]] = {}
+    for v in core:
+        nbrs = frozenset(g.adjacency[v])
+        twins.setdefault(nbrs, []).append(v)
+        twins.setdefault(nbrs | {v}, []).append(v)
+    size = dict.fromkeys(core, 1)  # class size by representative
+    rep = {v: v for v in core}  # each vertex's class, by its representative
+    factors: dict[tuple[int, int], int] = {}  # (d, c) -> m for (dλ + c)^m
+    for key, members in twins.items():
+        if len(members) > 1:
+            first = members[0]
+            size[first] = len(members)
+            for v in members[1:]:
+                rep[v] = first
+                del size[v]
+            factor = (degs[first], int(first in key))
+            factors[factor] = factors.get(factor, 0) + len(members) - 1
+    quotient = list(size)
+    kq = len(quotient)
     scale = math.prod(degs[v] for v in core)
-    p = _modulus(2 * scale * math.comb(k, k // 2))
-    index = {v: i for i, v in enumerate(core)}
-    inverse = {d: pow(d, -1, p) for d in set(degs[v] for v in core)}
-    # row i of W mod p: 1/d_i at each neighbor column
-    w = [[0] * k for _ in range(k)]
-    for u, v in g.edges:
-        w[index[u]][index[v]] = inverse[degs[u]]
-        w[index[v]][index[u]] = inverse[degs[v]]
+    scale_q = math.prod(degs[v] for v in quotient)
+    p = _modulus(2 * scale_q * math.comb(kq, kq // 2))
+    index = {v: i for i, v in enumerate(quotient)}
+    inverse = {d: pow(d, -1, p) for d in set(degs[v] for v in quotient)}
+    # row I of W' mod p: |J|/d_I at each neighbouring class J (|J| - 1 at
+    # I itself, for a closed class)
+    w = [[0] * kq for _ in range(kq)]
+    for i, u in enumerate(quotient):
+        row, inv = w[i], inverse[degs[u]]
+        for v in g.adjacency[u]:
+            r = rep[v]
+            row[index[r]] = (size[r] - (r == u)) * inv % p
+    # N'(λ) = det(λD' - A'), lifted into (-p/2, p/2), times the twin factors
+    # (dλ + c)^m = sum_j C(m, j) d^j c^(m-j) λ^j, all integers
     half = p // 2
-    coeffs = []
+    num = []
     for c in _hessenberg_charpoly(w, p):
-        c = c * scale % p
-        coeffs.append(Fraction(c - p if c > half else c, scale))
-    return RatPoly(coeffs).shift(isolated)
+        c = c * scale_q % p
+        num.append(c - p if c > half else c)
+    for (d, c), m in factors.items():
+        num = convolve([math.comb(m, j) * d**j * c ** (m - j) for j in range(m + 1)], num)
+    return RatPoly([Fraction(c, scale) for c in num]).shift(isolated)
 
 
 def _reflector(x: list[float]) -> tuple[list[float], float, float]:

@@ -233,9 +233,14 @@ def check_edge_deletion_lemmas(tol: float = DEFAULT_REPORT_TOL, max_n: int = 20)
     sub-paths; (ii) a cycle minus an edge has the energy (and exact
     polynomial) of the same-order path; (iii) a star minus an edge keeps
     energy 2. The path/star polynomial identities are checked exactly.
+    ``max_n`` runs from 4 to ``EXACT_ORDER_CAP``: every record of a path
+    beyond the cap would be a hard failure, and the number of records grows
+    quadratically in max_n, so a larger one is a DomainError.
     """
-    if max_n < 4:
-        raise DomainError(f"check_edge_deletion_lemmas requires max_n >= 4 (got {max_n})")
+    if not 4 <= max_n <= EXACT_ORDER_CAP:
+        raise DomainError(
+            f"check_edge_deletion_lemmas requires 4 <= max_n <= {EXACT_ORDER_CAP} (got {max_n})"
+        )
     _check_tol(tol)
     # the paths, and their exact polynomials and numeric energies, are
     # computed once per call, when a record's reference first needs them
@@ -329,10 +334,11 @@ def verify_all(
 
     Each witness record checks the exact polynomial against the closed form,
     the numeric energy against m, and the numeric spectrum against the exact
-    polynomial's roots.
+    polynomial's roots. ``max_n`` runs from 5 to ``EXACT_ORDER_CAP``, as in
+    ``check_edge_deletion_lemmas``; outside that range it is a DomainError.
     """
-    if max_n < 5:
-        raise DomainError(f"verify_all requires max_n >= 5 (got {max_n})")
+    if not 5 <= max_n <= EXACT_ORDER_CAP:
+        raise DomainError(f"verify_all requires 5 <= max_n <= {EXACT_ORDER_CAP} (got {max_n})")
     _check_tol(tol)
     witnesses = _witness_specs(witness_max)
     report = Report(tolerance=tol, meta=_report_meta())

@@ -205,6 +205,20 @@ def test_energy_sweep_without_minus_edge_closed_energy(capsys):
     assert [float(r[3]) for r in rows] == pytest.approx([0.0, 2.0, 2.0, 3.0], abs=1e-12)
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_energy_reversed_sweep_is_usage_error(capsys, fmt):
+    with pytest.raises(SystemExit) as err:
+        main(["energy", "--family", "path", "--sweep", "8..2", "--format", fmt])
+    assert err.value.code == 2
+    assert "--sweep range 8..2 is empty" in capsys.readouterr().err
+
+
+def test_energy_single_point_sweep(capsys):
+    code, out, _ = run_cli(capsys, "energy", "--family", "cycle", "--sweep", "5..5", "--format", "json")
+    assert code == 0
+    assert [row["n"] for row in json.loads(out)] == [5]
+
+
 def test_energy_csv_without_sweep_is_usage_error(capsys):
     assert (
         run_usage_error(
@@ -336,6 +350,19 @@ def test_verify_stdout_json(capsys):
 
 def test_verify_max_n_below_minimum_exit2(capsys):
     assert run_usage_error(capsys, "verify", "--max-n", "4") == 2
+
+
+def test_verify_max_n_above_exact_order_cap_exit2(capsys, monkeypatch):
+    import randic.cli
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(randic.cli, "verify_all", no_sweep)
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--max-n", str(spectral.EXACT_ORDER_CAP + 1)])
+    assert err.value.code == 2
+    assert "--max-n must be between 5 and 128" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", BAD_TOLS)

@@ -345,11 +345,114 @@ def test_charpoly_sparse_order_64_against_elimination(seed):
     assert charpoly_exact(_shuffled(rng, g)) == p
 
 
+def _complement(g):
+    return Graph.from_edges(
+        g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in g.edges]
+    )
+
+
 def test_charpoly_beyond_largest_modulus_is_domain_error():
-    # 2·459^460·C(460, 230) has more bits than 2^4423 - 1
-    g = generate(FamilySpec("complete", 460))
-    with pytest.raises(DomainError, match="modulus"):
+    # the complement of a path of order >= 4 is twin-free, so its quotient is
+    # itself: 2·458^2·457^458·C(460, 230) has 4,521 bits, more than 2^4423 - 1
+    g = _complement(generate(FamilySpec("path", 460)))
+    with pytest.raises(DomainError, match="modulus above a 4521-bit bound"):
         charpoly_exact(g, order_cap=460)
+
+
+def test_charpoly_twin_quotient_needs_no_modulus_for_its_twins():
+    # complete(460) is one class of closed twins: a 1 x 1 quotient, where the
+    # whole graph's bound would exceed the largest certified prime
+    spec = FamilySpec("complete", 460)
+    assert charpoly_exact(generate(spec), order_cap=460) == closed_charpoly(spec)
+
+
+# ---------------------------------------------------------------- twin quotient
+
+
+def _cloned(rng, g, clones, kind):
+    """``g`` with ``clones`` vertices added one at a time, each a twin of a
+    random earlier vertex: open (its neighbours, not adjacent to it), closed
+    (its neighbours and itself) or either, by ``kind``."""
+    for _ in range(clones):
+        v = rng.randrange(g.n)
+        closed = kind == "closed" or (kind == "mixed" and rng.random() < 0.5)
+        new = [(u, g.n) for u in g.adjacency[v]] + ([(v, g.n)] if closed else [])
+        g = Graph.from_edges(g.n + 1, [*g.edges, *new])
+    return g
+
+
+def _threshold(rng, n, isolated=0):
+    """A threshold graph: each vertex joins all earlier ones (dominating) or
+    none (isolated). The last of the first n - ``isolated`` vertices
+    dominates, so only the ``isolated`` vertices after it are isolated."""
+    core = n - isolated
+    joins = [False] + [rng.random() < 0.5 for _ in range(core - 2)] + [True]
+    edges = [(u, v) for v in range(core) if joins[v] for u in range(v)]
+    return _shuffled(rng, Graph.from_edges(n, edges))
+
+
+def _twin_classes_of(g):
+    """Sizes of the classes of two or more vertices with one open or one
+    closed neighbourhood, non-isolated vertices only."""
+    keys = {}
+    for v in range(g.n):
+        if g.adjacency[v]:
+            for key in (frozenset(g.adjacency[v]), frozenset(g.adjacency[v]) | {v}):
+                keys.setdefault(key, []).append(v)
+    return sorted(len(m) for m in keys.values() if len(m) > 1)
+
+
+@pytest.mark.parametrize("kind", ["open", "closed", "mixed"])
+@pytest.mark.parametrize("seed", range(5))
+def test_charpoly_twin_quotient_matches_cofactor_oracle(kind, seed):
+    # a random graph of 3-5 vertices, 2-4 clones (of clones too), and up to
+    # two isolated vertices beside them
+    rng = random.Random(f"clones:{kind}:{seed}")
+    base = _random_graph(rng, rng.randint(3, 5), isolated=0)
+    g = _cloned(rng, base, rng.randint(2, 4), kind)
+    g = _shuffled(rng, Graph.from_edges(g.n + seed % 3, g.edges))
+    assert _twin_classes_of(g)
+    assert charpoly_exact(g) == charpoly_bruteforce(g)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_charpoly_threshold_graph_matches_cofactor_oracle(seed):
+    rng = random.Random(f"threshold:{seed}")
+    g = _threshold(rng, rng.randint(4, 9), isolated=seed % 3)
+    assert charpoly_exact(g) == charpoly_bruteforce(g)
+
+
+def _check_against_elimination(g, rng):
+    p = charpoly_exact(g)
+    for x in (2, Fr(-1, 2), Fr(3, 7)):
+        assert p(x) == charpoly_at(g, x)
+    assert p.degree == g.n and p.coeffs[g.n - 1] == 0
+    assert p.coeffs[g.n - 2] == -sum(Fr(1, g.degrees[u] * g.degrees[v]) for u, v in g.edges)
+    # another labeling picks other class representatives
+    assert charpoly_exact(_shuffled(rng, g)) == p
+
+
+@pytest.mark.parametrize("kind", ["open", "closed", "mixed"])
+def test_charpoly_twin_quotient_against_elimination(kind):
+    rng = random.Random(f"clones-40:{kind}")
+    g = _shuffled(rng, _cloned(rng, _connected_graph(rng, 16, 24), 24, kind))
+    assert max(_twin_classes_of(g)) >= 3
+    _check_against_elimination(g, rng)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_charpoly_threshold_graph_against_elimination(seed):
+    rng = random.Random(f"threshold-40:{seed}")
+    _check_against_elimination(_threshold(rng, 40), rng)
+
+
+def test_charpoly_twin_free_dense_graph_against_elimination():
+    # the complement of path(40) has no twins, so all 40 vertices go through
+    # the pivoting Hessenberg kernel
+    rng = random.Random("complement-path-40")
+    g = _shuffled(rng, _complement(generate(FamilySpec("path", 40))))
+    assert not _twin_classes_of(g)
+    _check_against_elimination(g, rng)
 
 
 # ---------------------------------------------------------------- eigensolver

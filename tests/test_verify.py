@@ -157,6 +157,22 @@ def test_edge_deletion_lemmas_requires_min_n():
         check_edge_deletion_lemmas(1e-9, 3)
 
 
+def test_sweeps_reject_max_n_above_exact_order_cap(monkeypatch):
+    # every record of a path beyond the exact route's cap would be a hard
+    # failure, so such a sweep is refused before any record is built
+    import randic.verify
+    from randic.spectral import EXACT_ORDER_CAP
+
+    def no_record(*args):
+        raise AssertionError("a record was built")
+
+    monkeypatch.setattr(randic.verify, "_record", no_record)
+    with pytest.raises(DomainError, match=f"max_n <= {EXACT_ORDER_CAP}"):
+        verify_all(EXACT_ORDER_CAP + 1)
+    with pytest.raises(DomainError, match=f"max_n <= {EXACT_ORDER_CAP}"):
+        check_edge_deletion_lemmas(1e-9, EXACT_ORDER_CAP + 1)
+
+
 def test_integer_energy_witnesses_table():
     table = integer_energy_witnesses(10)
     assert table[0][0] == 2 and table[0][1] == FamilySpec("complete", 2)
