@@ -17,6 +17,7 @@ from .closed_forms import closed_charpoly, closed_energy
 from .errors import ConvergenceError, DomainError, EdgeNotFoundError, UnsupportedFamilyError
 from .graphs import (
     COMPLETE_BIPARTITE,
+    FAMILIES,
     FamilySpec,
     Graph,
     format_edge_list,
@@ -27,15 +28,7 @@ from .ratpoly import RatPoly, format_poly
 from .spectral import EXACT_ORDER_CAP, charpoly_exact, graph_energy, randic_energy
 from .verify import verify_all
 
-_FAMILY_CHOICES = [
-    "path",
-    "cycle",
-    "star",
-    "complete",
-    "complete-bipartite",
-    "friendship",
-    "dutch4",
-]
+_FAMILY_CHOICES = sorted(family.replace("_", "-") for family in FAMILIES)
 
 
 def _add_family_args(sub: argparse.ArgumentParser, with_input: bool) -> None:

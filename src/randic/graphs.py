@@ -6,8 +6,10 @@ every downstream computation is reproducible bit-for-bit:
 * path / cycle: vertices 0..n-1 in order
 * star: center 0
 * complete bipartite: parts {0..m-1} and {m..m+n-1}
-* friendship: center 0, triangle i on {2i-1, 2i}
-* dutch4: center 0, 4-cycle i through {3i-2, 3i-1, 3i}
+* friendship and dutch4 are the windmills D_3^(n) and D_4^(n): n copies of
+  the cycle C_k (k = 3, 4) sharing the center 0, cycle i running through
+  0, (k-1)(i-1)+1, ..., (k-1)i in order, so friendship has triangle i on
+  {2i-1, 2i} and dutch4 has 4-cycle i through {3i-2, 3i-1, 3i}
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ DUTCH4 = "dutch4"
 FAMILIES = frozenset(
     {PATH, CYCLE, STAR, COMPLETE, COMPLETE_BIPARTITE, FRIENDSHIP, DUTCH4}
 )
+
+# Windmill families: cycle length k of the n cycles that share the center.
+WINDMILL_CYCLE = {FRIENDSHIP: 3, DUTCH4: 4}
 
 # Smallest n each family generator accepts (complete_bipartite also needs m >= 1).
 _MIN_N = {
@@ -115,10 +120,9 @@ def _family_size(spec: FamilySpec) -> tuple[int, int]:
     fam, n = spec.family, spec.n
     if fam == COMPLETE_BIPARTITE:
         order, size = spec.m + n, spec.m * n
-    elif fam == FRIENDSHIP:
-        order, size = 2 * n + 1, 3 * n
-    elif fam == DUTCH4:
-        order, size = 3 * n + 1, 4 * n
+    elif fam in WINDMILL_CYCLE:
+        k = WINDMILL_CYCLE[fam]
+        order, size = (k - 1) * n + 1, k * n
     elif fam == COMPLETE:
         order, size = n, n * (n - 1) // 2
     else:
@@ -140,7 +144,7 @@ def _validate_spec(spec: FamilySpec) -> None:
         if spec.n < _MIN_N[spec.family]:
             raise DomainError(f"{spec.family} requires n >= {_MIN_N[spec.family]} (got n={spec.n})")
     if spec.minus_edge:
-        if spec.family in (FRIENDSHIP, DUTCH4):
+        if spec.family in WINDMILL_CYCLE:
             raise UnsupportedFamilyError(f"minus_edge is not supported for {spec.family}")
         if spec.family in (PATH, COMPLETE) and spec.n < 2:
             raise DomainError(f"{spec.family} with minus_edge requires n >= 2 (needs an edge)")
@@ -169,16 +173,12 @@ def generate(spec: FamilySpec) -> Graph:
     elif fam == COMPLETE_BIPARTITE:
         m = spec.m
         edges = [(i, m + j) for i in range(m) for j in range(n)]
-    elif fam == FRIENDSHIP:
+    else:  # windmill
+        k = WINDMILL_CYCLE[fam]
         edges = []
-        for i in range(1, n + 1):
-            a, b = 2 * i - 1, 2 * i
-            edges += [(0, a), (0, b), (a, b)]
-    else:  # DUTCH4
-        edges = []
-        for i in range(1, n + 1):
-            a, b, c = 3 * i - 2, 3 * i - 1, 3 * i
-            edges += [(0, a), (a, b), (b, c), (0, c)]
+        for i in range(n):
+            cycle = [0, *range((k - 1) * i + 1, (k - 1) * (i + 1) + 1)]
+            edges += zip(cycle, cycle[1:] + [0])
     order, _ = _family_size(spec)
     g = Graph.from_edges(order, edges)
     if spec.minus_edge:

@@ -107,6 +107,12 @@ def test_charpoly_closed_outside_domain_exit1(capsys):
     assert "n >= 2" in err
 
 
+def test_charpoly_closed_above_energy_order_cap_exit1(capsys):
+    code, out, err = run_cli(capsys, "charpoly", "--family", "path", "--n", "20000", "--mode", "closed")
+    assert code == 1 and out == ""
+    assert f"capped at {spectral.ENERGY_ORDER_CAP}" in err
+
+
 def test_charpoly_json_coeff_strings(capsys):
     code, out, _ = run_cli(
         capsys, "charpoly", "--family", "path", "--n", "4", "--format", "json"

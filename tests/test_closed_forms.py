@@ -16,6 +16,7 @@ from randic import (
     lambda_poly,
     path_graph_energy,
     randic_energy,
+    spectral,
 )
 
 from oracles import cheb_u
@@ -126,6 +127,8 @@ def test_closed_charpoly_dutch4_two_blades():
         FamilySpec("dutch4", 1),
         FamilySpec("complete", 2, minus_edge=True),
         FamilySpec("complete_bipartite", 2, m=1, minus_edge=True),
+        FamilySpec("path", 4, m=7),  # generate refuses m off complete_bipartite
+        FamilySpec("path", spectral.ENERGY_ORDER_CAP + 1),
     ],
 )
 def test_closed_charpoly_domain_errors(spec):
@@ -232,6 +235,8 @@ def test_path_graph_energy_analytic():
         FamilySpec("dutch4", 1),
         FamilySpec("complete", 2, minus_edge=True),
         FamilySpec("complete_bipartite", 4, m=1, minus_edge=True),
+        FamilySpec("cycle", 6, m=2),  # generate refuses m off complete_bipartite
+        FamilySpec("path", spectral.ENERGY_ORDER_CAP + 1),
     ],
 )
 def test_closed_energy_domain_errors(spec):

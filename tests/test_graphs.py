@@ -41,6 +41,7 @@ def test_dutch4_two_blades():
     assert g.n == 7
     assert len(g.edges) == 8
     assert g.degrees == (4, 2, 2, 2, 2, 2, 2)
+    assert g.edges == frozenset({(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (5, 6), (0, 6)})
 
 
 def test_star_and_complete_bipartite_labels():
