@@ -43,8 +43,6 @@ from .verify import (
     Report,
     VerdictRecord,
     check_edge_deletion_lemmas,
-    check_union_additivity,
-    integer_energy_witnesses,
     sweep_specs,
     verify_all,
     verify_instance,
@@ -84,8 +82,6 @@ __all__ = [
     "Report",
     "VerdictRecord",
     "check_edge_deletion_lemmas",
-    "check_union_additivity",
-    "integer_energy_witnesses",
     "sweep_specs",
     "verify_all",
     "verify_instance",

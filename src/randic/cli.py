@@ -26,7 +26,7 @@ from .graphs import (
 )
 from .ratpoly import RatPoly, format_poly
 from .spectral import EXACT_ORDER_CAP, charpoly_exact, graph_energy, randic_energy
-from .verify import verify_all
+from .verify import WITNESS_MAX, verify_all
 
 _FAMILY_CHOICES = sorted(family.replace("_", "-") for family in FAMILIES)
 
@@ -97,8 +97,11 @@ def _cmd_charpoly(args, parser) -> int:
     descending = args.order == "desc"
     if args.mode in ("closed", "both") and getattr(args, "input", None):
         parser.error("--mode closed/both requires --family, not --input")
-    g, spec = _graph_from_args(args, parser)
-    exact = charpoly_exact(g) if args.mode in ("exact", "both") else None
+    if args.mode == "closed":
+        spec, exact = _spec_from_args(args, parser), None
+    else:
+        g, spec = _graph_from_args(args, parser)
+        exact = charpoly_exact(g)
     closed = closed_charpoly(spec) if args.mode in ("closed", "both") else None
     if args.format == "json":
         if args.mode == "both":
@@ -195,9 +198,8 @@ def _cmd_energy(args, parser) -> int:
 def _cmd_verify(args, parser) -> int:
     if not 5 <= args.max_n <= EXACT_ORDER_CAP:
         parser.error(f"--max-n must be between 5 and {EXACT_ORDER_CAP}")
-    most = (EXACT_ORDER_CAP + 1) // 2  # the witness for m has 2m - 1 vertices
-    if not 2 <= args.witness_max <= most:
-        parser.error(f"--witness-max must be between 2 and {most}")
+    if not 2 <= args.witness_max <= WITNESS_MAX:
+        parser.error(f"--witness-max must be between 2 and {WITNESS_MAX}")
     report = verify_all(args.max_n, args.tol, witness_max=args.witness_max)
     text = report.to_json()
     if args.report:

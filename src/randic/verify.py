@@ -6,6 +6,11 @@ tolerance), the numeric energy must match the closed-form energy within the
 report tolerance, and every numeric eigenvalue must be a root of the exact
 polynomial within the residual limit. Failures are recorded, not raised;
 the Report is the contract.
+
+Expected values come from the closed forms, or from a definition written
+out beside the check (the isolated vertex, an integer energy), never from
+the exact or numeric route under check: a route compared with itself
+cannot fail.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from .graphs import (
     FamilySpec,
     Graph,
     delete_edge,
-    disjoint_union,
     generate,
     is_bipartite,
 )
@@ -42,12 +46,13 @@ from .spectral import (
     Spectrum,
     charpoly_exact,
     eigenvalues,
-    randic_energy,
     randic_matrix,
 )
 
 DEFAULT_REPORT_TOL = 1e-9
 ROOT_RESIDUAL_LIMIT = 1e-6
+# the witness for m has 2m - 1 vertices, all within reach of the exact route
+WITNESS_MAX = (EXACT_ORDER_CAP + 1) // 2
 
 
 @dataclass
@@ -219,20 +224,15 @@ def verify_instance(spec: FamilySpec, tol: float = DEFAULT_REPORT_TOL) -> Verdic
     return _record(spec, "", reference)
 
 
-def check_union_additivity(g1: Graph, g2: Graph, tol: float = DEFAULT_REPORT_TOL) -> bool:
-    """True iff the energy of the disjoint union equals the sum of the parts."""
-    _check_tol(tol)
-    combined = randic_energy(disjoint_union(g1, g2))
-    return abs(combined - randic_energy(g1) - randic_energy(g2)) < tol
-
-
 def check_edge_deletion_lemmas(tol: float = DEFAULT_REPORT_TOL, max_n: int = 20) -> Report:
     """Check the three edge-deletion identities up to max_n.
 
-    (i) deleting any edge of an n-path leaves energies summing to the two
-    sub-paths; (ii) a cycle minus an edge has the energy (and exact
-    polynomial) of the same-order path; (iii) a star minus an edge keeps
-    energy 2. The path/star polynomial identities are checked exactly.
+    (i) a path minus any edge is P_r ∪ P_s, with the product of the two
+    polynomials and the sum of the two energies; (ii) a cycle minus an edge
+    has the polynomial and energy of the same-order path; (iii) a star minus
+    an edge is λ·φ(star(n-1)), with energy 2. Expected values come from the
+    closed forms, never from the route under check: P_1 is written out as
+    an isolated vertex (φ = λ, energy 0), and P_2's energy is K_2's.
     ``max_n`` runs from 4 to ``EXACT_ORDER_CAP``: every record of a path
     beyond the cap would be a hard failure, and the number of records grows
     quadratically in max_n, so a larger one is a DomainError.
@@ -242,25 +242,25 @@ def check_edge_deletion_lemmas(tol: float = DEFAULT_REPORT_TOL, max_n: int = 20)
             f"check_edge_deletion_lemmas requires 4 <= max_n <= {EXACT_ORDER_CAP} (got {max_n})"
         )
     _check_tol(tol)
-    # the paths, and their exact polynomials and numeric energies, are
-    # computed once per call, when a record's reference first needs them
-    @cache
-    def path_graph(k: int) -> Graph:
-        return generate(FamilySpec(PATH, k))
 
+    # each path's closed values are computed once per call, when a record's
+    # reference first needs them
     @cache
     def path(k: int) -> tuple[RatPoly, float]:
-        return charpoly_exact(path_graph(k)), randic_energy(path_graph(k))
+        if k == 1:
+            return RatPoly.x(), 0.0
+        spec = FamilySpec(PATH, k)
+        return closed_charpoly(spec), closed_energy(FamilySpec(COMPLETE, 2) if k == 2 else spec)
 
     def split(n: int, r: int) -> tuple[Graph, RatPoly, float]:
         (p_r, e_r), (p_s, e_s) = path(r), path(n - r)
-        return delete_edge(path_graph(n), r - 1, r), p_r * p_s, e_r + e_s
+        return delete_edge(generate(FamilySpec(PATH, n)), r - 1, r), p_r * p_s, e_r + e_s
 
     def cycle(n: int) -> tuple[Graph, RatPoly, float]:
         return (delete_edge(generate(FamilySpec(CYCLE, n)), 0, 1), *path(n))
 
     def star(n: int) -> tuple[Graph, RatPoly, float]:
-        smaller = charpoly_exact(generate(FamilySpec(STAR, n - 1)))
+        smaller = closed_charpoly(FamilySpec(STAR, n - 1))
         return delete_edge(generate(FamilySpec(STAR, n)), 0, 1), smaller.shift(1), 2.0
 
     checks = [
@@ -282,24 +282,19 @@ def check_edge_deletion_lemmas(tol: float = DEFAULT_REPORT_TOL, max_n: int = 20)
 
 
 def _witness_specs(m_max: int) -> list[tuple[int, FamilySpec]]:
-    # the witness for m has 2m - 1 vertices, all within reach of the exact route
-    most = (EXACT_ORDER_CAP + 1) // 2
-    if not 2 <= m_max <= most:
-        raise DomainError(f"integer_energy_witnesses requires 2 <= m_max <= {most} (got {m_max})")
+    """For each integer 2 <= m <= m_max, a graph whose Randic energy is m.
+
+    m = 2 uses the two-vertex complete graph; m >= 3 uses the friendship
+    graph with m-1 triangles (energy m). m_max is at most ``WITNESS_MAX``.
+    """
+    if not 2 <= m_max <= WITNESS_MAX:
+        raise DomainError(
+            f"integer energy witnesses require 2 <= m_max <= {WITNESS_MAX} (got {m_max})"
+        )
     return [
         (m, FamilySpec(COMPLETE, 2) if m == 2 else FamilySpec(FRIENDSHIP, m - 1))
         for m in range(2, m_max + 1)
     ]
-
-
-def integer_energy_witnesses(m_max: int) -> list[tuple[int, FamilySpec, float]]:
-    """For each integer 2 <= m <= m_max, a graph whose Randic energy is m.
-
-    m = 2 uses the two-vertex complete graph; m >= 3 uses the friendship
-    graph with m-1 triangles (energy m). m_max is at most 64, so that every
-    witness has at most ``EXACT_ORDER_CAP`` = 128 vertices.
-    """
-    return [(m, spec, randic_energy(generate(spec))) for m, spec in _witness_specs(m_max)]
 
 
 def sweep_specs(max_n: int) -> list[FamilySpec]:

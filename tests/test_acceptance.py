@@ -21,17 +21,18 @@ from randic import (
     RatPoly,
     charpoly_exact,
     check_edge_deletion_lemmas,
-    check_union_additivity,
     closed_charpoly,
     closed_energy,
+    disjoint_union,
     eigenvalues,
     generate,
     graph_energy,
-    integer_energy_witnesses,
     is_bipartite,
     lambda_poly,
     path_graph_energy,
+    randic_energy,
     randic_matrix,
+    verify_all,
 )
 from randic.cli import main as cli_main
 
@@ -185,36 +186,60 @@ def test_criterion_05_edge_deletion_lemmas():
             assert rec.energy_abs_err < ENERGY_TOL
 
 
+def union_part(spec: FamilySpec) -> tuple[Graph, RatPoly, float]:
+    """A graph with its expected polynomial and energy, from the closed forms
+    or, where they stop short, from a definition written out here."""
+    g = generate(spec)
+    if g.n == 1:  # K_1 = P_1, an isolated vertex
+        return g, RatPoly.x(), 0.0
+    if spec.family == "star" and spec.minus_edge:  # λ·φ(star(n-1)), energy 2
+        return g, closed_charpoly(FamilySpec("star", spec.n - 1)).shift(1), 2.0
+    if spec == FamilySpec("path", 2):  # P_2 = K_2, below the path energy's range
+        return g, closed_charpoly(spec), closed_energy(FamilySpec("complete", 2))
+    return g, closed_charpoly(spec), closed_energy(spec)
+
+
 def test_criterion_06_union_additivity():
-    with criterion(6, "energy additivity on 50 random disjoint unions"):
-        pool: list[Graph] = []
-        pool += [generate(FamilySpec("path", n)) for n in range(2, 9)]
-        pool += [generate(FamilySpec("cycle", n)) for n in range(3, 9)]
-        pool += [generate(FamilySpec("star", n)) for n in range(2, 9)]
-        pool += [generate(FamilySpec("complete", n)) for n in range(2, 7)]
-        pool += [
-            generate(FamilySpec("complete_bipartite", n, m=m))
-            for m, n in [(2, 2), (2, 3), (3, 3), (2, 4)]
+    with criterion(6, "exact polynomial and energy additivity on 53 disjoint unions"):
+        specs: list[FamilySpec] = []
+        specs += [FamilySpec("path", n) for n in range(2, 9)]
+        specs += [FamilySpec("cycle", n) for n in range(3, 9)]
+        specs += [FamilySpec("star", n) for n in range(2, 9)]
+        specs += [FamilySpec("complete", n) for n in range(2, 7)]
+        specs += [
+            FamilySpec("complete_bipartite", n, m=m) for m, n in [(2, 2), (2, 3), (3, 3), (2, 4)]
         ]
-        pool += [generate(FamilySpec("friendship", n)) for n in (2, 3, 4)]
-        pool += [generate(FamilySpec("dutch4", n)) for n in (2, 3)]
-        pool += [
-            generate(FamilySpec("complete", 5, minus_edge=True)),
-            generate(FamilySpec("star", 6, minus_edge=True)),
-            generate(FamilySpec("complete_bipartite", 3, m=2, minus_edge=True)),
+        specs += [FamilySpec("friendship", n) for n in (2, 3, 4)]
+        specs += [FamilySpec("dutch4", n) for n in (2, 3)]
+        specs += [
+            FamilySpec("complete", 5, minus_edge=True),
+            FamilySpec("star", 6, minus_edge=True),
+            FamilySpec("complete_bipartite", 3, m=2, minus_edge=True),
         ]
+        pool = [union_part(spec) for spec in specs]
         rng = random.Random(20260808)
-        for _ in range(50):
-            g1, g2 = rng.choice(pool), rng.choice(pool)
-            assert check_union_additivity(g1, g2, ENERGY_TOL)
+        pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(50)]
+        examples = [("path", 2, 3), ("complete", 3, 1), ("friendship", 2, 2)]
+        pairs += [
+            (union_part(FamilySpec(family, n)), union_part(FamilySpec(family, k)))
+            for family, n, k in examples
+        ]
+        for (g1, p1, e1), (g2, p2, e2) in pairs:
+            union = disjoint_union(g1, g2)
+            assert charpoly_exact(union) == p1 * p2
+            assert abs(randic_energy(union) - e1 - e2) < ENERGY_TOL
 
 
 def test_criterion_07_integer_energy_witnesses():
     with criterion(7, "integer energy witnesses for 2 <= m <= 20"):
-        table = integer_energy_witnesses(20)
-        assert [m for m, _, _ in table] == list(range(2, 21))
-        for m, _spec, energy in table:
-            assert abs(energy - m) < ENERGY_TOL
+        report = verify_all(5, ENERGY_TOL, witness_max=20)
+        witnesses = [r for r in report.records if r.notes.startswith("integer energy witness")]
+        assert [r.notes for r in witnesses] == [
+            f"integer energy witness m={m}" for m in range(2, 21)
+        ]
+        for rec in witnesses:
+            assert rec.passed(ENERGY_TOL)
+            assert rec.energy_abs_err < ENERGY_TOL
 
 
 def test_criterion_08_chebyshev_oracle():

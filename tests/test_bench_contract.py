@@ -74,7 +74,6 @@ def test_public_surface_is_pinned():
         "adjacency_matrix",
         "charpoly_exact",
         "check_edge_deletion_lemmas",
-        "check_union_additivity",
         "closed_charpoly",
         "closed_energy",
         "delete_edge",
@@ -84,7 +83,6 @@ def test_public_surface_is_pinned():
         "format_poly",
         "generate",
         "graph_energy",
-        "integer_energy_witnesses",
         "is_bipartite",
         "lambda_poly",
         "parse_edge_list",

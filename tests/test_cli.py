@@ -88,6 +88,18 @@ def test_charpoly_star4_closed_text(capsys):
     assert out.strip() == "λ^4 - λ^2"
 
 
+def test_charpoly_closed_builds_no_graph(monkeypatch, capsys):
+    import randic.cli
+
+    def no_graph(spec):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(randic.cli, "generate", no_graph)
+    code, out, _ = run_cli(capsys, "charpoly", "--family", "path", "--n", "5", "--mode", "closed")
+    assert code == 0
+    assert out == "λ^5 - 3/2·λ^3 + 1/2·λ\n"
+
+
 def test_charpoly_cycle3_both(capsys):
     code, out, _ = run_cli(
         capsys, "charpoly", "--family", "cycle", "--n", "3", "--mode", "both"

@@ -11,10 +11,8 @@ from randic import (
     VerdictRecord,
     charpoly_exact,
     check_edge_deletion_lemmas,
-    check_union_additivity,
     closed_charpoly,
     generate,
-    integer_energy_witnesses,
     sweep_specs,
     verify_all,
     verify_instance,
@@ -101,27 +99,7 @@ def test_verify_instance_fills_symmetry_for_bipartite_only():
     assert odd.spectrum_sym_err is None
 
 
-def test_check_union_additivity_examples():
-    p2 = generate(FamilySpec("path", 2))
-    p3 = generate(FamilySpec("path", 3))
-    assert check_union_additivity(p2, p3, 1e-9)
-    k3 = generate(FamilySpec("complete", 3))
-    k1 = generate(FamilySpec("complete", 1))
-    assert check_union_additivity(k3, k1, 1e-9)
-    f2 = generate(FamilySpec("friendship", 2))
-    assert check_union_additivity(f2, f2, 1e-9)
-    with pytest.raises(ValueError):
-        check_union_additivity(p2, p3, 0.0)
-
-
 BAD_TOLS = [float("nan"), float("inf"), 0.0, -1e-9]
-
-
-@pytest.mark.parametrize("tol", BAD_TOLS)
-def test_check_union_additivity_rejects_bad_tol(tol):
-    p2 = generate(FamilySpec("path", 2))
-    with pytest.raises(ValueError):
-        check_union_additivity(p2, p2, tol)
 
 
 @pytest.mark.parametrize("tol", BAD_TOLS + [-1.0])
@@ -174,15 +152,16 @@ def test_sweeps_reject_max_n_above_exact_order_cap(monkeypatch):
 
 
 def test_integer_energy_witnesses_table():
-    table = integer_energy_witnesses(10)
-    assert table[0][0] == 2 and table[0][1] == FamilySpec("complete", 2)
-    assert table[1][1] == FamilySpec("friendship", 2)
-    by_m = {m: (spec, re) for m, spec, re in table}
-    assert by_m[7][0] == FamilySpec("friendship", 6)
-    for m, (_spec, re) in by_m.items():
-        assert abs(re - m) < 1e-9
-    with pytest.raises(DomainError):
-        integer_energy_witnesses(1)
+    report = verify_all(5, 1e-9, witness_max=20)
+    witnesses = [r for r in report.records if r.notes.startswith("integer energy witness")]
+    assert [r.notes for r in witnesses] == [f"integer energy witness m={m}" for m in range(2, 21)]
+    assert witnesses[0].spec == FamilySpec("complete", 2)
+    assert witnesses[1].spec == FamilySpec("friendship", 2)
+    assert witnesses[5].spec == FamilySpec("friendship", 6)
+    for r in witnesses:
+        assert r.passed(1e-9) and r.energy_abs_err < 1e-9
+    with pytest.raises(DomainError, match="m_max"):
+        verify_all(5, 1e-9, witness_max=1)
 
 
 def test_witness_records_check_exact_polynomial_and_roots(monkeypatch):
@@ -237,6 +216,61 @@ def test_lemma_error_is_hard_failure_not_abort(monkeypatch):
     # P_1 ∪ P_4 has four non-isolated vertices, so its record still checks and passes
     assert notes["path split r=1 s=4"].passed(1e-9)
     assert sum(r.hard_failure for r in report.records) == 165
+
+
+def _lemma_records(report: Report) -> list[VerdictRecord]:
+    lemma_families = ("path", "cycle", "star")
+    return [r for r in report.records if r.spec.minus_edge and r.spec.family in lemma_families]
+
+
+def test_lemma_records_fail_when_both_routes_scale_the_spectrum(monkeypatch):
+    # scale every root by 1.001 in both routes alike, randic_energy included:
+    # a record whose reference came from either route would still agree with
+    # itself and pass
+    import randic.spectral
+    import randic.verify
+    from randic import Spectrum, eigenvalues
+
+    scale = Fr(1001, 1000)
+
+    def scaled_poly(g):
+        coeffs = charpoly_exact(g).coeffs
+        top = len(coeffs) - 1
+        return RatPoly(c * scale ** (top - k) for k, c in enumerate(coeffs))
+
+    def scaled_values(matrix, tol):
+        return Spectrum(tuple(v * 1.001 for v in eigenvalues(matrix, tol).values))
+
+    monkeypatch.setattr(randic.verify, "charpoly_exact", scaled_poly)
+    monkeypatch.setattr(randic.verify, "eigenvalues", scaled_values)
+    monkeypatch.setattr(randic.spectral, "eigenvalues", scaled_values)
+    lemmas = _lemma_records(verify_all(24))
+    assert len(lemmas) == 320
+    # path(2) - e is two isolated vertices: every root is 0, which scaling keeps
+    assert [r.notes for r in lemmas if r.passed(1e-9)] == ["path split r=1 s=1"]
+
+
+def test_path_splits_with_a_p2_part_fail_when_closed_twins_count_as_open(monkeypatch):
+    # a copy of charpoly_exact that gives every twin class the factor dλ, so
+    # P_2's closed twins get λ where they should get λ + 1
+    import inspect
+    import textwrap
+
+    import randic.spectral
+    import randic.verify
+
+    source = textwrap.dedent(inspect.getsource(randic.spectral.charpoly_exact))
+    original = "factor = (degs[first], int(first in key))"
+    assert original in source
+    namespace = dict(vars(randic.spectral))
+    exec(source.replace(original, "factor = (degs[first], 0)"), namespace)
+    monkeypatch.setattr(randic.verify, "charpoly_exact", namespace["charpoly_exact"])
+    splits = [
+        r for r in _lemma_records(verify_all(24))
+        if r.spec.family == "path" and 2 in (int(part[2:]) for part in r.notes.split()[2:])
+    ]
+    assert len(splits) == 43
+    assert not any(r.charpoly_match or r.passed(1e-9) for r in splits)
 
 
 def test_witness_max_limited_by_exact_order_cap():
