@@ -99,6 +99,25 @@ def test_verify_instance_fills_symmetry_for_bipartite_only():
     assert odd.spectrum_sym_err is None
 
 
+def test_check_union_additivity_examples():
+    # P2 u P3, K3 u K1 and F2 u F2 against the closed forms; K1 is an
+    # isolated vertex (lambda, energy 0) and P2's energy is K2's
+    from randic import closed_energy, disjoint_union, randic_energy
+
+    def part(family, n):
+        spec = FamilySpec(family, n)
+        if n == 1:
+            return generate(spec), RatPoly.x(), 0.0
+        energy_spec = FamilySpec("complete", 2) if spec == FamilySpec("path", 2) else spec
+        return generate(spec), closed_charpoly(spec), closed_energy(energy_spec)
+
+    for (family, n, k) in [("path", 2, 3), ("complete", 3, 1), ("friendship", 2, 2)]:
+        (g1, p1, e1), (g2, p2, e2) = part(family, n), part(family, k)
+        union = disjoint_union(g1, g2)
+        assert charpoly_exact(union) == p1 * p2
+        assert randic_energy(union) == pytest.approx(e1 + e2, abs=1e-9)
+
+
 BAD_TOLS = [float("nan"), float("inf"), 0.0, -1e-9]
 
 
