@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -20,12 +21,13 @@ from .graphs import (
     FAMILIES,
     FamilySpec,
     Graph,
+    _validate_spec,
     format_edge_list,
     generate,
     parse_edge_list,
 )
 from .ratpoly import RatPoly, format_poly
-from .spectral import EXACT_ORDER_CAP, charpoly_exact, graph_energy, randic_energy
+from .spectral import ENERGY_ORDER_CAP, EXACT_ORDER_CAP, charpoly_exact, graph_energy, randic_energy
 from .verify import WITNESS_MAX, verify_all
 
 _FAMILY_CHOICES = sorted(family.replace("_", "-") for family in FAMILIES)
@@ -140,9 +142,20 @@ def _cmd_energy(args, parser) -> int:
             parser.error("--sweep requires --family, not --input")
         lo, hi = _parse_sweep(args.sweep, parser)
         family = _family_from_args(args, parser)
+        spec_at = partial(FamilySpec, family, m=args.m, minus_edge=args.minus_edge)
+        # every family's limits and order bind at an end: check both before any energy
+        try:
+            for spec in (spec_at(lo), spec_at(hi)):
+                _validate_spec(spec)
+            if (core := sum(1 for d in generate(spec).degrees if d)) > ENERGY_ORDER_CAP:
+                raise DomainError(
+                    f"energies capped at {ENERGY_ORDER_CAP} non-isolated vertices (got {core})"
+                )
+        except (DomainError, UnsupportedFamilyError) as exc:
+            parser.error(f"--sweep {args.sweep} reaches {spec.label()}: {exc}")
         rows = []
         for n in range(lo, hi + 1):
-            spec = FamilySpec(family, n, m=args.m, minus_edge=args.minus_edge)
+            spec = spec_at(n)
             re_num = randic_energy(generate(spec), args.tol)
             try:
                 re_closed: Optional[float] = closed_energy(spec)

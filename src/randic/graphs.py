@@ -14,7 +14,6 @@ every downstream computation is reproducible bit-for-bit:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -210,23 +209,28 @@ def permute_vertices(g: Graph, perm: Sequence[int]) -> Graph:
     return Graph.from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges))
 
 
-def is_bipartite(g: Graph) -> bool:
-    color = [-1] * g.n
-    adj = g.adjacency
+def _bfs(g: Graph) -> tuple[list[int], list[int]]:
+    """Breadth-first visiting order of all vertices, and each vertex's depth:
+    each component from its smallest vertex on, neighbours ascending."""
+    depth = [-1] * g.n
+    order: list[int] = []
     for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return False
-    return True
+        if depth[start] < 0:
+            depth[start] = 0
+            queue = [start]
+            for u in queue:
+                for w in g.adjacency[u]:
+                    if depth[w] < 0:
+                        depth[w] = depth[u] + 1
+                        queue.append(w)
+            order += queue
+    return order, depth
+
+
+def is_bipartite(g: Graph) -> bool:
+    """Whether no edge joins two vertices of equal breadth-first depth."""
+    depth = _bfs(g)[1]
+    return all(depth[u] != depth[v] for u, v in g.edges)
 
 
 def format_edge_list(g: Graph) -> str:

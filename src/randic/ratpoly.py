@@ -77,10 +77,11 @@ class RatPoly:
             return RatPoly(tuple(c * other for c in self.coeffs))
         if self.is_zero or other.is_zero:
             return RatPoly(())
-        a, da = _integer_numerators(self.coeffs)
-        b, db = _integer_numerators(other.coeffs)
+        # a factor λ^k shifts the product: its k zeros stay out of the convolution
+        a, da, low_a = _integer_numerators(self.coeffs)
+        b, db, low_b = _integer_numerators(other.coeffs)
         den = da * db
-        return RatPoly([Fraction(c, den) for c in convolve(a, b)])
+        return RatPoly([Fraction(0)] * (low_a + low_b) + [Fraction(c, den) for c in convolve(a, b)])
 
     def __rmul__(self, other: Scalar) -> "RatPoly":
         return self.__mul__(other)
@@ -136,14 +137,18 @@ def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _integer_numerators(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """Integers c_i and a common denominator d with coeffs[i] = c_i / d."""
+def _integer_numerators(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int, int]:
+    """Integers c_i, a common denominator d and the index k of the lowest
+    nonzero coefficient, with coeffs[k + i] = c_i / d."""
+    k = 0
+    while not coeffs[k]:
+        k += 1
     den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+    return [c.numerator * (den // c.denominator) for c in coeffs[k:]], den, k
 
 
-def format_poly(p: RatPoly, variable: str = "λ", descending: bool = True) -> str:
-    """Render a polynomial as text, e.g. ``λ^4 - 5/4·λ^2 + 1/4``."""
+def format_poly(p: RatPoly, descending: bool = True) -> str:
+    """Render a polynomial in λ as text, e.g. ``λ^4 - 5/4·λ^2 + 1/4``."""
     if p.is_zero:
         return "0"
     terms = [(k, c) for k, c in enumerate(p.coeffs) if c != 0]
@@ -155,7 +160,7 @@ def format_poly(p: RatPoly, variable: str = "λ", descending: bool = True) -> st
         if k == 0:
             body = str(mag)
         else:
-            var = variable if k == 1 else f"{variable}^{k}"
+            var = "λ" if k == 1 else f"λ^{k}"
             body = var if mag == 1 else f"{mag}·{var}"
         if idx == 0:
             parts.append(body if c > 0 else f"-{body}")

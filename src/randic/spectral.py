@@ -44,7 +44,7 @@ from fractions import Fraction
 from itertools import compress
 
 from .errors import ConvergenceError, DomainError
-from .graphs import Graph
+from .graphs import Graph, _bfs
 from .ratpoly import RatPoly, convolve
 
 DEFAULT_SOLVER_TOL = 1e-12
@@ -118,9 +118,11 @@ def randic_index(g: Graph) -> float:
 # its certificate, so no primality test runs here: (p, None) for a Mersenne
 # prime p = 2^e - 1 (Lucas-Lehmer), and (p, a) for a Proth prime
 # p = k·2^e + 1 with k odd and k < 2^e, prime because a^((p-1)/2) = -1 mod p
-# (Proth's theorem). From 2^61 - 1 to past the coefficient bound of
-# complete(128) there is a Proth prime of exactly 30j bits for each j >= 3, so
-# a residue is at most one 30-bit digit of a Python int wider than the bound.
+# (Proth's theorem). From 2^61 - 1 on there is a Proth prime of exactly 30j
+# bits for each j >= 3, so a residue is at most one 30-bit digit of a Python
+# int wider than the bound. The table ends at the first prime above the bound
+# 2·127^128·C(128, 64) of any quotient within EXACT_ORDER_CAP; a higher cap
+# needs larger primes here.
 CERTIFIED_PRIMES = (
     ((1 << 61) - 1, None),
     ((1 << 89) - 1, None),
@@ -160,13 +162,6 @@ CERTIFIED_PRIMES = (
     ((65373 << 944) + 1, 23),
     ((64845 << 974) + 1, 7),
     ((65445 << 1004) + 1, 13),
-    ((64329 << 1034) + 1, 5),
-    ((1 << 1279) - 1, None),
-    ((1 << 2203) - 1, None),
-    ((1 << 2281) - 1, None),
-    ((1 << 3217) - 1, None),
-    ((1 << 4253) - 1, None),
-    ((1 << 4423) - 1, None),
 )
 
 
@@ -248,7 +243,7 @@ def _hessenberg_charpoly(h: list[list[int]], p: int) -> list[int]:
     return polys[n]
 
 
-def charpoly_exact(g: Graph, order_cap: int = EXACT_ORDER_CAP) -> RatPoly:
+def charpoly_exact(g: Graph) -> RatPoly:
     """Monic degree-n characteristic polynomial of the Randic matrix, exact.
 
     Computed on the similar rational matrix W = D^{-1}A after splitting off
@@ -272,31 +267,19 @@ def charpoly_exact(g: Graph, order_cap: int = EXACT_ORDER_CAP) -> RatPoly:
     twin beyond its class's representative, are multiplied in, and each
     coefficient is divided by the product of all k degrees. A twin-free
     graph is its own quotient. Raises DomainError when k exceeds
-    ``order_cap``, or when no certified prime is large enough.
+    ``EXACT_ORDER_CAP``, or when no certified prime is large enough.
     """
     degs = g.degrees
     isolated = degs.count(0)
     k = g.n - isolated
-    if k > order_cap:
-        raise DomainError(f"exact characteristic polynomial capped at order {order_cap} (got {k})")
+    if k > EXACT_ORDER_CAP:
+        raise DomainError(f"exact characteristic polynomial capped at order {EXACT_ORDER_CAP} (got {k})")
     if k == 0:
         return RatPoly.one().shift(isolated)
     # the non-isolated vertices in reversed breadth-first order: the labeling
     # does not change the polynomial, and this one keeps the Hessenberg
     # fill-in of a sparse graph small
-    core: list[int] = []
-    seen = [d == 0 for d in degs]
-    for start in range(g.n):
-        if not seen[start]:
-            seen[start] = True
-            queue = [start]
-            for v in queue:
-                for w in g.adjacency[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        queue.append(w)
-            core += queue
-    core.reverse()
+    core = [v for v in reversed(_bfs(g)[0]) if degs[v]]
     # twin classes: the vertices of one open neighbourhood N(v) (pairwise
     # non-adjacent) or of one closed neighbourhood N[v] (pairwise adjacent).
     # No N(u) equals an N[v], so one dict holds both kinds of key, and a
@@ -563,11 +546,7 @@ def _blocks(supports: list[int]):
         yield halves, bipartite
 
 
-def eigenvalues(
-    mat: SymMatrix,
-    tol: float = DEFAULT_SOLVER_TOL,
-    max_sweeps: int = QL_ITERATION_CAP,
-) -> Spectrum:
+def eigenvalues(mat: SymMatrix, tol: float = DEFAULT_SOLVER_TOL) -> Spectrum:
     """All eigenvalues of a symmetric matrix.
 
     Twin indices (rows equal outside the pair, equal diagonals, compared
@@ -586,11 +565,11 @@ def eigenvalues(
     QL once (EISPACK tql1, eigenvalues only). A subdiagonal entry e_m is
     deflated once |e_m| <= max(eps*(|d_m|+|d_{m+1}|), tol/sqrt(2(k-1))) at
     reduced order k, so the off-diagonal Frobenius norm dropped in total is
-    at most ``tol`` beyond rounding. ``max_sweeps`` caps the QL iterations
-    spent on each eigenvalue of the joined tridiagonal; exceeding it raises
-    ConvergenceError carrying the off-diagonal Frobenius norm of the joined
-    tridiagonal in its current form. A non-finite or non-positive ``tol``,
-    a non-finite entry or an asymmetric matrix raises ValueError.
+    at most ``tol`` beyond rounding. ``QL_ITERATION_CAP`` caps the QL
+    iterations spent on each eigenvalue of the joined tridiagonal; exceeding
+    it raises ConvergenceError carrying the off-diagonal Frobenius norm of
+    the joined tridiagonal in its current form. A non-finite or non-positive
+    ``tol``, a non-finite entry or an asymmetric matrix raises ValueError.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tol must be positive and finite")
@@ -645,10 +624,10 @@ def eigenvalues(
                 m += 1
             if m == l:
                 break
-            if iterations >= max_sweeps:
+            if iterations >= QL_ITERATION_CAP:
                 residual = math.sqrt(2.0 * sum(x * x for x in e))
                 raise ConvergenceError(
-                    f"QL did not converge in {max_sweeps} iterations "
+                    f"QL did not converge in {QL_ITERATION_CAP} iterations "
                     f"for eigenvalue {l} (residual {residual:.3e})",
                     residual,
                 )

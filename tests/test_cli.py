@@ -231,6 +231,34 @@ def test_energy_reversed_sweep_is_usage_error(capsys, fmt):
     assert "--sweep range 8..2 is empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--family", "complete", "--sweep", "1022..1026"], "complete(1026) has 525825 edges"),
+        (["--family", "path", "--sweep", "0..3"], "reaches path(0): path requires n >= 1"),
+        (
+            ["--family", "path", "--minus-edge", "--sweep", "1024..1026"],
+            "reaches path(1026)-e: energies capped at 1024 non-isolated vertices (got 1025)",
+        ),
+        (["--family", "path", "--sweep", "1..10000000000"], "path(10000000000) has 9999999999 edges"),
+    ],
+    ids=["complete-1022..1026", "path-0..3", "path-minus-edge-1024..1026", "path-1..10^10"],
+)
+def test_energy_sweep_out_of_range_is_refused_before_computing(capsys, monkeypatch, argv, message):
+    # both ends of the range are checked before the first energy: a bad
+    # range is a usage error, not an exit 1 after every row before it
+    import randic.cli
+
+    def no_energy(*args, **kwargs):
+        raise AssertionError("an energy was computed")
+
+    monkeypatch.setattr(randic.cli, "randic_energy", no_energy)
+    with pytest.raises(SystemExit) as err:
+        main(["energy", *argv])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_energy_single_point_sweep(capsys):
     code, out, _ = run_cli(capsys, "energy", "--family", "cycle", "--sweep", "5..5", "--format", "json")
     assert code == 0

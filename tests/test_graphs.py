@@ -249,6 +249,28 @@ def test_bipartite_detection():
     assert not is_bipartite(generate(FamilySpec("complete", 4)))
 
 
+def test_bfs_order_and_depths():
+    # components in the order of their smallest vertex, each visited from
+    # it with neighbours ascending; the isolated vertex 3 is a component
+    g = Graph.from_edges(8, [(7, 4), (0, 5), (6, 5), (4, 1), (0, 2), (2, 5)])
+    order, depth = graphs._bfs(g)
+    assert order == [0, 2, 5, 6, 1, 4, 7, 3]
+    assert depth == [0, 0, 1, 0, 1, 1, 2, 2]
+
+
+def test_bipartite_detection_matches_two_colourings():
+    # a graph is bipartite when some 2-colouring leaves no edge inside a colour
+    rng = random.Random(20261018)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph.from_edges(n, rng.sample(pairs, rng.randint(0, min(len(pairs), n + 2))))
+        two_colourable = any(
+            all((mask >> u & 1) != (mask >> v & 1) for u, v in g.edges) for mask in range(1 << n)
+        )
+        assert is_bipartite(g) == two_colourable, g
+
+
 def test_edge_list_round_trip():
     g = generate(FamilySpec("dutch4", 2))
     text = format_edge_list(g)

@@ -35,6 +35,8 @@ def test_product_matches_expanded_form():
         ([Fr(-1, 2), 0, Fr(-1, 4)], [Fr(-3, 7), Fr(1, 2)]),
         ([1, -2, 3], [-4, 0, 5]),
         ([Fr(6, 5)], [0, 0, Fr(-10, 3)]),
+        ([0, 0, Fr(1, 2), 0, 3], [0, Fr(-2, 3), 1]),
+        ([0, 1], [0, 0, 0, Fr(5, 7)]),
         ([], [1, Fr(1, 2)]),
         ([Fr(2, 3), 1], []),
         ([], []),
@@ -99,6 +101,29 @@ def test_hash_consistent_with_eq():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_products_convolve_from_the_lowest_nonzero_coefficients(monkeypatch):
+    # Λ_3 = λ^3 - λ/2 has no constant term: its powers in the dutch4 closed
+    # form are shifted, and no convolution carries their low zeros
+    import randic.ratpoly
+    from randic import FamilySpec, closed_charpoly, lambda_poly
+
+    seen = []
+    convolve = randic.ratpoly.convolve
+
+    def recording(a, b):
+        seen.append((a[0], b[0]))
+        return convolve(a, b)
+
+    monkeypatch.setattr(randic.ratpoly, "convolve", recording)
+    p = closed_charpoly(FamilySpec("dutch4", 10))
+    assert seen and all(a and b for a, b in seen)
+    # φ = Λ_3^9·φ(C_4), expanded term by term
+    expected = closed_charpoly(FamilySpec("cycle", 4)).coeffs
+    for _ in range(9):
+        expected = schoolbook_product(expected, lambda_poly(3).coeffs)
+    assert p.coeffs == expected
 
 
 def test_format_poly_descending_default():

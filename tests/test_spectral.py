@@ -164,11 +164,13 @@ def test_charpoly_empty_and_edgeless_graphs():
     assert charpoly_exact(Graph(3, frozenset())) == RatPoly([0, 0, 0, 1])
 
 
-def test_charpoly_order_cap():
+def test_charpoly_order_cap(monkeypatch):
     g = generate(FamilySpec("path", 130))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"capped at order 128 \(got 130\)"):
         charpoly_exact(g)
-    assert charpoly_exact(g, order_cap=130).degree == 130
+    # the cap is read when the function runs
+    monkeypatch.setattr(spectral, "EXACT_ORDER_CAP", 130)
+    assert charpoly_exact(g).degree == 130
 
 
 # ---------------------------------------------------------------- modular kernel
@@ -203,14 +205,19 @@ def test_certified_primes_table_shape():
     primes = [p for p, _ in spectral.CERTIFIED_PRIMES]
     assert primes == sorted(set(primes))
     assert primes[0] == (1 << 61) - 1
-    assert primes[-1] >= (1 << 4423) - 1
-    # up to the coefficient bound of complete(128), each entry is at most
-    # 32 bits above the one before it
-    cap = spectral.EXACT_ORDER_CAP
-    bound = 2 * (cap - 1) ** cap * math.comb(cap, cap // 2)
-    dense = [p for p in primes if p <= bound]
-    dense.append(primes[len(dense)])
-    assert all(b < a << 32 for a, b in zip(dense, dense[1:]))
+    # each entry is at most 32 bits above the one before it
+    assert all(b < a << 32 for a, b in zip(primes, primes[1:]))
+
+
+def test_certified_primes_reach_the_exact_order_cap():
+    # the coefficient bound 2·P'·C(k', k'/2) of a quotient of order k' <= c
+    # is at most complete(c)'s, since each degree is at most c - 1. The table
+    # ends at the first prime above it: raising EXACT_ORDER_CAP needs primes
+    # added, and a prime past that one could never be chosen.
+    c = spectral.EXACT_ORDER_CAP
+    bound = 2 * (c - 1) ** c * math.comb(c, c // 2)
+    primes = [p for p, _ in spectral.CERTIFIED_PRIMES]
+    assert primes[-2] <= bound < primes[-1]
 
 
 @pytest.mark.parametrize(
@@ -351,19 +358,22 @@ def _complement(g):
     )
 
 
-def test_charpoly_beyond_largest_modulus_is_domain_error():
+def test_charpoly_beyond_largest_modulus_is_domain_error(monkeypatch):
     # the complement of a path of order >= 4 is twin-free, so its quotient is
-    # itself: 2·458^2·457^458·C(460, 230) has 4,521 bits, more than 2^4423 - 1
-    g = _complement(generate(FamilySpec("path", 460)))
-    with pytest.raises(DomainError, match="modulus above a 4521-bit bound"):
-        charpoly_exact(g, order_cap=460)
+    # itself: 2·18^2·17^18·C(20, 10) has 101 bits, more than 2^89 - 1, the
+    # largest prime of the table cut after its second entry
+    monkeypatch.setattr(spectral, "CERTIFIED_PRIMES", spectral.CERTIFIED_PRIMES[:2])
+    g = _complement(generate(FamilySpec("path", 20)))
+    with pytest.raises(DomainError, match="modulus above a 101-bit bound; the largest certified prime has 89 bits"):
+        charpoly_exact(g)
 
 
-def test_charpoly_twin_quotient_needs_no_modulus_for_its_twins():
+def test_charpoly_twin_quotient_needs_no_modulus_for_its_twins(monkeypatch):
     # complete(460) is one class of closed twins: a 1 x 1 quotient, where the
     # whole graph's bound would exceed the largest certified prime
+    monkeypatch.setattr(spectral, "EXACT_ORDER_CAP", 460)
     spec = FamilySpec("complete", 460)
-    assert charpoly_exact(generate(spec), order_cap=460) == closed_charpoly(spec)
+    assert charpoly_exact(generate(spec)) == closed_charpoly(spec)
 
 
 # ---------------------------------------------------------------- twin quotient
@@ -507,14 +517,15 @@ def test_eigenvalues_trivial_orders():
     assert eigenvalues(SymMatrix(((3.5,),))).values == (3.5,)
 
 
-def test_convergence_error_carries_residual():
+def test_convergence_error_carries_residual(monkeypatch):
     # no twins (the diagonals differ), so the QL iteration is needed
+    monkeypatch.setattr(spectral, "QL_ITERATION_CAP", 0)
     mat = SymMatrix(((0.0, 1.0), (1.0, 1.0)))
-    with pytest.raises(ConvergenceError) as err:
-        eigenvalues(mat, max_sweeps=0)
+    with pytest.raises(ConvergenceError, match="in 0 iterations") as err:
+        eigenvalues(mat)
     assert err.value.residual == pytest.approx(SQRT2, abs=1e-12)
     # K2 is a twin pair: split off exactly, with no QL iteration
-    assert eigenvalues(SymMatrix(((0.0, 1.0), (1.0, 0.0))), max_sweeps=0).values == (1.0, -1.0)
+    assert eigenvalues(SymMatrix(((0.0, 1.0), (1.0, 0.0)))).values == (1.0, -1.0)
 
 
 # ---------------------------------------------------------------- energies
@@ -774,14 +785,15 @@ def test_twin_split_class_structure():
     assert classes(FamilySpec("cycle", 7)) == []
 
 
-def test_twin_split_exact_values():
+def test_twin_split_exact_values(monkeypatch):
     values = eigenvalues(randic_matrix(generate(FamilySpec("complete", 128)))).values
     assert values[0] == pytest.approx(1.0, abs=1e-12)
     assert values[1:] == (-1.0 / 127,) * 127
     assert randic_energy(generate(FamilySpec("friendship", 63))) == pytest.approx(64.0, abs=1e-9)
     # complete and complete bipartite graphs split down to one index: no QL step
+    monkeypatch.setattr(spectral, "QL_ITERATION_CAP", 0)
     for spec in (FamilySpec("complete", 40), FamilySpec("complete_bipartite", 20, m=30)):
-        assert len(eigenvalues(randic_matrix(generate(spec)), max_sweeps=0)) == spec.n + (spec.m or 0)
+        assert len(eigenvalues(randic_matrix(generate(spec)))) == spec.n + (spec.m or 0)
 
 
 # ---------------------------------------------------------------- blocks

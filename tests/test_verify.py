@@ -21,7 +21,7 @@ from fractions import Fraction as Fr
 
 
 def test_verify_instance_friendship5():
-    rec = verify_instance(FamilySpec("friendship", 5), 1e-9)
+    rec = verify_instance(FamilySpec("friendship", 5))
     assert rec.charpoly_match
     assert rec.energy_abs_err < 1e-9
     assert rec.passed(1e-9)
@@ -33,7 +33,7 @@ def test_verify_instance_friendship5():
 
 
 def test_verify_instance_complete2():
-    rec = verify_instance(FamilySpec("complete", 2), 1e-9)
+    rec = verify_instance(FamilySpec("complete", 2))
     assert rec.charpoly_match
     assert charpoly_exact(generate(FamilySpec("complete", 2))) == RatPoly([-1, 0, 1])
     assert rec.energy_abs_err < 1e-9
@@ -41,7 +41,7 @@ def test_verify_instance_complete2():
 
 
 def test_verify_instance_dutch3_energy_reference():
-    rec = verify_instance(FamilySpec("dutch4", 3), 1e-9)
+    rec = verify_instance(FamilySpec("dutch4", 3))
     assert rec.energy_abs_err < 1e-9
     assert rec.passed(1e-9)
     # the closed value it was compared against
@@ -53,7 +53,7 @@ def test_verify_instance_dutch3_energy_reference():
 
 
 def test_verify_instance_below_energy_domain_still_passes():
-    rec = verify_instance(FamilySpec("path", 2), 1e-9)
+    rec = verify_instance(FamilySpec("path", 2))
     assert rec.charpoly_match
     assert rec.energy_abs_err is None
     assert "below validity range" in rec.notes
@@ -61,7 +61,7 @@ def test_verify_instance_below_energy_domain_still_passes():
 
 
 def test_verify_instance_bad_spec_is_recorded_not_raised():
-    rec = verify_instance(FamilySpec("cycle", 2), 1e-9)
+    rec = verify_instance(FamilySpec("cycle", 2))
     assert rec.hard_failure
     assert not rec.passed(1e-9)
     assert rec.notes.startswith("error:")
@@ -69,7 +69,7 @@ def test_verify_instance_bad_spec_is_recorded_not_raised():
 
 def test_verify_instance_closed_domain_error_is_hard_failure():
     # path(1) generates, but no closed form covers it
-    rec = verify_instance(FamilySpec("path", 1), 1e-9)
+    rec = verify_instance(FamilySpec("path", 1))
     assert rec.hard_failure
     assert not rec.passed(1e-9)
     assert rec.notes.startswith("error:")
@@ -87,15 +87,15 @@ def test_verify_instance_small_paths_check_against_closed_form(monkeypatch, n):
 
     monkeypatch.setattr(randic.verify, "charpoly_exact", wrong)
     monkeypatch.setattr(randic.closed_forms, "charpoly_exact", wrong, raising=False)
-    rec = verify_instance(FamilySpec("path", n), 1e-9)
+    rec = verify_instance(FamilySpec("path", n))
     assert not rec.charpoly_match
     assert not rec.passed(1e-9)
 
 
 def test_verify_instance_fills_symmetry_for_bipartite_only():
-    bip = verify_instance(FamilySpec("path", 6), 1e-9)
+    bip = verify_instance(FamilySpec("path", 6))
     assert bip.spectrum_sym_err is not None and bip.spectrum_sym_err < 1e-9
-    odd = verify_instance(FamilySpec("cycle", 5), 1e-9)
+    odd = verify_instance(FamilySpec("cycle", 5))
     assert odd.spectrum_sym_err is None
 
 
@@ -122,12 +122,6 @@ BAD_TOLS = [float("nan"), float("inf"), 0.0, -1e-9]
 
 
 @pytest.mark.parametrize("tol", BAD_TOLS + [-1.0])
-def test_verify_instance_rejects_bad_tol(tol):
-    with pytest.raises(ValueError):
-        verify_instance(FamilySpec("path", 5), tol)
-
-
-@pytest.mark.parametrize("tol", BAD_TOLS)
 def test_verify_all_rejects_bad_tol(tol):
     with pytest.raises(ValueError):
         verify_all(5, tol, witness_max=2)
@@ -219,9 +213,9 @@ def test_witness_domain_error_is_hard_failure(monkeypatch):
 def test_lemma_error_is_hard_failure_not_abort(monkeypatch):
     # an exact route that stops at order 4 fails every lemma graph of order 5
     # in its own record; the sweep still returns a whole Report
-    import randic.verify
+    import randic.spectral
 
-    monkeypatch.setattr(randic.verify, "charpoly_exact", lambda g: charpoly_exact(g, order_cap=4))
+    monkeypatch.setattr(randic.spectral, "EXACT_ORDER_CAP", 4)
     report = verify_all(5, 1e-9, witness_max=3)
     assert isinstance(report, Report)
     assert len(report.records) == 194
@@ -346,7 +340,6 @@ def test_report_json_schema():
             energy_abs_err=1e-12,
             max_root_residual=1e-13,
             spectrum_sym_err=1e-12,
-            elapsed=0.01,
             notes="",
         )
     )
