@@ -11,8 +11,6 @@ import json
 import math
 import sys
 from functools import partial
-from pathlib import Path
-from typing import Optional
 
 from .closed_forms import closed_charpoly, closed_energy
 from .errors import ConvergenceError, DomainError, EdgeNotFoundError, UnsupportedFamilyError
@@ -26,7 +24,7 @@ from .graphs import (
     generate,
     parse_edge_list,
 )
-from .ratpoly import RatPoly, format_poly
+from .ratpoly import RatPoly, format_coeffs, format_poly
 from .spectral import ENERGY_ORDER_CAP, EXACT_ORDER_CAP, charpoly_exact, graph_energy, randic_energy
 from .verify import WITNESS_MAX, verify_all
 
@@ -61,11 +59,12 @@ def _spec_from_args(args, parser: argparse.ArgumentParser) -> FamilySpec:
     return FamilySpec(family, args.n, m=args.m, minus_edge=args.minus_edge)
 
 
-def _graph_from_args(args, parser: argparse.ArgumentParser) -> tuple[Graph, Optional[FamilySpec]]:
+def _graph_from_args(args, parser: argparse.ArgumentParser) -> tuple[Graph, FamilySpec | None]:
     if getattr(args, "input", None):
         if args.family is not None:
             parser.error("--input and --family are mutually exclusive")
-        return parse_edge_list(Path(args.input).read_text(encoding="utf-8")), None
+        with open(args.input, encoding="utf-8") as fh:
+            return parse_edge_list(fh.read()), None
     spec = _spec_from_args(args, parser)
     return generate(spec), spec
 
@@ -82,14 +81,15 @@ def _tolerance(text: str) -> float:
 
 
 def _poly_json(p: RatPoly) -> dict:
-    return {"degree": p.degree, "coeffs_ascending": [str(c) for c in p.coeffs]}
+    return {"degree": p.degree, "coeffs_ascending": format_coeffs(p)}
 
 
 def _cmd_gen(args, parser) -> int:
     spec = _spec_from_args(args, parser)
     text = format_edge_list(generate(spec))
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return 0
@@ -158,8 +158,8 @@ def _cmd_energy(args, parser) -> int:
             spec = spec_at(n)
             re_num = randic_energy(generate(spec), args.tol)
             try:
-                re_closed: Optional[float] = closed_energy(spec)
-                err: Optional[float] = abs(re_num - re_closed)
+                re_closed: float | None = closed_energy(spec)
+                err: float | None = abs(re_num - re_closed)
             except (DomainError, UnsupportedFamilyError):
                 re_closed = None
                 err = None
@@ -172,6 +172,7 @@ def _cmd_energy(args, parser) -> int:
                             "family": s.family,
                             "n": s.n,
                             "m": s.m,
+                            "minus_edge": s.minus_edge,
                             "re_numeric": re_num,
                             "re_closed": re_closed,
                             "abs_err": err,
@@ -183,12 +184,13 @@ def _cmd_energy(args, parser) -> int:
             return 0
         lines = []
         if args.format == "csv":
-            lines.append("family,n,m,re_numeric,re_closed,abs_err")
+            lines.append("family,n,m,re_numeric,re_closed,abs_err,minus_edge")
         for s, re_num, re_closed, err in rows:
             m_field = "" if s.m is None else str(s.m)
             closed_field = "" if re_closed is None else str(re_closed)
             err_field = "" if err is None else str(err)
-            lines.append(f"{s.family},{s.n},{m_field},{re_num},{closed_field},{err_field}")
+            minus_edge = "true" if s.minus_edge else "false"
+            lines.append(f"{s.family},{s.n},{m_field},{re_num},{closed_field},{err_field},{minus_edge}")
         print("\n".join(lines))
         return 0
     g, _spec = _graph_from_args(args, parser)
@@ -216,7 +218,8 @@ def _cmd_verify(args, parser) -> int:
     report = verify_all(args.max_n, args.tol, witness_max=args.witness_max)
     text = report.to_json()
     if args.report:
-        Path(args.report).write_text(text, encoding="utf-8")
+        with open(args.report, "w", encoding="utf-8") as fh:
+            fh.write(text)
         print(f"pass={report.n_pass} fail={report.n_fail}")
     else:
         sys.stdout.write(text)
@@ -260,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

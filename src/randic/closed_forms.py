@@ -21,7 +21,6 @@ exactly as one C_k does.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import DomainError, UnsupportedFamilyError
 from .graphs import (
@@ -38,22 +37,31 @@ from .graphs import (
 from .ratpoly import RatPoly
 from .spectral import ENERGY_ORDER_CAP
 
-_QUARTER = Fraction(1, 4)
-_HALF = Fraction(1, 2)
+_QUARTER = RatPoly.from_numerators((1,), 4)
+_HALF = RatPoly.from_numerators((1,), 2)
 
 
 def lambda_poly(k: int) -> RatPoly:
     """Determinant of the k-by-k tridiagonal matrix with λ diagonal, -1/2 off."""
     if k < -1:
         raise DomainError(f"lambda_poly requires k >= -1 (got {k})")
-    coeffs = [0] * (k + 1)
+    # over the denominator 4^h, h = floor(k/2), the j-th term has numerator
+    # (-1)^j·C(k-j, j)·4^(h-j)
+    h = max(k, 0) // 2
+    nums = [0] * (k + 1)
     for j in range(k // 2 + 1):
-        coeffs[k - 2 * j] = Fraction((-1) ** j * math.comb(k - j, j), 4**j)
-    return RatPoly(coeffs)
+        nums[k - 2 * j] = (-1) ** j * math.comb(k - j, j) * 4 ** (h - j)
+    return RatPoly.from_numerators(nums, 4**h)
 
 
-def _x2_minus(c) -> RatPoly:
-    return RatPoly((-Fraction(c), 0, 1))
+def _x_plus(num: int, den: int = 1) -> RatPoly:
+    """λ + num/den."""
+    return RatPoly.from_numerators((num, den), den)
+
+
+def _x2_minus(num: int, den: int = 1) -> RatPoly:
+    """λ^2 - num/den."""
+    return RatPoly.from_numerators((-num, 0, den), den)
 
 
 def _check_domain(spec: FamilySpec, what: str, path_least: int = 2) -> None:
@@ -96,9 +104,8 @@ def closed_charpoly(spec: FamilySpec) -> RatPoly:
     x = RatPoly.x()
     if spec.minus_edge:
         if fam == COMPLETE:
-            return x * (x - RatPoly.one()) * (x + RatPoly((Fraction(2, n - 1),))) \
-                * (x + RatPoly((Fraction(1, n - 1),))) ** (n - 3)
-        return (_x2_minus(1) * _x2_minus(Fraction(1, m * n))).shift(m + n - 4)
+            return x * _x_plus(-1) * _x_plus(2, n - 1) * _x_plus(1, n - 1) ** (n - 3)
+        return (_x2_minus(1) * _x2_minus(1, m * n)).shift(m + n - 4)
     if fam in WINDMILL_CYCLE:
         k = WINDMILL_CYCLE[fam]
         return lambda_poly(k - 1) ** (n - 1) * closed_charpoly(FamilySpec(CYCLE, k))
@@ -109,11 +116,11 @@ def closed_charpoly(spec: FamilySpec) -> RatPoly:
         return _x2_minus(1) * (x * lambda_poly(n - 3) - _QUARTER * lambda_poly(n - 4))
     if fam == CYCLE:
         return x * lambda_poly(n - 1) - _HALF * lambda_poly(n - 2) \
-            - RatPoly((Fraction(1, 2 ** (n - 1)),))
+            - RatPoly.from_numerators((1,), 2 ** (n - 1))
     if fam == STAR:
         return _x2_minus(1).shift(n - 2)
     if fam == COMPLETE:
-        return (x - RatPoly.one()) * (x + RatPoly((Fraction(1, n - 1),))) ** (n - 1)
+        return _x_plus(-1) * _x_plus(1, n - 1) ** (n - 1)
     return _x2_minus(1).shift(m + n - 2)  # complete_bipartite
 
 

@@ -10,14 +10,17 @@ every downstream computation is reproducible bit-for-bit:
   the cycle C_k (k = 3, 4) sharing the center 0, cycle i running through
   0, (k-1)(i-1)+1, ..., (k-1)i in order, so friendship has triangle i on
   {2i-1, 2i} and dutch4 has 4-cycle i through {3i-2, 3i-1, 3i}
+
+``Graph`` and ``FamilySpec`` are immutable, hashable value classes that
+compare field by field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
 
+from ._record import FrozenRecord
 from .errors import DomainError, EdgeNotFoundError, UnsupportedFamilyError
 
 PATH = "path"
@@ -47,24 +50,27 @@ _MIN_N = {
 }
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Simple undirected graph: vertex count plus a set of sorted vertex pairs."""
+class Graph(FrozenRecord):
+    """Simple undirected graph: vertex count plus a set of sorted vertex pairs.
 
-    n: int
-    edges: frozenset[tuple[int, int]]
+    Immutable and hashable; ``degrees`` and ``adjacency`` are computed on
+    first use and cached on the instance.
+    """
 
-    def __post_init__(self):
-        if self.n < 0:
+    _fields = ("n", "edges")
+
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]):
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop ({u},{v}) not allowed")
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
+            if not (0 <= u < v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        self.__dict__.update(n=n, edges=edges)
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         """Build a graph, normalizing each pair to (min, max)."""
         normalized = frozenset((u, v) if u < v else (v, u) for u, v in edges)
         return cls(n, normalized)
@@ -90,17 +96,17 @@ class Graph:
         return f"Graph(n={self.n}, edges={sorted(self.edges)})"
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(FrozenRecord):
     """A named graph family instance, optionally with its canonical edge deleted.
 
     ``m`` is meaningful only for complete_bipartite (part sizes m and n).
+    Immutable and hashable.
     """
 
-    family: str
-    n: int
-    m: Optional[int] = None
-    minus_edge: bool = False
+    _fields = ("family", "n", "m", "minus_edge")
+
+    def __init__(self, family: str, n: int, m: int | None = None, minus_edge: bool = False):
+        self.__dict__.update(family=family, n=n, m=m, minus_edge=minus_edge)
 
     def label(self) -> str:
         base = f"{self.family}({self.m},{self.n})" if self.m is not None else f"{self.family}({self.n})"

@@ -1,92 +1,112 @@
-"""Dense univariate polynomials with exact rational coefficients."""
+"""Dense univariate polynomials with exact rational coefficients, kept as
+integer numerators over one common denominator."""
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable, Sequence, Union
-
-Scalar = Union[int, Fraction]
+from collections.abc import Iterable, Sequence
 
 
 class RatPoly:
-    """Polynomial over the rationals, coefficients stored in ascending degree.
+    """Polynomial over the rationals, coefficients in ascending degree.
 
-    Coefficients are normalized ``Fraction`` values with trailing zeros
-    trimmed; the zero polynomial is the empty coefficient tuple. Equality
-    and hashing are exact and coefficient-wise. Products run as integer
-    convolutions: each factor is scaled to integer numerators over its
-    common denominator, so the only ``Fraction`` arithmetic left is one
-    normalization per output coefficient.
+    The coefficients are ``nums[i] / den``: ``nums`` is a tuple of integers
+    with trailing zeros trimmed, and ``den`` >= 1 has no factor in common
+    with all of them, so each polynomial has one form and the zero
+    polynomial is ``((), 1)``. Equality and hashing are exact and work on
+    that form. Sums and products are integer operations followed by one
+    gcd; ``coeffs`` builds the ``Fraction`` coefficients on demand, and is
+    the only place that imports ``fractions``.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "RatPoly":
-        return cls(())
+    def __init__(self, coeffs: Iterable = ()):
+        """Ints, Fractions, or anything else with ``as_integer_ratio()``."""
+        ratios = [c.as_integer_ratio() for c in coeffs]
+        den = math.lcm(*(d for _, d in ratios))
+        self.nums, self.den = _canonical([n * (den // d) for n, d in ratios], den)
 
     @classmethod
-    def one(cls) -> "RatPoly":
-        return cls((1,))
+    def from_numerators(cls, nums: Iterable[int], den: int = 1) -> RatPoly:
+        """The polynomial with ascending coefficients ``nums[i] / den``."""
+        if den < 1:
+            raise ValueError(f"denominator must be positive (got {den})")
+        p = object.__new__(cls)
+        p.nums, p.den = _canonical(list(nums), den)
+        return p
 
     @classmethod
-    def x(cls) -> "RatPoly":
-        return cls((0, 1))
+    def zero(cls) -> RatPoly:
+        return cls.from_numerators(())
+
+    @classmethod
+    def one(cls) -> RatPoly:
+        return cls.from_numerators((1,))
+
+    @classmethod
+    def x(cls) -> RatPoly:
+        return cls.from_numerators((0, 1))
+
+    @property
+    def coeffs(self):
+        """The coefficients as a tuple of ``fractions.Fraction``."""
+        from fractions import Fraction
+
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
-    def shift(self, k: int) -> "RatPoly":
+    def shift(self, k: int) -> RatPoly:
         """Multiply by x**k."""
         if k < 0:
             raise ValueError("shift must be non-negative")
         if self.is_zero:
             return self
-        return RatPoly((Fraction(0),) * k + self.coeffs)
+        return RatPoly.from_numerators((0,) * k + self.nums, self.den)
 
-    def __add__(self, other: "RatPoly") -> "RatPoly":
-        a, b = self.coeffs, other.coeffs
+    def __add__(self, other: RatPoly) -> RatPoly:
+        den = math.lcm(self.den, other.den)
+        a = [c * (den // self.den) for c in self.nums]
+        b = [c * (den // other.den) for c in other.nums]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(out)
+            a[i] += c
+        return RatPoly.from_numerators(a, den)
 
-    def __neg__(self) -> "RatPoly":
-        return RatPoly(tuple(-c for c in self.coeffs))
+    def __neg__(self) -> RatPoly:
+        return RatPoly.from_numerators([-c for c in self.nums], self.den)
 
-    def __sub__(self, other: "RatPoly") -> "RatPoly":
+    def __sub__(self, other: RatPoly) -> RatPoly:
         return self + (-other)
 
-    def __mul__(self, other: "RatPoly | Scalar") -> "RatPoly":
-        if isinstance(other, (int, Fraction)):
-            return RatPoly(tuple(c * other for c in self.coeffs))
-        if self.is_zero or other.is_zero:
-            return RatPoly(())
+    def __mul__(self, other) -> RatPoly:
+        """Product with a RatPoly, or with a scalar: an int, a Fraction or
+        anything else with ``as_integer_ratio()``."""
+        if not isinstance(other, RatPoly):
+            num, den = other.as_integer_ratio()
+            return RatPoly.from_numerators([c * num for c in self.nums], self.den * den)
+        a, b = self.nums, other.nums
+        if not a or not b:
+            return RatPoly.zero()
         # a factor λ^k shifts the product: its k zeros stay out of the convolution
-        a, da, low_a = _integer_numerators(self.coeffs)
-        b, db, low_b = _integer_numerators(other.coeffs)
-        den = da * db
-        return RatPoly([Fraction(0)] * (low_a + low_b) + [Fraction(c, den) for c in convolve(a, b)])
+        low_a = next(i for i, c in enumerate(a) if c)
+        low_b = next(i for i, c in enumerate(b) if c)
+        nums = [0] * (low_a + low_b) + convolve(a[low_a:], b[low_b:])
+        return RatPoly.from_numerators(nums, self.den * other.den)
 
-    def __rmul__(self, other: Scalar) -> "RatPoly":
+    def __rmul__(self, other) -> RatPoly:
         return self.__mul__(other)
 
-    def __pow__(self, exponent: int) -> "RatPoly":
+    def __pow__(self, exponent: int) -> RatPoly:
         if exponent < 0:
             raise ValueError("exponent must be non-negative")
         result = RatPoly.one()
@@ -101,7 +121,8 @@ class RatPoly:
         return result
 
     def __call__(self, x):
-        """Evaluate by Horner's rule; exact for Fraction input, float otherwise."""
+        """Evaluate by Horner's rule on ``coeffs``; exact for int or Fraction
+        input, float for float input."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -110,19 +131,31 @@ class RatPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __bool__(self) -> bool:
         return not self.is_zero
 
     def __repr__(self) -> str:
-        return f"RatPoly({list(self.coeffs)!r})"
+        return f"RatPoly.from_numerators({list(self.nums)!r}, {self.den})"
 
     def __str__(self) -> str:
         return format_poly(self)
+
+
+def _canonical(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """``nums`` without trailing zeros, and both divided by their gcd with
+    ``den`` (positive)."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = math.gcd(den, *nums)
+    if g != 1:
+        nums = [c // g for c in nums]
+        den //= g
+    return tuple(nums), den
 
 
 def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -137,31 +170,32 @@ def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _integer_numerators(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int, int]:
-    """Integers c_i, a common denominator d and the index k of the lowest
-    nonzero coefficient, with coeffs[k + i] = c_i / d."""
-    k = 0
-    while not coeffs[k]:
-        k += 1
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs[k:]], den, k
+def format_coeffs(p: RatPoly) -> list[str]:
+    """Each coefficient, ascending, as ``str`` of its Fraction reads:
+    ``"p/q"`` in lowest terms, or ``"p"`` when q is 1."""
+    den = p.den
+    texts = []
+    for c in p.nums:
+        g = math.gcd(c, den)
+        texts.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+    return texts
 
 
 def format_poly(p: RatPoly, descending: bool = True) -> str:
     """Render a polynomial in λ as text, e.g. ``λ^4 - 5/4·λ^2 + 1/4``."""
     if p.is_zero:
         return "0"
-    terms = [(k, c) for k, c in enumerate(p.coeffs) if c != 0]
+    terms = [(k, c, text) for k, (c, text) in enumerate(zip(p.nums, format_coeffs(p))) if c]
     if descending:
         terms.reverse()
     parts: list[str] = []
-    for idx, (k, c) in enumerate(terms):
-        mag = abs(c)
+    for idx, (k, c, text) in enumerate(terms):
+        mag = text.lstrip("-")
         if k == 0:
-            body = str(mag)
+            body = mag
         else:
             var = "λ" if k == 1 else f"λ^{k}"
-            body = var if mag == 1 else f"{mag}·{var}"
+            body = var if mag == "1" else f"{mag}·{var}"
         if idx == 0:
             parts.append(body if c > 0 else f"-{body}")
         else:

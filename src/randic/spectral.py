@@ -14,7 +14,8 @@ form an equitable partition, and the rest is the characteristic polynomial
 of its quotient, one vertex per class, computed by a Hessenberg reduction
 modulo a prime from a table of certified primes, the smallest above an
 a-priori bound on the coefficients of the quotient's det(λD' - A'), lifted
-back to rationals.
+back to integers and returned over the product of the degrees as one
+``RatPoly`` denominator.
 
 The eigensolver first splits off twins: indices whose rows agree outside
 the pair and whose diagonals agree, compared exactly (in a graph's Randic or
@@ -32,6 +33,8 @@ and Golub-Kahan bidiagonalization (Golub and Kahan, SIAM J. Numer. Anal. B
 2, 1965) reduces B alone, at about a sixth of the arithmetic of Householder
 tridiagonalization on the whole block, which any other block goes through.
 The blocks' tridiagonals are joined and solved by one QL run.
+
+``SymMatrix`` and ``Spectrum`` are immutable, hashable value classes.
 """
 
 from __future__ import annotations
@@ -39,10 +42,9 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
 
+from ._record import FrozenRecord
 from .errors import ConvergenceError, DomainError
 from .graphs import Graph, _bfs
 from .ratpoly import RatPoly, convolve
@@ -55,32 +57,34 @@ EXACT_ORDER_CAP = 128
 ENERGY_ORDER_CAP = 1024
 
 
-@dataclass(frozen=True)
-class SymMatrix:
-    """Dense symmetric matrix of floats (row-major tuple of row tuples)."""
+class SymMatrix(FrozenRecord):
+    """Dense symmetric matrix of floats (row-major tuple of row tuples);
+    immutable and hashable."""
 
-    entries: tuple[tuple[float, ...], ...]
+    _fields = ("entries",)
 
-    def __post_init__(self):
-        n = len(self.entries)
-        for row in self.entries:
+    def __init__(self, entries: tuple[tuple[float, ...], ...]):
+        n = len(entries)
+        for row in entries:
             if len(row) != n:
                 raise ValueError("matrix must be square")
+        self.__dict__["entries"] = entries
 
     @property
     def order(self) -> int:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Real eigenvalues sorted non-increasing, multiplicities as repeats."""
+class Spectrum(FrozenRecord):
+    """Real eigenvalues sorted non-increasing, multiplicities as repeats;
+    immutable and hashable."""
 
-    values: tuple[float, ...]
+    _fields = ("values",)
 
-    def __post_init__(self):
-        if any(self.values[i] < self.values[i + 1] for i in range(len(self.values) - 1)):
+    def __init__(self, values: tuple[float, ...]):
+        if any(values[i] < values[i + 1] for i in range(len(values) - 1)):
             raise ValueError("spectrum must be sorted non-increasing")
+        self.__dict__["values"] = values
 
     def __len__(self) -> int:
         return len(self.values)
@@ -325,7 +329,7 @@ def charpoly_exact(g: Graph) -> RatPoly:
         num.append(c - p if c > half else c)
     for (d, c), m in factors.items():
         num = convolve([math.comb(m, j) * d**j * c ** (m - j) for j in range(m + 1)], num)
-    return RatPoly([Fraction(c, scale) for c in num]).shift(isolated)
+    return RatPoly.from_numerators([0] * isolated + num, scale)
 
 
 def _reflector(x: list[float]) -> tuple[list[float], float, float]:

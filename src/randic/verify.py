@@ -11,6 +11,9 @@ Expected values come from the closed forms, or from a definition written
 out beside the check (the isolated vertex, an integer energy), never from
 the exact or numeric route under check: a route compared with itself
 cannot fail.
+
+``VerdictRecord`` and ``Report`` are mutable value classes that compare
+field by field.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from functools import cache, partial
-from typing import Callable, Optional
 
 from . import __version__
+from ._record import Record
 from .closed_forms import closed_charpoly, closed_energy
 from .errors import ConvergenceError, DomainError, UnsupportedFamilyError
 from .graphs import (
@@ -55,8 +58,7 @@ ROOT_RESIDUAL_LIMIT = 1e-6
 WITNESS_MAX = (EXACT_ORDER_CAP + 1) // 2
 
 
-@dataclass
-class VerdictRecord:
+class VerdictRecord(Record):
     """Outcome of the cross-checks for one instance.
 
     ``charpoly_match`` is exact coefficient equality. ``energy_abs_err`` is
@@ -65,13 +67,28 @@ class VerdictRecord:
     instances only. A record holds no timing, so reports stay deterministic.
     """
 
-    spec: FamilySpec
-    charpoly_match: bool
-    energy_abs_err: Optional[float]
-    max_root_residual: float
-    spectrum_sym_err: Optional[float]
-    notes: str = ""
-    hard_failure: bool = False
+    _fields = (
+        "spec", "charpoly_match", "energy_abs_err", "max_root_residual",
+        "spectrum_sym_err", "notes", "hard_failure",
+    )
+
+    def __init__(
+        self,
+        spec: FamilySpec,
+        charpoly_match: bool,
+        energy_abs_err: float | None,
+        max_root_residual: float,
+        spectrum_sym_err: float | None,
+        notes: str = "",
+        hard_failure: bool = False,
+    ):
+        self.spec = spec
+        self.charpoly_match = charpoly_match
+        self.energy_abs_err = energy_abs_err
+        self.max_root_residual = max_root_residual
+        self.spectrum_sym_err = spectrum_sym_err
+        self.notes = notes
+        self.hard_failure = hard_failure
 
     def passed(self, tol: float) -> bool:
         if self.hard_failure or not self.charpoly_match:
@@ -100,13 +117,18 @@ class VerdictRecord:
         }
 
 
-@dataclass
-class Report:
-    """Aggregated verdicts plus pass/fail summary and tool metadata."""
+class Report(Record):
+    """Aggregated verdicts plus pass/fail summary and tool metadata; an
+    omitted ``records`` or ``meta`` starts as a new empty list or dict."""
 
-    tolerance: float
-    records: list[VerdictRecord] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
+    _fields = ("tolerance", "records", "meta")
+
+    def __init__(
+        self, tolerance: float, records: list[VerdictRecord] | None = None, meta: dict | None = None
+    ):
+        self.tolerance = tolerance
+        self.records = [] if records is None else records
+        self.meta = {} if meta is None else meta
 
     @property
     def n_pass(self) -> int:
@@ -141,9 +163,12 @@ def _report_meta() -> dict:
 def _max_root_residual(poly: RatPoly, spectrum: Spectrum) -> float:
     if not spectrum.values:
         return 0.0
-    # Horner in floats on coefficients converted once; bit-identical to
-    # float(poly(v)), where Fraction.__radd__ does float(c) + acc every step
-    coeffs = [float(c) for c in reversed(poly.coeffs)]
+    # Horner in floats on coefficients converted once; n / den is correctly
+    # rounded, so each equals float(Fraction(n, den)) and the result is
+    # bit-identical to float(poly(v)), where Fraction.__radd__ does
+    # float(c) + acc every step
+    den = poly.den
+    coeffs = [c / den for c in reversed(poly.nums)]
 
     def at(v: float) -> float:
         acc = 0.0
@@ -190,7 +215,7 @@ def _record(spec: FamilySpec, note: str, reference: Callable) -> VerdictRecord:
             notes="; ".join(notes + [f"error: {exc}"]),
             hard_failure=True,
         )
-    energy_abs_err: Optional[float] = None
+    energy_abs_err: float | None = None
     if expected_energy is None:
         notes.append("no closed energy below validity range")
     else:
@@ -209,7 +234,7 @@ def verify_instance(spec: FamilySpec) -> VerdictRecord:
     """Run the full three-way cross-check on one family instance; the
     tolerance is applied when the record is read (``VerdictRecord.passed``)."""
 
-    def reference() -> tuple[Graph, RatPoly, Optional[float]]:
+    def reference() -> tuple[Graph, RatPoly, float | None]:
         g = generate(spec)
         poly = closed_charpoly(spec)
         try:

@@ -12,7 +12,9 @@ isolated vertices; it is practical at order 64.
 
 ``schoolbook_product`` multiplies two coefficient lists term by term in
 ``Fraction`` arithmetic, the reference for ``RatPoly``'s integer
-convolution.
+convolution, and ``format_fractions`` renders a polynomial from its
+``Fraction`` coefficients, the reference for ``format_poly``, which works
+from the integer numerators.
 
 ``cheb_u`` builds the Chebyshev polynomials of the second kind by their
 recurrence, an independent check on the library's explicit coefficients of
@@ -48,6 +50,23 @@ def schoolbook_product(a, b) -> tuple[Fraction, ...]:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def format_fractions(p: RatPoly, descending: bool = True) -> str:
+    """``format_poly`` written on ``str`` and ``abs`` of each Fraction."""
+    terms = [(k, c) for k, c in enumerate(p.coeffs) if c != 0]
+    if not terms:
+        return "0"
+    if descending:
+        terms.reverse()
+    parts = []
+    for idx, (k, c) in enumerate(terms):
+        mag = abs(c)
+        var = "" if k == 0 else "λ" if k == 1 else f"λ^{k}"
+        body = str(mag) if not var else var if mag == 1 else f"{mag}·{var}"
+        sign = ("" if c > 0 else "-") if idx == 0 else ("+ " if c > 0 else "- ")
+        parts.append(sign + body)
+    return " ".join(parts)
 
 
 def is_connected(g: Graph) -> bool:

@@ -193,7 +193,7 @@ def test_energy_dutch4_sweep_csv(capsys):
     )
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "family,n,m,re_numeric,re_closed,abs_err"
+    assert lines[0] == "family,n,m,re_numeric,re_closed,abs_err,minus_edge"
     closed = [float(ln.split(",")[4]) for ln in lines[1:]]
     expected = [3.414213562373095, 4.82842712474619, 6.242640687119285]
     assert closed == pytest.approx(expected, abs=1e-12)
@@ -221,6 +221,25 @@ def test_energy_sweep_without_minus_edge_closed_energy(capsys):
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert [(r[1], r[4], r[5]) for r in rows] == [(str(n), "", "") for n in range(2, 6)]
     assert [float(r[3]) for r in rows] == pytest.approx([0.0, 2.0, 2.0, 3.0], abs=1e-12)
+
+
+def test_energy_sweep_rows_say_the_edge_was_deleted(capsys):
+    # complete(n) - e has energy 2, as complete(n) has: only the minus_edge
+    # field tells the rows apart
+    argv = ["energy", "--family", "complete", "--minus-edge", "--sweep", "3..4"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [list(row)[:4] for row in rows] == [["family", "n", "m", "minus_edge"]] * 2
+    assert [(row["n"], row["minus_edge"]) for row in rows] == [(3, True), (4, True)]
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].split(",")[-1] == "minus_edge"
+    assert [line.split(",")[-1] for line in lines[1:]] == ["true", "true"]
+    code, out, _ = run_cli(capsys, "energy", "--family", "complete", "--sweep", "3..3")
+    assert code == 0
+    assert out.strip().split(",")[-1] == "false"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])

@@ -1,10 +1,13 @@
+import math
 import random
 from fractions import Fraction as Fr
+from itertools import zip_longest
 
 import pytest
-from oracles import schoolbook_product
+from oracles import format_fractions, schoolbook_product
 
-from randic import RatPoly, format_poly
+from randic import RatPoly, closed_charpoly, format_poly, sweep_specs
+from randic.cli import _poly_json
 
 
 def test_normalization_trims_trailing_zeros():
@@ -134,3 +137,108 @@ def test_format_poly_descending_default():
     assert format_poly(RatPoly.zero()) == "0"
     assert format_poly(RatPoly([-1, 0, 1])) == "λ^2 - 1"
     assert format_poly(RatPoly([1, -1])) == "-λ + 1"
+
+
+def _assert_canonical(p):
+    # integer numerators, trailing zeros trimmed, over the least positive denominator
+    assert type(p.nums) is tuple and all(type(c) is int for c in p.nums)
+    assert type(p.den) is int and p.den >= 1
+    assert not p.nums or p.nums[-1] != 0
+    assert math.gcd(p.den, *p.nums) == 1
+
+
+def _fractions(values) -> tuple:
+    out = [Fr(c) for c in values]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [],
+        [0, 0],
+        [4, -6, 0],
+        [Fr(6, 4), Fr(-9, 6)],
+        [Fr(1, 2), 3, Fr(0), 0.25, 0],
+        [Fr(-2, 3), Fr(4, 3)],
+        [True, 2],
+    ],
+)
+def test_construction_is_canonical(coeffs):
+    p = RatPoly(coeffs)
+    _assert_canonical(p)
+    assert p.coeffs == _fractions(coeffs)
+
+
+def test_canonical_form_examples():
+    def form(p):
+        return p.nums, p.den
+
+    assert form(RatPoly.zero()) == form(RatPoly.from_numerators([0, 0], 7)) == ((), 1)
+    assert form(RatPoly([Fr(-2, 3), Fr(4, 3)])) == ((-2, 4), 3)
+    assert form(RatPoly.from_numerators([6, -4, 0], 8)) == ((3, -2), 4)
+    assert form(RatPoly([Fr(1, 2)]) * 2) == ((1,), 1)
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        RatPoly.from_numerators([1], 0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_arithmetic_is_canonical_and_matches_fractions(seed):
+    rng = random.Random(f"ratpoly-ops:{seed}")
+
+    def coeffs():
+        return [
+            Fr(rng.randint(-40, 40), rng.randint(1, 24)) if rng.random() < 0.7 else rng.randint(-3, 3)
+            for _ in range(rng.randint(0, 7))
+        ]
+
+    a, b = coeffs(), coeffs()
+    pa, pb = RatPoly(a), RatPoly(b)
+    scalar = rng.choice([0, 3, -1, Fr(-2, 9), Fr(6, 4)])
+    k = rng.randint(0, 3)
+    cube = schoolbook_product(schoolbook_product(a, a), a)
+    cases = [
+        (pa + pb, [x + y for x, y in zip_longest(_fractions(a), _fractions(b), fillvalue=0)]),
+        (pa - pb, [x - y for x, y in zip_longest(_fractions(a), _fractions(b), fillvalue=0)]),
+        (-pa, [-x for x in _fractions(a)]),
+        (pa * pb, schoolbook_product(a, b)),
+        (pa**3, cube),
+        (pa.shift(k), [0] * k + list(_fractions(a)) if _fractions(a) else []),
+        (pa * scalar, [x * scalar for x in _fractions(a)]),
+        (scalar * pb, [x * scalar for x in _fractions(b)]),
+    ]
+    for got, want in cases:
+        _assert_canonical(got)
+        assert got.coeffs == _fractions(want)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [Fr(1, 4), 0, Fr(-5, 4), 0, 1],
+        [-1, 0, 1],
+        [1, -1],
+        [Fr(-3, 2), Fr(2, 3), -1, 1],
+        [0, 0, Fr(-7, 3)],
+        [0, Fr(-1, 6), Fr(12, 8), 0, -2],
+        [5],
+        [-1],
+        [0, -1],
+        [],
+    ],
+)
+def test_formatting_matches_fraction_rendering(coeffs):
+    # negative, unit and non-unit coefficients, rendered from the numerators
+    p = RatPoly(coeffs)
+    for descending in (True, False):
+        assert format_poly(p, descending=descending) == format_fractions(p, descending=descending)
+    assert _poly_json(p) == {"degree": p.degree, "coeffs_ascending": [str(c) for c in p.coeffs]}
+
+
+def test_float_coefficients_equal_float_of_fraction():
+    # int / int is correctly rounded, so it matches float(Fraction) bit for bit
+    for spec in sweep_specs(24):
+        p = closed_charpoly(spec)
+        assert [c / p.den for c in p.nums] == [float(c) for c in p.coeffs], spec
