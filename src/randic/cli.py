@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from functools import partial
 
@@ -25,8 +24,8 @@ from .graphs import (
     parse_edge_list,
 )
 from .ratpoly import RatPoly, format_coeffs, format_poly
-from .spectral import ENERGY_ORDER_CAP, EXACT_ORDER_CAP, charpoly_exact, graph_energy, randic_energy
-from .verify import WITNESS_MAX, verify_all
+from .spectral import EXACT_ORDER_CAP, _energy_core, charpoly_exact, graph_energy, randic_energy
+from .verify import verify_all
 
 _FAMILY_CHOICES = sorted(family.replace("_", "-") for family in FAMILIES)
 
@@ -67,17 +66,6 @@ def _graph_from_args(args, parser: argparse.ArgumentParser) -> tuple[Graph, Fami
             return parse_edge_list(fh.read()), None
     spec = _spec_from_args(args, parser)
     return generate(spec), spec
-
-
-def _tolerance(text: str) -> float:
-    """argparse type for --tol: a finite positive float."""
-    try:
-        tol = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid tolerance: {text!r}") from None
-    if not (tol > 0 and math.isfinite(tol)):
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and positive (got {text})")
-    return tol
 
 
 def _poly_json(p: RatPoly) -> dict:
@@ -147,16 +135,13 @@ def _cmd_energy(args, parser) -> int:
         try:
             for spec in (spec_at(lo), spec_at(hi)):
                 _validate_spec(spec)
-            if (core := sum(1 for d in generate(spec).degrees if d)) > ENERGY_ORDER_CAP:
-                raise DomainError(
-                    f"energies capped at {ENERGY_ORDER_CAP} non-isolated vertices (got {core})"
-                )
+            _energy_core(generate(spec))
         except (DomainError, UnsupportedFamilyError) as exc:
             parser.error(f"--sweep {args.sweep} reaches {spec.label()}: {exc}")
         rows = []
         for n in range(lo, hi + 1):
             spec = spec_at(n)
-            re_num = randic_energy(generate(spec), args.tol)
+            re_num = randic_energy(generate(spec))
             try:
                 re_closed: float | None = closed_energy(spec)
                 err: float | None = abs(re_num - re_closed)
@@ -194,9 +179,9 @@ def _cmd_energy(args, parser) -> int:
         print("\n".join(lines))
         return 0
     g, _spec = _graph_from_args(args, parser)
-    re_num = randic_energy(g, args.tol)
+    re_num = randic_energy(g)
     if args.adjacency:
-        e_num = graph_energy(g, args.tol)
+        e_num = graph_energy(g)
         if args.format == "json":
             print(json.dumps({"re": re_num, "e": e_num}))
         else:
@@ -213,9 +198,7 @@ def _cmd_energy(args, parser) -> int:
 def _cmd_verify(args, parser) -> int:
     if not 5 <= args.max_n <= EXACT_ORDER_CAP:
         parser.error(f"--max-n must be between 5 and {EXACT_ORDER_CAP}")
-    if not 2 <= args.witness_max <= WITNESS_MAX:
-        parser.error(f"--witness-max must be between 2 and {WITNESS_MAX}")
-    report = verify_all(args.max_n, args.tol, witness_max=args.witness_max)
+    report = verify_all(args.max_n)
     text = report.to_json()
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -247,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_energy = sub.add_parser("energy", help="Randic energy (and adjacency energy)")
     _add_family_args(p_energy, with_input=True)
-    p_energy.add_argument("--tol", type=_tolerance, default=1e-12, help="eigensolver tolerance")
     p_energy.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p_energy.add_argument("--sweep", metavar="N1..N2", help="sweep n over a range")
     p_energy.add_argument("--adjacency", action="store_true", help="also print the adjacency energy")
@@ -255,9 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the full cross-check sweep")
     p_verify.add_argument("--max-n", type=int, default=12)
-    p_verify.add_argument("--tol", type=_tolerance, default=1e-9)
     p_verify.add_argument("--report", metavar="FILE", help="write the JSON report to FILE")
-    p_verify.add_argument("--witness-max", type=int, default=20)
     p_verify.set_defaults(func=_cmd_verify)
 
     return parser

@@ -64,21 +64,20 @@ def _x2_minus(num: int, den: int = 1) -> RatPoly:
     return RatPoly.from_numerators((-num, 0, den), den)
 
 
-def _check_domain(spec: FamilySpec, what: str, path_least: int = 2) -> None:
+def _check_domain(spec: FamilySpec, what: str) -> None:
     """The one validity check of both closed forms.
 
     The spec must be one ``generate`` accepts; a minus-edge variant has a
     closed form only for complete and complete_bipartite; every size (n, and
     m when set) is at least 2, or 3 for complete minus an edge (a vertex off
-    the deleted edge) and ``path_least`` for the path; and the order is at
-    most ``ENERGY_ORDER_CAP``, the largest any route accepts, so nothing
-    absurd is expanded.
+    the deleted edge); and the order is at most ``ENERGY_ORDER_CAP``, the
+    largest any route accepts, so nothing absurd is expanded.
     """
     _validate_spec(spec)
     fam = spec.family
     if spec.minus_edge and fam not in (COMPLETE, COMPLETE_BIPARTITE):
         raise UnsupportedFamilyError(f"no minus-edge closed {what} for {fam}")
-    least = 3 if spec.minus_edge and fam == COMPLETE else path_least if fam == PATH else 2
+    least = 3 if spec.minus_edge and fam == COMPLETE else 2
     for name, size in (("n", spec.n), ("m", spec.m)):
         if size is not None and size < least:
             raise DomainError(f"{spec.label()} closed {what} requires {name} >= {least}")
@@ -148,7 +147,7 @@ def closed_energy(spec: FamilySpec) -> float:
     D_k^(n) adds, to the energy 2 of C_k, half the adjacency energy of
     P_{k-1} for each further cycle: 1 for k = 3 and sqrt(2) for k = 4.
     """
-    _check_domain(spec, "energy", path_least=3)
+    _check_domain(spec, "energy")
     fam, n, m = spec.family, spec.n, spec.m
     if spec.minus_edge:
         return 2.0 if fam == COMPLETE else 2.0 + 2.0 / math.sqrt(m * n)

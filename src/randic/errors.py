@@ -14,7 +14,7 @@ class EdgeNotFoundError(LookupError):
 
 
 class ConvergenceError(RuntimeError):
-    """The iterative eigensolver did not reach the requested tolerance.
+    """The iterative eigensolver did not converge within its iteration cap.
 
     Carries the remaining off-diagonal Frobenius norm in ``residual``.
     """

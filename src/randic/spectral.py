@@ -49,7 +49,7 @@ from .errors import ConvergenceError, DomainError
 from .graphs import Graph, _bfs
 from .ratpoly import RatPoly, convolve
 
-DEFAULT_SOLVER_TOL = 1e-12
+SOLVER_TOL = 1e-12
 QL_ITERATION_CAP = 30
 EXACT_ORDER_CAP = 128
 # the energies build a dense matrix of the non-isolated vertices and run a
@@ -550,7 +550,7 @@ def _blocks(supports: list[int]):
         yield halves, bipartite
 
 
-def eigenvalues(mat: SymMatrix, tol: float = DEFAULT_SOLVER_TOL) -> Spectrum:
+def eigenvalues(mat: SymMatrix) -> Spectrum:
     """All eigenvalues of a symmetric matrix.
 
     Twin indices (rows equal outside the pair, equal diagonals, compared
@@ -567,16 +567,14 @@ def eigenvalues(mat: SymMatrix, tol: float = DEFAULT_SOLVER_TOL) -> Spectrum:
     tridiagonalization. The blocks' tridiagonals are joined, with a zero
     subdiagonal entry at each seam, and go through implicit Wilkinson-shift
     QL once (EISPACK tql1, eigenvalues only). A subdiagonal entry e_m is
-    deflated once |e_m| <= max(eps*(|d_m|+|d_{m+1}|), tol/sqrt(2(k-1))) at
-    reduced order k, so the off-diagonal Frobenius norm dropped in total is
-    at most ``tol`` beyond rounding. ``QL_ITERATION_CAP`` caps the QL
-    iterations spent on each eigenvalue of the joined tridiagonal; exceeding
-    it raises ConvergenceError carrying the off-diagonal Frobenius norm of
-    the joined tridiagonal in its current form. A non-finite or non-positive
-    ``tol``, a non-finite entry or an asymmetric matrix raises ValueError.
+    deflated once |e_m| <= max(eps*(|d_m|+|d_{m+1}|), t/sqrt(2(k-1))) at
+    reduced order k, t = ``SOLVER_TOL``, so the off-diagonal Frobenius norm
+    dropped in total is at most t beyond rounding. ``QL_ITERATION_CAP`` caps
+    the QL iterations spent on each eigenvalue of the joined tridiagonal;
+    exceeding it raises ConvergenceError carrying the off-diagonal Frobenius
+    norm of the joined tridiagonal in its current form. A non-finite entry
+    or an asymmetric matrix raises ValueError.
     """
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError("tol must be positive and finite")
     # one scan: each row is finite and equals the matching column, and its
     # support is taken for the twin search and the blocks
     bits = [1 << j for j in range(mat.order)]
@@ -618,7 +616,7 @@ def eigenvalues(mat: SymMatrix, tol: float = DEFAULT_SOLVER_TOL) -> Spectrum:
             d += db
             e += eb
     n = len(d)
-    floor = tol / math.sqrt(2.0 * max(n - 1, 1))
+    floor = SOLVER_TOL / math.sqrt(2.0 * max(n - 1, 1))
     eps = sys.float_info.epsilon
     for l in range(n):
         iterations = 0
@@ -666,35 +664,33 @@ def eigenvalues(mat: SymMatrix, tol: float = DEFAULT_SOLVER_TOL) -> Spectrum:
     return Spectrum(tuple(sorted(d + split, reverse=True)))
 
 
-def _without_isolated(g: Graph) -> Graph:
-    """``g`` less its isolated vertices, the others relabeled in order.
+def _energy_core(g: Graph) -> Graph:
+    """``g`` less its isolated vertices, the others relabeled in order;
+    DomainError when more than ``ENERGY_ORDER_CAP`` remain.
 
     An isolated vertex is a zero row and column of both the Randic and the
     adjacency matrix: a free zero eigenvalue that adds nothing to an energy.
     """
     degs = g.degrees
-    if 0 not in degs:
+    core = g.n - degs.count(0)
+    if core > ENERGY_ORDER_CAP:
+        raise DomainError(f"energies capped at {ENERGY_ORDER_CAP} non-isolated vertices (got {core})")
+    if core == g.n:
         return g
     index = {v: i for i, v in enumerate(v for v, d in enumerate(degs) if d)}
-    return Graph(len(index), frozenset((index[u], index[v]) for u, v in g.edges))
+    return Graph(core, frozenset((index[u], index[v]) for u, v in g.edges))
 
 
-def _energy(g: Graph, matrix, tol: float) -> float:
-    """Sum of absolute eigenvalues of ``matrix`` built on ``g`` less its
-    isolated vertices; DomainError when more than ``ENERGY_ORDER_CAP`` remain."""
-    core = _without_isolated(g)
-    if core.n > ENERGY_ORDER_CAP:
-        raise DomainError(
-            f"energies capped at {ENERGY_ORDER_CAP} non-isolated vertices (got {core.n})"
-        )
-    return sum((abs(v) for v in eigenvalues(matrix(core), tol).values), 0.0)
+def _energy(g: Graph, matrix) -> float:
+    """Sum of absolute eigenvalues of ``matrix`` built on ``_energy_core(g)``."""
+    return sum((abs(v) for v in eigenvalues(matrix(_energy_core(g))).values), 0.0)
 
 
-def randic_energy(g: Graph, tol: float = DEFAULT_SOLVER_TOL) -> float:
+def randic_energy(g: Graph) -> float:
     """Sum of absolute eigenvalues of the Randic matrix (isolated vertices add 0)."""
-    return _energy(g, randic_matrix, tol)
+    return _energy(g, randic_matrix)
 
 
-def graph_energy(g: Graph, tol: float = DEFAULT_SOLVER_TOL) -> float:
+def graph_energy(g: Graph) -> float:
     """Sum of absolute eigenvalues of the adjacency matrix (isolated vertices add 0)."""
-    return _energy(g, adjacency_matrix, tol)
+    return _energy(g, adjacency_matrix)

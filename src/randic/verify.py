@@ -44,7 +44,6 @@ from .graphs import (
 )
 from .ratpoly import RatPoly
 from .spectral import (
-    DEFAULT_SOLVER_TOL,
     EXACT_ORDER_CAP,
     Spectrum,
     charpoly_exact,
@@ -52,19 +51,20 @@ from .spectral import (
     randic_matrix,
 )
 
-DEFAULT_REPORT_TOL = 1e-9
+REPORT_TOL = 1e-9
 ROOT_RESIDUAL_LIMIT = 1e-6
-# the witness for m has 2m - 1 vertices, all within reach of the exact route
-WITNESS_MAX = (EXACT_ORDER_CAP + 1) // 2
+# the witness table runs m = 2..WITNESS_MAX; the witness for m has 2m - 1
+# vertices, well within reach of the exact route
+WITNESS_MAX = 20
 
 
 class VerdictRecord(Record):
     """Outcome of the cross-checks for one instance.
 
     ``charpoly_match`` is exact coefficient equality. ``energy_abs_err`` is
-    None when no closed-form energy exists for the spec (the remaining
-    checks still count). ``spectrum_sym_err`` is filled for bipartite
-    instances only. A record holds no timing, so reports stay deterministic.
+    None on a hard failure only. ``spectrum_sym_err`` is filled for
+    bipartite instances only. ``passed`` reads the errors against
+    ``REPORT_TOL``. A record holds no timing, so reports stay deterministic.
     """
 
     _fields = (
@@ -90,14 +90,14 @@ class VerdictRecord(Record):
         self.notes = notes
         self.hard_failure = hard_failure
 
-    def passed(self, tol: float) -> bool:
+    def passed(self) -> bool:
         if self.hard_failure or not self.charpoly_match:
             return False
-        if self.energy_abs_err is not None and not self.energy_abs_err < tol:
+        if self.energy_abs_err is not None and not self.energy_abs_err < REPORT_TOL:
             return False
         if not self.max_root_residual < ROOT_RESIDUAL_LIMIT:
             return False
-        if self.spectrum_sym_err is not None and not self.spectrum_sym_err < tol:
+        if self.spectrum_sym_err is not None and not self.spectrum_sym_err < REPORT_TOL:
             return False
         return True
 
@@ -119,20 +119,18 @@ class VerdictRecord(Record):
 
 class Report(Record):
     """Aggregated verdicts plus pass/fail summary and tool metadata; an
-    omitted ``records`` or ``meta`` starts as a new empty list or dict."""
+    omitted ``records`` or ``meta`` starts as a new empty list or dict. The
+    serialized report states ``REPORT_TOL`` as its tolerance."""
 
-    _fields = ("tolerance", "records", "meta")
+    _fields = ("records", "meta")
 
-    def __init__(
-        self, tolerance: float, records: list[VerdictRecord] | None = None, meta: dict | None = None
-    ):
-        self.tolerance = tolerance
+    def __init__(self, records: list[VerdictRecord] | None = None, meta: dict | None = None):
         self.records = [] if records is None else records
         self.meta = {} if meta is None else meta
 
     @property
     def n_pass(self) -> int:
-        return sum(1 for r in self.records if r.passed(self.tolerance))
+        return sum(1 for r in self.records if r.passed())
 
     @property
     def n_fail(self) -> int:
@@ -140,7 +138,7 @@ class Report(Record):
 
     def to_dict(self) -> dict:
         return {
-            "tolerance": self.tolerance,
+            "tolerance": REPORT_TOL,
             "summary": {"pass": self.n_pass, "fail": self.n_fail},
             "records": [r.to_dict() for r in self.records],
             "meta": self.meta,
@@ -179,11 +177,6 @@ def _max_root_residual(poly: RatPoly, spectrum: Spectrum) -> float:
     return max(abs(at(v)) for v in spectrum.values)
 
 
-def _check_tol(tol: float) -> None:
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite (got {tol!r})")
-
-
 def _symmetry_err(spectrum: Spectrum) -> float:
     vals = spectrum.values
     n = len(vals)
@@ -195,16 +188,14 @@ def _symmetry_err(spectrum: Spectrum) -> float:
 def _record(spec: FamilySpec, note: str, reference: Callable) -> VerdictRecord:
     """Check a graph's exact polynomial and numeric spectrum against a reference.
 
-    ``reference()`` returns (graph, expected polynomial, expected energy),
-    the energy None below the closed energy's validity range. An error in
-    it, in ``charpoly_exact`` or in ``eigenvalues`` makes a hard-failure
-    record, so one bad instance never aborts a sweep.
+    ``reference()`` returns (graph, expected polynomial, expected energy).
+    An error in it, in ``charpoly_exact`` or in ``eigenvalues`` makes a
+    hard-failure record, so one bad instance never aborts a sweep.
     """
-    notes = [note] if note else []
     try:
         g, expected_poly, expected_energy = reference()
         p_exact = charpoly_exact(g)
-        spectrum = eigenvalues(randic_matrix(g), DEFAULT_SOLVER_TOL)
+        spectrum = eigenvalues(randic_matrix(g))
     except (DomainError, UnsupportedFamilyError, ConvergenceError) as exc:
         return VerdictRecord(
             spec=spec,
@@ -212,48 +203,34 @@ def _record(spec: FamilySpec, note: str, reference: Callable) -> VerdictRecord:
             energy_abs_err=None,
             max_root_residual=float("inf"),
             spectrum_sym_err=None,
-            notes="; ".join(notes + [f"error: {exc}"]),
+            notes=f"{note}; error: {exc}" if note else f"error: {exc}",
             hard_failure=True,
         )
-    energy_abs_err: float | None = None
-    if expected_energy is None:
-        notes.append("no closed energy below validity range")
-    else:
-        energy_abs_err = abs(sum(abs(v) for v in spectrum.values) - expected_energy)
     return VerdictRecord(
         spec=spec,
         charpoly_match=p_exact == expected_poly,
-        energy_abs_err=energy_abs_err,
+        energy_abs_err=abs(sum(abs(v) for v in spectrum.values) - expected_energy),
         max_root_residual=_max_root_residual(p_exact, spectrum),
         spectrum_sym_err=_symmetry_err(spectrum) if is_bipartite(g) else None,
-        notes="; ".join(notes),
+        notes=note,
     )
 
 
 def verify_instance(spec: FamilySpec) -> VerdictRecord:
     """Run the full three-way cross-check on one family instance; the
     tolerance is applied when the record is read (``VerdictRecord.passed``)."""
-
-    def reference() -> tuple[Graph, RatPoly, float | None]:
-        g = generate(spec)
-        poly = closed_charpoly(spec)
-        try:
-            return g, poly, closed_energy(spec)
-        except DomainError:
-            return g, poly, None
-
-    return _record(spec, "", reference)
+    return _record(spec, "", lambda: (generate(spec), closed_charpoly(spec), closed_energy(spec)))
 
 
-def check_edge_deletion_lemmas(tol: float = DEFAULT_REPORT_TOL, max_n: int = 20) -> Report:
+def check_edge_deletion_lemmas(max_n: int = 20) -> Report:
     """Check the three edge-deletion identities up to max_n.
 
     (i) a path minus any edge is P_r ∪ P_s, with the product of the two
     polynomials and the sum of the two energies; (ii) a cycle minus an edge
     has the polynomial and energy of the same-order path; (iii) a star minus
     an edge is λ·φ(star(n-1)), with energy 2. Expected values come from the
-    closed forms, never from the route under check: P_1 is written out as
-    an isolated vertex (φ = λ, energy 0), and P_2's energy is K_2's.
+    closed forms, never from the route under check; P_1, below the path's
+    closed forms, is written out as an isolated vertex (φ = λ, energy 0).
     ``max_n`` runs from 4 to ``EXACT_ORDER_CAP``: every record of a path
     beyond the cap would be a hard failure, and the number of records grows
     quadratically in max_n, so a larger one is a DomainError.
@@ -262,7 +239,6 @@ def check_edge_deletion_lemmas(tol: float = DEFAULT_REPORT_TOL, max_n: int = 20)
         raise DomainError(
             f"check_edge_deletion_lemmas requires 4 <= max_n <= {EXACT_ORDER_CAP} (got {max_n})"
         )
-    _check_tol(tol)
 
     # each path's closed values are computed once per call, when a record's
     # reference first needs them
@@ -271,7 +247,7 @@ def check_edge_deletion_lemmas(tol: float = DEFAULT_REPORT_TOL, max_n: int = 20)
         if k == 1:
             return RatPoly.x(), 0.0
         spec = FamilySpec(PATH, k)
-        return closed_charpoly(spec), closed_energy(FamilySpec(COMPLETE, 2) if k == 2 else spec)
+        return closed_charpoly(spec), closed_energy(spec)
 
     def split(n: int, r: int) -> tuple[Graph, RatPoly, float]:
         (p_r, e_r), (p_s, e_s) = path(r), path(n - r)
@@ -297,25 +273,7 @@ def check_edge_deletion_lemmas(tol: float = DEFAULT_REPORT_TOL, max_n: int = 20)
         (FamilySpec(STAR, n, minus_edge=True), "star minus edge vs 2", partial(star, n))
         for n in range(3, max_n + 1)
     ]
-    report = Report(tolerance=tol, meta=_report_meta())
-    report.records = [_record(*check) for check in checks]
-    return report
-
-
-def _witness_specs(m_max: int) -> list[tuple[int, FamilySpec]]:
-    """For each integer 2 <= m <= m_max, a graph whose Randic energy is m.
-
-    m = 2 uses the two-vertex complete graph; m >= 3 uses the friendship
-    graph with m-1 triangles (energy m). m_max is at most ``WITNESS_MAX``.
-    """
-    if not 2 <= m_max <= WITNESS_MAX:
-        raise DomainError(
-            f"integer energy witnesses require 2 <= m_max <= {WITNESS_MAX} (got {m_max})"
-        )
-    return [
-        (m, FamilySpec(COMPLETE, 2) if m == 2 else FamilySpec(FRIENDSHIP, m - 1))
-        for m in range(2, m_max + 1)
-    ]
+    return Report([_record(*check) for check in checks], _report_meta())
 
 
 def sweep_specs(max_n: int) -> list[FamilySpec]:
@@ -341,30 +299,29 @@ def sweep_specs(max_n: int) -> list[FamilySpec]:
     return specs
 
 
-def verify_all(
-    max_n: int,
-    tol: float = DEFAULT_REPORT_TOL,
-    witness_max: int = 20,
-) -> Report:
+def verify_all(max_n: int) -> Report:
     """Sweep every family, run the lemma checks and the witness table.
 
-    Each witness record checks the exact polynomial against the closed form,
-    the numeric energy against m, and the numeric spectrum against the exact
-    polynomial's roots. ``max_n`` runs from 5 to ``EXACT_ORDER_CAP``, as in
-    ``check_edge_deletion_lemmas``; outside that range it is a DomainError.
+    For each 2 <= m <= ``WITNESS_MAX`` the table holds a graph whose Randic
+    energy is m: K_2 for m = 2, the friendship graph with m - 1 triangles
+    for m >= 3. Each witness record checks the exact polynomial against the
+    closed form, the numeric energy against m, and the numeric spectrum
+    against the exact polynomial's roots. ``max_n`` runs from 5 to
+    ``EXACT_ORDER_CAP``, as in ``check_edge_deletion_lemmas``; outside that
+    range it is a DomainError.
     """
     if not 5 <= max_n <= EXACT_ORDER_CAP:
         raise DomainError(f"verify_all requires 5 <= max_n <= {EXACT_ORDER_CAP} (got {max_n})")
-    _check_tol(tol)
-    witnesses = _witness_specs(witness_max)
-    report = Report(tolerance=tol, meta=_report_meta())
-    report.records = [verify_instance(spec) for spec in sweep_specs(max_n)]
-    report.records += check_edge_deletion_lemmas(tol, max_n).records
-    # each reference runs inside its _record call, while m and spec are current
-    report.records += [
-        _record(
-            spec, f"integer energy witness m={m}", lambda: (generate(spec), closed_charpoly(spec), m)
+    records = [verify_instance(spec) for spec in sweep_specs(max_n)]
+    records += check_edge_deletion_lemmas(max_n).records
+    for m in range(2, WITNESS_MAX + 1):
+        spec = FamilySpec(COMPLETE, 2) if m == 2 else FamilySpec(FRIENDSHIP, m - 1)
+        # the reference runs inside this _record call, while m and spec are current
+        records.append(
+            _record(
+                spec,
+                f"integer energy witness m={m}",
+                lambda: (generate(spec), closed_charpoly(spec), m),
+            )
         )
-        for m, spec in witnesses
-    ]
-    return report
+    return Report(records, _report_meta())

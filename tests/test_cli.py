@@ -203,12 +203,12 @@ def test_energy_dutch4_sweep_csv(capsys):
 
 def test_energy_sweep_json_handles_missing_closed(capsys):
     code, out, _ = run_cli(
-        capsys, "energy", "--family", "path", "--sweep", "2..4", "--format", "json"
+        capsys, "energy", "--family", "path", "--sweep", "1..4", "--format", "json"
     )
     assert code == 0
     rows = json.loads(out)
-    assert rows[0]["re_closed"] is None  # below the closed-energy domain
-    assert rows[1]["re_closed"] is not None
+    assert rows[0]["re_closed"] is None  # path(1) is below the closed-energy domain
+    assert rows[1]["re_closed"] == 2.0
 
 
 def test_energy_sweep_without_minus_edge_closed_energy(capsys):
@@ -301,20 +301,6 @@ def test_energy_json_single(capsys):
     assert abs(json.loads(out)["re"] - 2.0) < 1e-9
 
 
-BAD_TOLS = ["nan", "inf", "0", "-0.5"]
-
-
-@pytest.mark.parametrize("tol", BAD_TOLS)
-def test_energy_bad_tol_is_usage_error(capsys, tol):
-    assert run_usage_error(capsys, "energy", "--family", "path", "--n", "4", "--tol", tol) == 2
-
-
-def test_energy_explicit_tol(capsys):
-    code, out, _ = run_cli(capsys, "energy", "--family", "complete", "--n", "9", "--tol", "1e-10")
-    assert code == 0
-    assert abs(float(out) - 2.0) < 1e-9
-
-
 # ---------------------------------------------------------------- round trip
 
 
@@ -392,7 +378,7 @@ def test_verify_writes_report_and_exits_zero(tmp_path, capsys):
     report_path = tmp_path / "r.json"
     code, out, _ = run_cli(
         capsys,
-        "verify", "--max-n", "5", "--witness-max", "3", "--report", str(report_path),
+        "verify", "--max-n", "5", "--report", str(report_path),
     )
     assert code == 0
     assert "fail=0" in out
@@ -403,11 +389,11 @@ def test_verify_writes_report_and_exits_zero(tmp_path, capsys):
     witness_notes = [
         r["notes"] for r in payload["records"] if r["notes"].startswith("integer energy witness")
     ]
-    assert witness_notes == ["integer energy witness m=2", "integer energy witness m=3"]
+    assert witness_notes == [f"integer energy witness m={m}" for m in range(2, 21)]
 
 
 def test_verify_stdout_json(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--max-n", "5", "--witness-max", "2")
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "5")
     assert code == 0
     payload = json.loads(out)
     assert payload["summary"]["fail"] == 0
@@ -430,14 +416,18 @@ def test_verify_max_n_above_exact_order_cap_exit2(capsys, monkeypatch):
     assert "--max-n must be between 5 and 128" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tol", BAD_TOLS)
-def test_verify_bad_tol_is_usage_error(capsys, tol):
-    assert run_usage_error(capsys, "verify", "--max-n", "5", "--witness-max", "2", "--tol", tol) == 2
-
-
-def test_verify_witness_max_above_exact_reach_is_usage_error(capsys):
-    # the witness for m = 65 is friendship(64), 129 vertices: beyond the exact route
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["energy", "--family", "path", "--n", "4", "--tol", "1e-10"],
+        ["verify", "--max-n", "5", "--tol", "1e-9"],
+        ["verify", "--max-n", "5", "--witness-max", "4"],
+    ],
+    ids=["energy-tol", "verify-tol", "verify-witness-max"],
+)
+def test_fixed_tolerances_and_witness_table_take_no_option(capsys, argv):
+    # the solver and report tolerances and the witness table are constants
     with pytest.raises(SystemExit) as err:
-        main(["verify", "--max-n", "5", "--witness-max", "65"])
+        main(argv)
     assert err.value.code == 2
-    assert "--witness-max must be between 2 and 64" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err

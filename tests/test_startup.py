@@ -54,9 +54,9 @@ def _record(notes=""):
             "spectrum_sym_err=None, notes='', hard_failure=False)",
         ),
         (
-            lambda: Report(1e-9, meta={"tool": "randic"}),
-            Report(1e-9),
-            "Report(tolerance=1e-09, records=[], meta={'tool': 'randic'})",
+            lambda: Report(meta={"tool": "randic"}),
+            Report(),
+            "Report(records=[], meta={'tool': 'randic'})",
         ),
     ],
     ids=["Graph", "FamilySpec", "SymMatrix", "Spectrum", "VerdictRecord", "Report"],
@@ -94,7 +94,7 @@ def test_equality_needs_the_same_class():
 def test_defaults_and_keywords():
     assert FamilySpec("star", 4) == FamilySpec(family="star", n=4, m=None, minus_edge=False)
     assert VerdictRecord(FamilySpec("star", 4), True, None, 0.0, None).notes == ""
-    first, second = Report(1e-9), Report(1e-9)
+    first, second = Report(), Report()
     first.records.append(_record())
     assert second.records == [] and second.meta == {}
 

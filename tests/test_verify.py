@@ -24,7 +24,7 @@ def test_verify_instance_friendship5():
     rec = verify_instance(FamilySpec("friendship", 5))
     assert rec.charpoly_match
     assert rec.energy_abs_err < 1e-9
-    assert rec.passed(1e-9)
+    assert rec.passed()
     from randic import randic_energy
 
     assert randic_energy(generate(FamilySpec("friendship", 5))) == pytest.approx(
@@ -37,13 +37,13 @@ def test_verify_instance_complete2():
     assert rec.charpoly_match
     assert charpoly_exact(generate(FamilySpec("complete", 2))) == RatPoly([-1, 0, 1])
     assert rec.energy_abs_err < 1e-9
-    assert rec.passed(1e-9)
+    assert rec.passed()
 
 
 def test_verify_instance_dutch3_energy_reference():
     rec = verify_instance(FamilySpec("dutch4", 3))
     assert rec.energy_abs_err < 1e-9
-    assert rec.passed(1e-9)
+    assert rec.passed()
     # the closed value it was compared against
     from randic import closed_energy
 
@@ -52,18 +52,19 @@ def test_verify_instance_dutch3_energy_reference():
     )
 
 
-def test_verify_instance_below_energy_domain_still_passes():
+def test_verify_instance_path2_checks_its_energy():
+    # both closed forms start at order 2, so P_2's record checks an energy
     rec = verify_instance(FamilySpec("path", 2))
     assert rec.charpoly_match
-    assert rec.energy_abs_err is None
-    assert "below validity range" in rec.notes
-    assert rec.passed(1e-9)
+    assert rec.energy_abs_err == 0.0
+    assert rec.notes == ""
+    assert rec.passed()
 
 
 def test_verify_instance_bad_spec_is_recorded_not_raised():
     rec = verify_instance(FamilySpec("cycle", 2))
     assert rec.hard_failure
-    assert not rec.passed(1e-9)
+    assert not rec.passed()
     assert rec.notes.startswith("error:")
 
 
@@ -71,7 +72,7 @@ def test_verify_instance_closed_domain_error_is_hard_failure():
     # path(1) generates, but no closed form covers it
     rec = verify_instance(FamilySpec("path", 1))
     assert rec.hard_failure
-    assert not rec.passed(1e-9)
+    assert not rec.passed()
     assert rec.notes.startswith("error:")
 
 
@@ -89,7 +90,7 @@ def test_verify_instance_small_paths_check_against_closed_form(monkeypatch, n):
     monkeypatch.setattr(randic.closed_forms, "charpoly_exact", wrong, raising=False)
     rec = verify_instance(FamilySpec("path", n))
     assert not rec.charpoly_match
-    assert not rec.passed(1e-9)
+    assert not rec.passed()
 
 
 def test_verify_instance_fills_symmetry_for_bipartite_only():
@@ -101,15 +102,14 @@ def test_verify_instance_fills_symmetry_for_bipartite_only():
 
 def test_check_union_additivity_examples():
     # P2 u P3, K3 u K1 and F2 u F2 against the closed forms; K1 is an
-    # isolated vertex (lambda, energy 0) and P2's energy is K2's
+    # isolated vertex (lambda, energy 0)
     from randic import closed_energy, disjoint_union, randic_energy
 
     def part(family, n):
         spec = FamilySpec(family, n)
         if n == 1:
             return generate(spec), RatPoly.x(), 0.0
-        energy_spec = FamilySpec("complete", 2) if spec == FamilySpec("path", 2) else spec
-        return generate(spec), closed_charpoly(spec), closed_energy(energy_spec)
+        return generate(spec), closed_charpoly(spec), closed_energy(spec)
 
     for (family, n, k) in [("path", 2, 3), ("complete", 3, 1), ("friendship", 2, 2)]:
         (g1, p1, e1), (g2, p2, e2) = part(family, n), part(family, k)
@@ -118,23 +118,8 @@ def test_check_union_additivity_examples():
         assert randic_energy(union) == pytest.approx(e1 + e2, abs=1e-9)
 
 
-BAD_TOLS = [float("nan"), float("inf"), 0.0, -1e-9]
-
-
-@pytest.mark.parametrize("tol", BAD_TOLS + [-1.0])
-def test_verify_all_rejects_bad_tol(tol):
-    with pytest.raises(ValueError):
-        verify_all(5, tol, witness_max=2)
-
-
-@pytest.mark.parametrize("tol", BAD_TOLS)
-def test_edge_deletion_lemmas_reject_bad_tol(tol):
-    with pytest.raises(ValueError):
-        check_edge_deletion_lemmas(tol, 4)
-
-
 def test_edge_deletion_lemmas_all_pass():
-    report = check_edge_deletion_lemmas(1e-9, 8)
+    report = check_edge_deletion_lemmas(8)
     assert report.n_fail == 0
     assert report.n_pass == len(report.records) > 0
     notes = [r.notes for r in report.records]
@@ -145,7 +130,7 @@ def test_edge_deletion_lemmas_all_pass():
 
 def test_edge_deletion_lemmas_requires_min_n():
     with pytest.raises(DomainError):
-        check_edge_deletion_lemmas(1e-9, 3)
+        check_edge_deletion_lemmas(3)
 
 
 def test_sweeps_reject_max_n_above_exact_order_cap(monkeypatch):
@@ -161,20 +146,18 @@ def test_sweeps_reject_max_n_above_exact_order_cap(monkeypatch):
     with pytest.raises(DomainError, match=f"max_n <= {EXACT_ORDER_CAP}"):
         verify_all(EXACT_ORDER_CAP + 1)
     with pytest.raises(DomainError, match=f"max_n <= {EXACT_ORDER_CAP}"):
-        check_edge_deletion_lemmas(1e-9, EXACT_ORDER_CAP + 1)
+        check_edge_deletion_lemmas(EXACT_ORDER_CAP + 1)
 
 
 def test_integer_energy_witnesses_table():
-    report = verify_all(5, 1e-9, witness_max=20)
+    report = verify_all(5)
     witnesses = [r for r in report.records if r.notes.startswith("integer energy witness")]
     assert [r.notes for r in witnesses] == [f"integer energy witness m={m}" for m in range(2, 21)]
     assert witnesses[0].spec == FamilySpec("complete", 2)
     assert witnesses[1].spec == FamilySpec("friendship", 2)
     assert witnesses[5].spec == FamilySpec("friendship", 6)
     for r in witnesses:
-        assert r.passed(1e-9) and r.energy_abs_err < 1e-9
-    with pytest.raises(DomainError, match="m_max"):
-        verify_all(5, 1e-9, witness_max=1)
+        assert r.passed() and r.energy_abs_err < 1e-9
 
 
 def test_witness_records_check_exact_polynomial_and_roots(monkeypatch):
@@ -184,13 +167,13 @@ def test_witness_records_check_exact_polynomial_and_roots(monkeypatch):
         return charpoly_exact(g) + RatPoly.one()
 
     monkeypatch.setattr(randic.verify, "charpoly_exact", wrong)
-    report = verify_all(5, 1e-9, witness_max=4)
+    report = verify_all(5)
     witnesses = [r for r in report.records if r.notes.startswith("integer energy witness")]
-    assert [r.notes for r in witnesses] == [f"integer energy witness m={m}" for m in (2, 3, 4)]
+    assert [r.notes for r in witnesses] == [f"integer energy witness m={m}" for m in range(2, 21)]
     for r in witnesses:
         assert not r.charpoly_match
         assert r.max_root_residual > 0.5
-        assert not r.passed(1e-9)
+        assert not r.passed()
 
 
 def test_witness_domain_error_is_hard_failure(monkeypatch):
@@ -202,12 +185,13 @@ def test_witness_domain_error_is_hard_failure(monkeypatch):
         return closed_charpoly(spec)
 
     monkeypatch.setattr(randic.verify, "closed_charpoly", closed)
-    report = verify_all(5, 1e-9, witness_max=3)
-    two, three = report.records[-2:]
-    assert two.notes == "integer energy witness m=2" and two.passed(1e-9)
-    assert three.spec == FamilySpec("friendship", 2)
-    assert three.hard_failure and not three.passed(1e-9)
-    assert three.notes.startswith("integer energy witness m=3; error:")
+    report = verify_all(5)
+    two, *rest = report.records[-19:]
+    assert two.notes == "integer energy witness m=2" and two.passed()
+    assert [r.spec for r in rest] == [FamilySpec("friendship", m - 1) for m in range(3, 21)]
+    for m, r in enumerate(rest, start=3):
+        assert r.hard_failure and not r.passed()
+        assert r.notes.startswith(f"integer energy witness m={m}; error:")
 
 
 def test_lemma_error_is_hard_failure_not_abort(monkeypatch):
@@ -216,19 +200,19 @@ def test_lemma_error_is_hard_failure_not_abort(monkeypatch):
     import randic.spectral
 
     monkeypatch.setattr(randic.spectral, "EXACT_ORDER_CAP", 4)
-    report = verify_all(5, 1e-9, witness_max=3)
+    report = verify_all(5)
     assert isinstance(report, Report)
-    assert len(report.records) == 194
+    assert len(report.records) == 211
     notes = {r.notes.split(";")[0]: r for r in report.records[176:]}
     error = "error: exact characteristic polynomial capped at order 4 (got 5)"
     for note in ("path split r=2 s=3", "path split r=3 s=2", "integer energy witness m=3"):
-        assert notes[note].hard_failure and not notes[note].passed(1e-9)
+        assert notes[note].hard_failure and not notes[note].passed()
         assert notes[note].notes == f"{note}; {error}"
     cycles = [r for r in report.records if r.notes.startswith("cycle minus edge vs path")]
     assert [r.hard_failure for r in cycles] == [False, False, True]
     # P_1 ∪ P_4 has four non-isolated vertices, so its record still checks and passes
-    assert notes["path split r=1 s=4"].passed(1e-9)
-    assert sum(r.hard_failure for r in report.records) == 165
+    assert notes["path split r=1 s=4"].passed()
+    assert sum(r.hard_failure for r in report.records) == 182
 
 
 def _lemma_records(report: Report) -> list[VerdictRecord]:
@@ -251,8 +235,8 @@ def test_lemma_records_fail_when_both_routes_scale_the_spectrum(monkeypatch):
         top = len(coeffs) - 1
         return RatPoly(c * scale ** (top - k) for k, c in enumerate(coeffs))
 
-    def scaled_values(matrix, tol):
-        return Spectrum(tuple(v * 1.001 for v in eigenvalues(matrix, tol).values))
+    def scaled_values(matrix):
+        return Spectrum(tuple(v * 1.001 for v in eigenvalues(matrix).values))
 
     monkeypatch.setattr(randic.verify, "charpoly_exact", scaled_poly)
     monkeypatch.setattr(randic.verify, "eigenvalues", scaled_values)
@@ -260,7 +244,7 @@ def test_lemma_records_fail_when_both_routes_scale_the_spectrum(monkeypatch):
     lemmas = _lemma_records(verify_all(24))
     assert len(lemmas) == 320
     # path(2) - e is two isolated vertices: every root is 0, which scaling keeps
-    assert [r.notes for r in lemmas if r.passed(1e-9)] == ["path split r=1 s=1"]
+    assert [r.notes for r in lemmas if r.passed()] == ["path split r=1 s=1"]
 
 
 def test_path_splits_with_a_p2_part_fail_when_closed_twins_count_as_open(monkeypatch):
@@ -283,24 +267,11 @@ def test_path_splits_with_a_p2_part_fail_when_closed_twins_count_as_open(monkeyp
         if r.spec.family == "path" and 2 in (int(part[2:]) for part in r.notes.split()[2:])
     ]
     assert len(splits) == 43
-    assert not any(r.charpoly_match or r.passed(1e-9) for r in splits)
-
-
-def test_witness_max_limited_by_exact_order_cap():
-    from randic.spectral import EXACT_ORDER_CAP
-    from randic.verify import _witness_specs
-
-    specs = _witness_specs(64)
-    assert specs[-1] == (64, FamilySpec("friendship", 63))
-    assert generate(specs[-1][1]).n == 127 <= EXACT_ORDER_CAP
-    with pytest.raises(DomainError, match="m_max <= 64"):
-        _witness_specs(65)
-    with pytest.raises(DomainError):
-        verify_all(5, 1e-9, witness_max=65)
+    assert not any(r.charpoly_match or r.passed() for r in splits)
 
 
 def test_verify_all_small_sweep():
-    report = verify_all(5, 1e-9, witness_max=5)
+    report = verify_all(5)
     assert len(report.records) >= 20
     assert report.n_fail == 0
     # P_5 appears and its exact polynomial expands the factored closed form
@@ -332,7 +303,7 @@ def test_sweep_spec_bounds():
 
 
 def test_report_json_schema():
-    report = Report(tolerance=1e-9, meta={"tool": "randic", "version": "x", "generated_at": "t"})
+    report = Report(meta={"tool": "randic", "version": "x", "generated_at": "t"})
     report.records.append(
         VerdictRecord(
             spec=FamilySpec("path", 5),
@@ -360,7 +331,7 @@ def test_report_json_schema():
 
 
 def test_report_fail_accounting():
-    report = Report(tolerance=1e-9)
+    report = Report()
     good = VerdictRecord(FamilySpec("path", 5), True, 1e-12, 1e-12, None, 0.0)
     bad_poly = VerdictRecord(FamilySpec("path", 6), False, 1e-12, 1e-12, None, 0.0)
     bad_energy = VerdictRecord(FamilySpec("path", 7), True, 1e-3, 1e-12, None, 0.0)
