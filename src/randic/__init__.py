@@ -30,7 +30,6 @@ from .spectral import (
     eigenvalues,
     graph_energy,
     randic_energy,
-    randic_index,
     randic_matrix,
 )
 from .closed_forms import (
@@ -73,7 +72,6 @@ __all__ = [
     "eigenvalues",
     "graph_energy",
     "randic_energy",
-    "randic_index",
     "randic_matrix",
     "closed_charpoly",
     "closed_energy",

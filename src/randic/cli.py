@@ -18,13 +18,14 @@ from .graphs import (
     FAMILIES,
     FamilySpec,
     Graph,
+    _family_core_size,
     _validate_spec,
     format_edge_list,
     generate,
     parse_edge_list,
 )
 from .ratpoly import RatPoly, format_coeffs, format_poly
-from .spectral import EXACT_ORDER_CAP, _energy_core, charpoly_exact, graph_energy, randic_energy
+from .spectral import EXACT_ORDER_CAP, _check_energy_order, charpoly_exact, graph_energy, randic_energy
 from .verify import verify_all
 
 _FAMILY_CHOICES = sorted(family.replace("_", "-") for family in FAMILIES)
@@ -131,11 +132,12 @@ def _cmd_energy(args, parser) -> int:
         lo, hi = _parse_sweep(args.sweep, parser)
         family = _family_from_args(args, parser)
         spec_at = partial(FamilySpec, family, m=args.m, minus_edge=args.minus_edge)
-        # every family's limits and order bind at an end: check both before any energy
+        # every family's limits and order bind at an end: check both before
+        # any energy, the order from the spec alone
         try:
             for spec in (spec_at(lo), spec_at(hi)):
                 _validate_spec(spec)
-            _energy_core(generate(spec))
+            _check_energy_order(_family_core_size(spec))
         except (DomainError, UnsupportedFamilyError) as exc:
             parser.error(f"--sweep {args.sweep} reaches {spec.label()}: {exc}")
         rows = []

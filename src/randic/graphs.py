@@ -135,6 +135,28 @@ def _family_size(spec: FamilySpec) -> tuple[int, int]:
     return order, size - 1 if spec.minus_edge else size
 
 
+def _family_core_size(spec: FamilySpec) -> int:
+    """Non-isolated vertices of a family instance, from its parameters alone:
+    its order, less each end of the deleted edge that had no other edge (0
+    for an instance with no edge at all)."""
+    order, size = _family_size(spec)
+    if not size:
+        return 0
+    if not spec.minus_edge:
+        return order
+    # the degrees of the canonical edge's ends, (0, 1) or (0, m), before it goes
+    fam, n = spec.family, spec.n
+    if fam == COMPLETE_BIPARTITE:
+        ends = (n, spec.m)
+    elif fam == PATH:
+        ends = (1, 2)
+    elif fam == STAR:
+        ends = (n - 1, 1)
+    else:
+        ends = (n - 1, n - 1) if fam == COMPLETE else (2, 2)
+    return order - ends.count(1)
+
+
 def _validate_spec(spec: FamilySpec) -> None:
     if spec.family not in FAMILIES:
         raise DomainError(f"unknown family {spec.family!r}")

@@ -1,5 +1,6 @@
 """Degree-normalized (Randic) matrices, exact characteristic polynomials,
-a tridiagonal-reduction + implicit-shift QL eigensolver, and the two
+an eigensolver (band bidiagonalization and dqds for bipartite blocks,
+tridiagonal reduction and implicit-shift QL for the rest), and the two
 spectral energies.
 
 The Randic matrix has entry 1/sqrt(d_i*d_j) on adjacent pairs. Its entries
@@ -24,15 +25,28 @@ Cvetkovic, Rowlinson and Simic, An Introduction to the Theory of Graph
 Spectra, 1.3). A class of t twins gives t - 1 known eigenvalues and one
 merged index, by an orthogonal similarity, so a degenerate spectrum
 (complete, complete bipartite, star, friendship) skips most or all of the
-cubic reduction. What remains is cut into the connected components of its
-support, read from the support bitmasks the twin pass already has, and each
-block is brought to tridiagonal form on its own. A bipartite block (zero
-diagonal, 2-colourable support) is [[0, B], [B^T, 0]] with one colour class
-first; its eigenvalues are the singular values of B and their negatives,
-and Golub-Kahan bidiagonalization (Golub and Kahan, SIAM J. Numer. Anal. B
-2, 1965) reduces B alone, at about a sixth of the arithmetic of Householder
-tridiagonalization on the whole block, which any other block goes through.
-The blocks' tridiagonals are joined and solved by one QL run.
+cubic work. What remains is cut into the connected components of its
+support, read from the support bitmasks the twin pass already has.
+
+A bipartite block (zero diagonal, 2-colourable support) is [[0, B], [B^T,
+0]] up to order, and its eigenvalues are the p singular values of B, their
+negatives and |p - q| zeros, when its halves have p <= q indices. It is
+layered breadth first from a pseudo-peripheral index (George and Liu), and
+each half taken in visiting order, so that B is banded whatever the labels:
+a path's B is upper bidiagonal and a cycle's has one diagonal below and one
+above. Givens rotations reduce B to upper bidiagonal form by chasing each
+bulge off the band (Schwarz; LAPACK xGBBRD), at O(p*q*w) for bandwidth w;
+a band as wide as the block goes through Golub-Kahan reflections instead.
+The singular values of the bidiagonal come from dqds on q_i = a_i^2, e_i =
+b_i^2 with the shifts of LAPACK DLASQ4 (Fernando and Parlett; Parlett and
+Marques), after a p x (p+1) bidiagonal's last entry is folded in and each
+zero diagonal entry is split off by rotations. dqds keeps every singular
+value, however small, to high relative accuracy; the eigenvalues of B^T B
+computed from the matrix itself could be off by eps*||B||^2 each, so a
+singular value near 0 could be off by sqrt(eps) = 1.5e-8 in the energy.
+Any other block goes through Householder tridiagonalization; those
+tridiagonals are joined and solved by one implicit-shift QL run. Single
+indices are their own eigenvalues.
 
 ``SymMatrix`` and ``Spectrum`` are immutable, hashable value classes.
 """
@@ -42,7 +56,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from itertools import compress
+from itertools import chain, compress, count, repeat
 
 from ._record import FrozenRecord
 from .errors import ConvergenceError, DomainError
@@ -110,12 +124,6 @@ def adjacency_matrix(g: Graph) -> SymMatrix:
         rows[u][v] = 1.0
         rows[v][u] = 1.0
     return SymMatrix(tuple(tuple(r) for r in rows))
-
-
-def randic_index(g: Graph) -> float:
-    """Sum over edges of 1/sqrt(d_i*d_j)."""
-    degs = g.degrees
-    return sum(1.0 / math.sqrt(degs[u] * degs[v]) for u, v in g.edges)
 
 
 # The moduli of the exact route, ascending, each a proven prime stored with
@@ -385,35 +393,132 @@ def _tridiagonalize(rows) -> tuple[list[float], list[float]]:
     return d, e
 
 
-def _bidiagonalize(b, q: int) -> list[float]:
-    """Golub-Kahan upper bidiagonalization of a p x q matrix B, p <= q.
+def _band_bidiagonalize(b, q: int) -> tuple[list[float], list[float]]:
+    """Upper bidiagonal form of a p x q band matrix B, p <= q, no row of
+    which is all zero.
 
     ``b`` are the p rows of B, as any sequences of length q; they are read,
-    never written. Reflections from the left (on column k) and the right (on
-    row k past its diagonal) give U^T B V upper bidiagonal, with diagonal
-    a_1..a_p and superdiagonal b_1..b_p (b_p couples row p to column p+1,
-    and is 0 when q = p). Returns a_1, b_1, ..., a_p, b_p: the subdiagonal
-    of the tridiagonal that [[0, B], [B^T, 0]] becomes with its indices in
-    the order column 1, row 1, column 2, row 2, ... (Golub and Van Loan,
-    Matrix Computations, 5.4.8 and 8.6.1). A column or row already zero
-    past its first entry is skipped, so an upper bidiagonal B costs O(pq).
+    never written. Returns the diagonal a_1..a_p and the superdiagonal
+    b_1..b_p of U^T B V (b_p couples row p to column p+1, and is 0 when
+    q = p; the columns past p+1 are zero).
+
+    Step k clears column k below its diagonal, bottom up, by rotations of
+    adjacent rows, and then row k past its superdiagonal, right to left, by
+    rotations of adjacent columns. Each rotation puts one entry just outside
+    the band, further down, and that bulge is chased off the matrix by
+    alternating column and row rotations, each moving it kl + ku places
+    (Schwarz, Numer. Math. 12, 1968; LAPACK xGBBRD; Kaufman, ACM TOMS 26,
+    2000). A rotation touches O(kl + ku) entries and a chase takes
+    O(p/(kl + ku)) of them, so the reduction costs O(p*q*(kl + ku)); an
+    entry already zero costs no rotation, so an upper bidiagonal B costs
+    O(p). The upper bandwidth ku is B's; the lower one, kl, is taken afresh
+    at each step from a bound kept on each row's first nonzero, so a dense
+    column widens the band only until its step has cleared it.
+
+    Once kl + ku reaches the order of the trailing block, a chase would cost
+    more than reflecting what is left, and the rest is Golub-Kahan: one
+    Householder reflection from the left on column k and one from the right
+    on row k (Golub and Kahan, SIAM J. Numer. Anal. B 2, 1965; Golub and Van
+    Loan, Matrix Computations, 5.4.8). A full band takes that route from the
+    start, so it costs what Golub-Kahan costs.
     """
     p = len(b)
-    a = list(b)
-    e: list[float] = []
-    # as in _tridiagonalize, a row always ends at column q-1, so column j of
-    # row i is a[i][j - q]; a reflection replaces rows by shorter lists
-    for k in range(p):
+    first = [next(compress(count(), row)) for row in b]
+    ku = max(q - 1 - next(compress(count(), reversed(row))) - i for i, row in enumerate(b))
+    if ku <= 1 and all(map(operator.ge, first, range(p))):
+        # upper bidiagonal already
+        return [row[i] for i, row in enumerate(b)], [row[i + 1] if i + 1 < q else 0.0 for i, row in enumerate(b)]
+    a = [list(r) for r in b]
+    # a bulge must fall outside the final bidiagonal: one superdiagonal at least
+    ku = max(ku, 1)
+    kl = 0
+    hypot = math.hypot
+
+    def chase(r: int, c: int) -> None:
+        # zero the entry at (r, c) and then the bulge it makes, and so on
+        while True:
+            if c < r:
+                # below the diagonal: rotate rows r-1 and r over their band
+                if r >= p or not (y := a[r][c]):
+                    return
+                top, bot = a[r - 1], a[r]
+                x = top[c]
+                h = hypot(x, y)
+                cs, sn = x / h, y / h
+                top[c], bot[c] = h, 0.0
+                end = lead = min(r + ku + 1, q)
+                for j in range(c + 1, end):
+                    u, v = top[j], bot[j]
+                    if u or v:
+                        top[j] = cs * u + sn * v
+                        bot[j] = w = cs * v - sn * u
+                        if w and lead == end:
+                            lead = j
+                first[r - 1], first[r] = c, lead
+                r, c = r - 1, r + ku
+                if c >= q:
+                    return
+            else:
+                # past the superdiagonal: rotate columns c-1 and c
+                row = a[r]
+                if not (y := row[c]):
+                    return
+                x = row[c - 1]
+                h = hypot(x, y)
+                cs, sn = x / h, y / h
+                for i in range(r + 1, min(c + kl, p - 1) + 1):
+                    row = a[i]
+                    u, v = row[c - 1], row[c]
+                    if v:
+                        row[c - 1] = cs * u + sn * v
+                        row[c] = cs * v - sn * u
+                        if first[i] >= c:
+                            first[i] = c - 1
+                    elif u:
+                        row[c - 1] = cs * u
+                        row[c] = -sn * u
+                a[r][c - 1], a[r][c] = h, 0.0
+                r, c = c + kl, c - 1
+
+    diag: list[float] = []
+    sup: list[float] = []
+    k = 0
+    while k < p:
+        # the band for step k: rows k.. are zero left of column k, and those
+        # with an entry in column k are taken past it, so a dense column
+        # widens the band only at its own step; a row rotated with the row
+        # below hands it its entries, hence the second term
+        rest = first[k:]
+        bottom = k
+        for i in compress(count(k), map(operator.le, rest, repeat(k))):
+            rest[i - k] = next(compress(count(k + 1), a[i][k + 1 :]), q)
+            bottom = i
+        kl = max(chain([0], map(operator.sub, range(k + 1, p), rest[1:]), map(operator.sub, range(k + 1, bottom + 1), rest)))
+        if kl + ku >= p - k:
+            break
+        for i in range(bottom, k, -1):
+            chase(i, k)
+        for j in range(min(k + ku, q - 1), k + 1, -1):
+            chase(k, j)
+        diag.append(a[k][k])
+        sup.append(a[k][k + 1])
+        k += 1
+    # Golub-Kahan on the trailing block; a row always ends at column q-1, so
+    # column j of row i is a[i][j - q], and a reflection replaces rows by
+    # shorter lists
+    for k in range(k, p):
         lo = k + 1
         x = list(map(operator.itemgetter(k - q), a[k:]))
         if lo == q:
             # the last row of a square B: a 1 x 1 block is left
-            e += [x[0], 0.0]
+            diag.append(x[0])
+            sup.append(0.0)
             break
         top = a[k][lo - q :]
         left = any(x[1:])
         if not left and not any(top[1:]):
-            e += [x[0], top[0]]
+            diag.append(x[0])
+            sup.append(top[0])
             continue
         rest = [a[i][lo - q :] for i in range(lo, p)]
         # the left reflection I - beta*v*v^T on rows k..p-1 takes column k
@@ -431,14 +536,368 @@ def _bidiagonalize(b, q: int) -> list[float]:
             w, gamma, b_k = _reflector(top)
         else:
             w, gamma, b_k = [0.0] * (q - lo), 0.0, top[0]
-        e += [alpha, b_k]
+        diag.append(alpha)
+        sup.append(b_k)
         # both applied to rows k+1..p-1 in one pass:
         # row_i <- row_i - c_i*u - s_i*w with s_i = gamma*(row_i - c_i*u).w
         wu = sum(map(operator.mul, w, u))
         for i, c, row in zip(range(lo, p), cs[1:], rest):
             s = gamma * (sum(map(operator.mul, row, w)) - c * wu)
             a[i] = [y - c * uj - s * wj for y, uj, wj in zip(row, u, w)]
-    return e
+    return diag, sup
+
+
+def _fold(d: list[float], e: list[float], m: int) -> None:
+    """Fold the last superdiagonal entry e[m-1] of the m x (m+1) upper
+    bidiagonal d[:m], e[:m] into an m x m one, in place.
+
+    The entry at (m-1, m) is zeroed by rotating columns m-1 and m, which puts
+    a bulge at (m-2, m); it is zeroed against d[m-2], and so on up to row 0:
+    O(m) rotations, and column m is left zero.
+    """
+    f = e[m - 1]
+    e[m - 1] = 0.0
+    for i in range(m - 1, -1, -1):
+        if not f:
+            return
+        h = math.hypot(d[i], f)
+        cs, sn = d[i] / h, f / h
+        d[i] = h
+        if i:
+            f = -sn * e[i - 1]
+            e[i - 1] *= cs
+
+
+def _deflate_zero(d: list[float], e: list[float], k: int) -> None:
+    """Split a zero diagonal entry d[k] off a square upper bidiagonal, in place.
+
+    Row k is (0, e[k]): its entry is zeroed against d[k+1] by rotating rows
+    k and k+1, which moves it to (k, k+2), and so on to the last column, so
+    row k ends all zero: a zero singular value. Column k then holds e[k-1]
+    alone, the extra column of the k x (k+1) bidiagonal above, which
+    ``_fold`` folds in. Nothing is divided by d[k].
+    """
+    m = len(d)
+    f = e[k]
+    e[k] = 0.0
+    for j in range(k + 1, m):
+        if not f:
+            break
+        h = math.hypot(d[j], f)
+        cs, sn = d[j] / h, f / h
+        d[j] = h
+        f = -sn * e[j]
+        e[j] *= cs
+    if k:
+        _fold(d, e, k)
+
+
+def _dqds_tail(q, e, j, i0, term, total, newest, cap):
+    """DLASQ4's estimate of how far the least d_j lies from the least
+    eigenvalue: ``total`` plus the terms term*e_j/q_j, term*e_j/q_j*e_{j-1}/
+    q_{j-1}, ... down to i0, stopped once the newest term (or, unless
+    ``newest``, the one before it) is below a hundredth of the total, or the
+    total passes ``cap``. None when some e_j > q_j, where the estimate fails.
+    """
+    while j >= i0 and term:
+        if e[j] > q[j]:
+            return None
+        prev = term
+        term *= e[j] / q[j]
+        total += term
+        if 100.0 * (term if newest else prev) < total or total > cap:
+            break
+        j -= 1
+    return total
+
+
+def _dqds_shift(q, e, qo, eo, i0, n0, n0in, dmins, state):
+    """The shift for the next dqds transform of the segment i0..n0: LAPACK
+    DLASQ4 (Parlett and Marques, Linear Algebra Appl. 309, 2000, section 6),
+    its cases numbered as there.
+
+    ``q``, ``e`` are the qd arrays the last transform made from ``qo``,
+    ``eo``; ``n0in`` is n0 before the deflations since; ``dmins`` is
+    (dmin, dmin1, dmin2, dn, dn1, dn2) of that transform: the least d_j over
+    all j, over j < n0in and over j < n0in - 1, and the last three d_j.
+    ``state`` holds the shift type and the growth factor g of case 6 across
+    calls. The shift is an estimate from below of the least eigenvalue: from
+    the bottom 2 x 2 when the least d_j are the last, else from a bound on
+    how far the least d_j is from it, else a fraction of dmin.
+    """
+    dmin, dmin1, dmin2, dn, dn1, dn2 = dmins
+    # the least d_j of the values not deflated since; -0.0 after a flip or a
+    # split asks for a transform without shift
+    if dmins[min(n0in - n0, 2)] <= 0.0:
+        state[0] = -1
+        return 0.0
+    third = 0.333
+    if n0in == n0:
+        if dmin == dn or dmin == dn1:
+            b1 = math.sqrt(q[n0]) * math.sqrt(e[n0 - 1])
+            b2 = math.sqrt(q[n0 - 1]) * math.sqrt(e[n0 - 2])
+            a2 = q[n0 - 1] + e[n0 - 1]
+            if dmin == dn and dmin1 == dn1:
+                # cases 2 and 3: the least two d_j are the last two
+                gap2 = dmin2 - a2 - dmin2 * 0.25
+                if gap2 > 0.0 and gap2 > b2:
+                    gap1 = a2 - dn - (b2 / gap2) * b2
+                else:
+                    gap1 = a2 - dn - (b1 + b2)
+                if gap1 > 0.0 and gap1 > b1:
+                    state[0] = -2
+                    return max(dn - (b1 / gap1) * b1, 0.5 * dmin)
+                s = dn - b1 if dn > b1 else 0.0
+                if a2 > b1 + b2:
+                    s = min(s, a2 - (b1 + b2))
+                state[0] = -3
+                return max(s, third * dmin)
+            # case 4: a Rayleigh quotient residual bound
+            state[0] = -4
+            s = 0.25 * dmin
+            if dmin == dn:
+                gam = dn
+                if e[n0 - 1] > q[n0 - 1]:
+                    return s
+                b2 = e[n0 - 1] / q[n0 - 1]
+                a2 = _dqds_tail(q, e, n0 - 2, i0, b2, b2, False, 0.563)
+            else:
+                gam = dn1
+                if eo[n0 - 1] > qo[n0] or e[n0 - 2] > q[n0 - 2]:
+                    return s
+                b2 = e[n0 - 2] / q[n0 - 2]
+                a2 = _dqds_tail(q, e, n0 - 3, i0, b2, eo[n0 - 1] / qo[n0] + b2, False, 0.563)
+            if a2 is not None and 1.05 * a2 < 0.563:
+                a2 *= 1.05
+                s = gam * (1.0 - math.sqrt(a2)) / (1.0 + a2)
+            return s
+        if dmin == dn2:
+            # case 5: the least d_j is the third from last
+            state[0] = -5
+            s = 0.25 * dmin
+            b1, b2 = qo[n0], qo[n0 - 1]
+            if eo[n0 - 2] > b2 or eo[n0 - 1] > b1:
+                return s
+            a2 = (eo[n0 - 2] / b2) * (1.0 + eo[n0 - 1] / b1)
+            if n0 - i0 > 2:
+                b2 = e[n0 - 3] / q[n0 - 3]
+                a2 = _dqds_tail(q, e, n0 - 4, i0, b2, a2 + b2, False, 0.563)
+                if a2 is None:
+                    return s
+                a2 *= 1.05
+            if a2 < 0.563:
+                s = dn2 * (1.0 - math.sqrt(a2)) / (1.0 + a2)
+            return s
+        # case 6: no information; a growing fraction of dmin
+        if state[0] == -6:
+            state[1] += third * (1.0 - state[1])
+        elif state[0] == -18:
+            state[1] = 0.25 * third
+        else:
+            state[1] = 0.25
+        state[0] = -6
+        return state[1] * dmin
+    if n0in == n0 + 1:
+        # one value deflated: dmin1 and dn1 stand for dmin and dn
+        if dmin1 == dn1 and dmin2 == dn2:
+            # cases 7 and 8
+            state[0] = -7
+            s = third * dmin1
+            if e[n0 - 1] > q[n0 - 1]:
+                return s
+            b1 = e[n0 - 1] / q[n0 - 1]
+            b2 = _dqds_tail(q, e, n0 - 2, i0, b1, b1, False, math.inf)
+            if b2 is None:
+                return s
+            b2 = math.sqrt(1.05 * b2)
+            a2 = dmin1 / (1.0 + b2 * b2)
+            gap2 = 0.5 * dmin2 - a2
+            if gap2 > 0.0 and gap2 > b2 * a2:
+                return max(s, a2 * (1.0 - 1.01 * a2 * (b2 / gap2) * b2))
+            state[0] = -8
+            return max(s, a2 * (1.0 - 1.01 * b2))
+        # case 9
+        state[0] = -9
+        return 0.5 * dmin1 if dmin1 == dn1 else 0.25 * dmin1
+    if n0in == n0 + 2:
+        # two values deflated: dmin2 and dn2 stand for dmin and dn
+        if dmin2 == dn2 and 2.0 * e[n0 - 1] < q[n0 - 1]:
+            # case 10
+            state[0] = -10
+            s = third * dmin2
+            b1 = e[n0 - 1] / q[n0 - 1]
+            b2 = _dqds_tail(q, e, n0 - 2, i0, b1, b1, True, math.inf)
+            if b2 is None:
+                return s
+            b2 = math.sqrt(1.05 * b2)
+            a2 = dmin2 / (1.0 + b2 * b2)
+            gap2 = q[n0 - 1] + e[n0 - 2] - math.sqrt(q[n0 - 2]) * math.sqrt(e[n0 - 2]) - a2
+            if gap2 > 0.0 and gap2 > b2 * a2:
+                return max(s, a2 * (1.0 - 1.01 * a2 * (b2 / gap2) * b2))
+            return max(s, a2 * (1.0 - 1.01 * b2))
+        # case 11
+        state[0] = -11
+        return 0.25 * dmin2
+    # case 12: more than two deflated, no information
+    state[0] = -12
+    return 0.0
+
+
+def _qd_pair(a: float, b: float, c: float, tol2: float) -> tuple[float, float]:
+    """The two eigenvalues of the 2 x 2 qd array q = (a, c), e = (b,): the
+    roots of x^2 - (a + b + c)x + ac, symmetric in a and c (LAPACK DLASQ3)."""
+    if c > a:
+        a, c = c, a
+    t = 0.5 * ((a - c) + b)
+    if b > c * tol2 and t != 0.0:
+        s = c * (b / t)
+        if s <= t:
+            s = c * (b / (t * (1.0 + math.sqrt(1.0 + s / t))))
+        else:
+            s = c * (b / (t + math.sqrt(t) * math.sqrt(t + s)))
+        t = a + (s + b)
+        c *= a / t
+        a = t
+    return a, c
+
+
+def _dqds(q: list[float], e: list[float]) -> list[float]:
+    """Eigenvalues of B^T B for a square upper bidiagonal B given by its qd
+    arrays q_i = a_i^2 > 0 and e_i = b_i^2 (e[i] couples i and i+1).
+
+    The differential qd algorithm with shifts (Fernando and Parlett, Numer.
+    Math. 67, 1994; Parlett and Marques, Linear Algebra Appl. 309, 2000;
+    LAPACK DLASQ2-DLASQ5). A transform with shift tau < the least eigenvalue
+    maps (q, e) to the qd arrays of B'^T B' = B B^T - tau*I by
+    d_1 = q_1 - tau, q'_j = d_j + e_j, e'_j = e_j*q_{j+1}/q'_j,
+    d_{j+1} = d_j*q_{j+1}/q'_j - tau, q'_n = d_n, with no subtraction but
+    the shift's: every eigenvalue, however small, keeps high relative
+    accuracy, which forming B^T B would lose. A shift too large shows as a
+    negative d_j, and the transform is redone with a smaller one. The shifts
+    add up in sigma; a value is deflated at the bottom once e_{n-1} <=
+    tol^2*(sigma + q_n), tol = 100*eps, or two at once from the bottom 2 x 2
+    once e_{n-2} <= tol^2*sigma. A zero e_j splits the array; each part has
+    its own sigma. ``QL_ITERATION_CAP`` caps the transforms, failed ones
+    included, at that many per value; past it ConvergenceError carries the
+    Frobenius norm of the superdiagonal still to be reduced.
+    """
+    eps = sys.float_info.epsilon
+    tol = 100.0 * eps
+    tol2 = tol * tol
+    n = len(q)
+    e = e + [0.0] * (n - len(e))
+    out = []
+    iterations = 0
+    # segments to do, each with its shift so far and the buffers holding it
+    stack = []
+    i0 = 0
+    qo, eo = q[:], e[:]
+    for j in chain(compress(count(), map(operator.not_, e[: n - 1])), [n - 1]):
+        stack.append((i0, j, 0.0, q, e, qo, eo))
+        i0 = j + 1
+    while stack:
+        i0, n0, sigma, q, e, qo, eo = stack.pop()
+        n0in = n0
+        dmins = (-0.0,) * 6
+        state = [0, 0.0]
+        while n0 >= i0:
+            if n0 == i0 or e[n0 - 1] <= tol2 * (sigma + q[n0]):
+                out.append(q[n0] + sigma)
+                n0 -= 1
+                continue
+            if n0 - 1 == i0 or e[n0 - 2] <= tol2 * sigma:
+                out += [x + sigma for x in _qd_pair(q[n0 - 1], e[n0 - 1], q[n0], tol2)]
+                n0 -= 2
+                continue
+            if (dmins[0] <= 0.0 or n0 < n0in) and 1.5 * q[i0] < q[n0]:
+                # the larger values at the bottom: flip the array, which
+                # stands for J B^T J with the same singular values
+                q[i0 : n0 + 1] = q[i0 : n0 + 1][::-1]
+                e[i0:n0] = e[i0:n0][::-1]
+                dmins = (-0.0,) * 6
+            tau = _dqds_shift(q, e, qo, eo, i0, n0, n0in, dmins, state)
+            split = None
+            while True:
+                if iterations >= QL_ITERATION_CAP * n:
+                    residual = math.sqrt(sum(e[i0:n0]) + sum(sum(s[4][s[0] : s[1]]) for s in stack))
+                    raise ConvergenceError(
+                        f"dqds did not converge in {QL_ITERATION_CAP} iterations per value: "
+                        f"{len(out)} of {n} found (residual {residual:.3e})",
+                        residual,
+                    )
+                iterations += 1
+                # the transform into qo, eo; a d_j < 0 ends it early, and so
+                # does d_j = e_j = 0, a split
+                d = dmin = q[i0] - tau
+                last = n0 - 2
+                tail = []
+                for j in range(i0, n0):
+                    if d <= 0.0 and (d < 0.0 or not e[j]):
+                        break
+                    if j >= last:
+                        tail.append((d, dmin))
+                    t = d + e[j]
+                    qo[j] = t
+                    r = q[j + 1] / t
+                    eo[j] = e[j] * r
+                    d = d * r - tau
+                    if d < dmin:
+                        dmin = d
+                else:
+                    qo[n0] = d
+                    (dn2, dmin2), (dn1, dmin1) = tail
+                    if dmin >= 0.0:
+                        break
+                    if dmin1 > 0.0 and -d < tol * sigma and eo[n0 - 1] < tol * (sigma + dn1):
+                        # only d_n < 0, and by less than rounding: the last
+                        # value has converged; take d_n as 0
+                        qo[n0] = d = dmin = 0.0
+                        break
+                if d == 0.0:
+                    split = j
+                    break
+                # the shift was too large: after two failures none; when only
+                # the last d_j is negative, tau + d_n (a very good shift);
+                # else a quarter of it
+                if state[0] < -22:
+                    tau = 0.0
+                elif len(tail) == 2 and dmin1 > 0.0:
+                    tau = (tau + d) * (1.0 - 2.0 * eps)
+                    state[0] -= 11
+                else:
+                    tau *= 0.25
+                    state[0] -= 12
+            if split is not None:
+                # d_j = e_j = 0: the array splits below j
+                stack.append((i0, split, sigma, q, e, qo, eo))
+                i0 = split + 1
+                dmins = (-0.0,) * 6
+                n0in = n0
+                continue
+            sigma += tau
+            dmins = (dmin, dmin1, dmin2, d, dn1, dn2)
+            q, qo, e, eo = qo, q, eo, e
+            n0in = n0
+    return out
+
+
+def _singular_values(d: list[float], e: list[float]) -> list[float]:
+    """Singular values of the m x (m+1) upper bidiagonal with diagonal ``d``
+    and superdiagonal ``e`` (e[m-1] couples row m-1 to column m, 0 for a
+    square one); both lists are overwritten.
+
+    The extra column is folded in first (``_fold``). A diagonal entry whose
+    square underflows, an exact zero above all (B rank-deficient beyond
+    |p - q|), is split off by ``_deflate_zero`` as a zero singular value, so
+    every other q_i = d_i^2 is positive; then ``_dqds``.
+    """
+    m = len(d)
+    if e[m - 1]:
+        _fold(d, e, m)
+    for k in compress(count(), map(operator.not_, map(operator.mul, d, d))):
+        d[k] = 0.0
+        _deflate_zero(d, e, k)
+    return [math.sqrt(x) for x in _dqds([x * x for x in d], [x * x for x in e[: m - 1]])]
 
 
 def _twin_classes(rows, supports: list[int]) -> list[list[int]]:
@@ -516,38 +975,82 @@ def _submatrix(rows, top: list[int], side: list[int]) -> list[tuple[float, ...]]
     return [pick(rows[i]) for i in top]
 
 
-def _blocks(supports: list[int]):
-    """Connected components of a symmetric matrix's support graph.
+def _layers(supports: list[int], root: int) -> tuple[list[list[int]], int, bool]:
+    """Breadth-first layers of the component of ``root`` in a symmetric
+    matrix's support graph, the component as a bitmask, and whether it is
+    bipartite.
 
-    ``supports[i]`` is the support of row i as a bitmask. Yields, for each
-    component in the order of its smallest index, its two halves (the
-    indices at even and at odd breadth-first distance from that smallest
-    index, in visiting order) and whether it is bipartite: whether no
-    nonzero entry joins two indices of one half. A nonzero diagonal entry
-    joins an index to itself, so a bipartite component has a zero diagonal.
+    ``supports[i]`` is the support of row i as a bitmask. Each layer lists
+    its indices in visiting order: the children of earlier indices first,
+    each index's in ascending order (Cuthill and McKee, 1969). The component
+    is bipartite when no nonzero entry joins two indices of one layer; a
+    nonzero diagonal entry joins an index to itself, so a bipartite
+    component has a zero diagonal.
     """
+    seen = layer_bits = 1 << root
+    layers = [[root]]
+    bipartite = True
+    while True:
+        nxt: list[int] = []
+        reach = 0
+        before = seen
+        for v in layers[-1]:
+            s = supports[v]
+            reach |= s
+            new = s & ~seen
+            seen |= new
+            while new:
+                low = new & -new
+                nxt.append(low.bit_length() - 1)
+                new ^= low
+        if reach & layer_bits:
+            bipartite = False
+        if not nxt:
+            return layers, seen, bipartite
+        layers.append(nxt)
+        layer_bits = seen ^ before
+
+
+def _blocks(supports: list[int]):
+    """Connected components of a symmetric matrix's support graph, as
+    ``_layers`` from each component's smallest index, in that order."""
     unseen = (1 << len(supports)) - 1
     while unseen:
-        layer = seen = unseen & -unseen
-        halves: tuple[list[int], list[int]] = ([], [])
-        side = 0
-        bipartite = True
-        while layer:
-            members = halves[side]
-            reach = 0
-            rest = layer
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                members.append(j)
-                reach |= supports[j]
-                rest &= rest - 1
-            if reach & layer:
-                bipartite = False
-            layer = reach & ~seen
-            seen |= layer
-            side ^= 1
-        unseen ^= seen
-        yield halves, bipartite
+        layers, seen, bipartite = _layers(supports, (unseen & -unseen).bit_length() - 1)
+        unseen &= ~seen
+        yield layers, bipartite
+
+
+def _peripheral_layers(supports: list[int], layers: list[list[int]]) -> list[list[int]]:
+    """The layers of a component from a pseudo-peripheral index (George and
+    Liu, ACM TOMS 5, 1979), given its layers from any index: re-root at an
+    index of least degree in the last layer while that adds a layer. A path
+    is then layered from an end, whatever its labels, and a cycle from any
+    index."""
+    while True:
+        last = layers[-1]
+        root = min(last, key=lambda v: supports[v].bit_count())
+        trial = _layers(supports, root)[0]
+        if len(trial) <= len(layers):
+            return layers
+        layers = trial
+
+
+def _block_bidiagonal(rows, supports: list[int], layers: list[list[int]]) -> tuple[list[float], list[float]]:
+    """Upper bidiagonal form of the B of a bipartite block [[0, B], [B^T, 0]].
+
+    The block is layered from a pseudo-peripheral index, and its even and
+    odd layers are its two halves, in visiting order; the smaller half gives
+    the rows of B (on a tie, the half without the root), the other its
+    columns. Then every nonzero of B is within a few places of the diagonal
+    when the layers are narrow: a path's B is upper bidiagonal already and a
+    cycle's has one diagonal below and one above.
+    """
+    layers = _peripheral_layers(supports, layers)
+    even = [v for layer in layers[0::2] for v in layer]
+    odd = [v for layer in layers[1::2] for v in layer]
+    top, side = (odd, even) if len(odd) <= len(even) else (even, odd)
+    return _band_bidiagonalize(_submatrix(rows, top, side), len(side))
 
 
 def eigenvalues(mat: SymMatrix) -> Spectrum:
@@ -558,22 +1061,30 @@ def eigenvalues(mat: SymMatrix) -> Spectrum:
     twins at a time: t - 1 eigenvalues are known and the class becomes one
     index, repeatedly until no twins remain. The reduced matrix is then cut
     into the connected components of its support (the blocks of a
-    disconnected graph), and each block is reduced to a tridiagonal on its
-    own: a single index is its diagonal entry; a bipartite block (zero
-    diagonal, its support 2-colourable) is [[0, B], [B^T, 0]] up to order,
-    and Golub-Kahan bidiagonalization of B gives its tridiagonal with zero
-    diagonal, the |p - q| indices left over when the halves have p and q
-    indices being exact zeros; any other block goes through Householder
-    tridiagonalization. The blocks' tridiagonals are joined, with a zero
-    subdiagonal entry at each seam, and go through implicit Wilkinson-shift
-    QL once (EISPACK tql1, eigenvalues only). A subdiagonal entry e_m is
-    deflated once |e_m| <= max(eps*(|d_m|+|d_{m+1}|), t/sqrt(2(k-1))) at
-    reduced order k, t = ``SOLVER_TOL``, so the off-diagonal Frobenius norm
-    dropped in total is at most t beyond rounding. ``QL_ITERATION_CAP`` caps
-    the QL iterations spent on each eigenvalue of the joined tridiagonal;
-    exceeding it raises ConvergenceError carrying the off-diagonal Frobenius
-    norm of the joined tridiagonal in its current form. A non-finite entry
-    or an asymmetric matrix raises ValueError.
+    disconnected graph), and each block is solved on its own:
+
+    * a single index is its diagonal entry;
+    * a bipartite block (zero diagonal, its support 2-colourable) is [[0,
+      B], [B^T, 0]] up to order, with B p x q, p <= q. Its halves are taken
+      in breadth-first order from a pseudo-peripheral index, which makes B
+      banded (``_block_bidiagonal``); Givens rotations chase it to upper
+      bidiagonal form (``_band_bidiagonalize``), and dqds gives its
+      singular values (``_singular_values``). The block's eigenvalues are
+      those values, their negatives and q - p exact zeros, so its spectrum
+      is symmetric by construction;
+    * any other block goes through Householder tridiagonalization.
+
+    The other blocks' tridiagonals are joined, with a zero subdiagonal entry
+    at each seam, and go through implicit Wilkinson-shift QL once (EISPACK
+    tql1, eigenvalues only). A subdiagonal entry e_m is deflated once
+    |e_m| <= max(eps*(|d_m|+|d_{m+1}|), t/sqrt(2(k-1))) at reduced order k,
+    t = ``SOLVER_TOL``, so the off-diagonal Frobenius norm dropped in total
+    is at most t beyond rounding. ``QL_ITERATION_CAP`` caps the QL
+    iterations spent on each eigenvalue of the joined tridiagonal, and the
+    dqds transforms spent on a bipartite block, at that many per singular
+    value; exceeding either raises ConvergenceError carrying the
+    off-diagonal Frobenius norm still to be reduced. A non-finite entry or
+    an asymmetric matrix raises ValueError.
     """
     # one scan: each row is finite and equals the matching column, and its
     # support is taken for the twin search and the blocks
@@ -591,26 +1102,22 @@ def eigenvalues(mat: SymMatrix) -> Spectrum:
         split += known
     d: list[float] = []
     e: list[float] = []
-    for (even, odd), bipartite in _blocks(supports):
-        if bipartite and odd:
-            # B has the smaller half as its rows (on a tie the half without
-            # the block's first index), so a path's B is upper bidiagonal.
-            # Two indices would be a twin pair, split off already, so B has
-            # two or more columns.
-            top, side = (odd, even) if len(odd) <= len(even) else (even, odd)
-            top.sort()
-            side.sort()
-            e += _bidiagonalize(_submatrix(rows, top, side), len(side))
-            e += [0.0] * (len(side) - len(top))
-            d += [0.0] * (len(top) + len(side))
-        elif not odd:
-            (i,) = even
-            d.append(rows[i][i])
-            e.append(0.0)
+    for layers, bipartite in _blocks(supports):
+        if len(layers) == 1:
+            (i,) = layers[0]
+            split.append(rows[i][i])
+        elif bipartite:
+            # two indices would be a twin pair, split off already, so B has
+            # two or more columns
+            a, b = _block_bidiagonal(rows, supports, layers)
+            values = _singular_values(a, b)
+            split += values
+            split += [-x for x in values]
+            split += [0.0] * (sum(map(len, layers)) - 2 * len(values))
         else:
             block = rows
-            if len(even) + len(odd) < len(rows):
-                index = sorted(even + odd)
+            index = sorted(v for layer in layers for v in layer)
+            if len(index) < len(rows):
                 block = _submatrix(rows, index, index)
             db, eb = _tridiagonalize(block)
             d += db
@@ -664,6 +1171,12 @@ def eigenvalues(mat: SymMatrix) -> Spectrum:
     return Spectrum(tuple(sorted(d + split, reverse=True)))
 
 
+def _check_energy_order(core: int) -> None:
+    """DomainError when ``core`` non-isolated vertices exceed ``ENERGY_ORDER_CAP``."""
+    if core > ENERGY_ORDER_CAP:
+        raise DomainError(f"energies capped at {ENERGY_ORDER_CAP} non-isolated vertices (got {core})")
+
+
 def _energy_core(g: Graph) -> Graph:
     """``g`` less its isolated vertices, the others relabeled in order;
     DomainError when more than ``ENERGY_ORDER_CAP`` remain.
@@ -673,8 +1186,7 @@ def _energy_core(g: Graph) -> Graph:
     """
     degs = g.degrees
     core = g.n - degs.count(0)
-    if core > ENERGY_ORDER_CAP:
-        raise DomainError(f"energies capped at {ENERGY_ORDER_CAP} non-isolated vertices (got {core})")
+    _check_energy_order(core)
     if core == g.n:
         return g
     index = {v: i for i, v in enumerate(v for v, d in enumerate(degs) if d)}

@@ -63,8 +63,12 @@ class VerdictRecord(Record):
 
     ``charpoly_match`` is exact coefficient equality. ``energy_abs_err`` is
     None on a hard failure only. ``spectrum_sym_err`` is filled for
-    bipartite instances only. ``passed`` reads the errors against
-    ``REPORT_TOL``. A record holds no timing, so reports stay deterministic.
+    bipartite instances only, and is 0 there by construction: the
+    eigensolver emits each singular value of a bipartite block as the pair
+    +s, -s. Each value is still checked on its own, against the exact
+    polynomial, by ``max_root_residual``. ``passed`` reads the errors
+    against ``REPORT_TOL``. A record holds no timing, so reports stay
+    deterministic.
     """
 
     _fields = (

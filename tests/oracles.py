@@ -19,7 +19,8 @@ from the integer numerators.
 ``cheb_u`` builds the Chebyshev polynomials of the second kind by their
 recurrence, an independent check on the library's explicit coefficients of
 the tridiagonal determinants Λ_k = U_k(λ)/2^k. ``is_connected`` is a plain
-breadth-first search.
+breadth-first search, and ``randic_index`` the sum over the edges of
+1/sqrt(d_u d_v).
 """
 
 import math
@@ -67,6 +68,12 @@ def format_fractions(p: RatPoly, descending: bool = True) -> str:
         sign = ("" if c > 0 else "-") if idx == 0 else ("+ " if c > 0 else "- ")
         parts.append(sign + body)
     return " ".join(parts)
+
+
+def randic_index(g: Graph) -> float:
+    """Sum over edges of 1/sqrt(d_i*d_j)."""
+    degs = g.degrees
+    return sum(1.0 / math.sqrt(degs[u] * degs[v]) for u, v in g.edges)
 
 
 def is_connected(g: Graph) -> bool:

@@ -89,7 +89,6 @@ def test_public_surface_is_pinned():
         "path_graph_energy",
         "permute_vertices",
         "randic_energy",
-        "randic_index",
         "randic_matrix",
         "sweep_specs",
         "verify_all",

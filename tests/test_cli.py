@@ -284,6 +284,25 @@ def test_energy_single_point_sweep(capsys):
     assert [row["n"] for row in json.loads(out)] == [5]
 
 
+def test_energy_sweep_order_check_builds_no_graph(capsys, monkeypatch):
+    # the order cap is checked from the spec: complete(200) is built once,
+    # for its energy, and not first for a count of its vertices
+    import randic.cli
+
+    built = []
+
+    def generate(spec):
+        built.append(spec.label())
+        return real(spec)
+
+    real = randic.cli.generate
+    monkeypatch.setattr(randic.cli, "generate", generate)
+    code, out, _ = run_cli(capsys, "energy", "--family", "complete", "--sweep", "200..200", "--format", "json")
+    assert code == 0
+    assert built == ["complete(200)"]
+    assert [row["n"] for row in json.loads(out)] == [200]
+
+
 def test_energy_csv_without_sweep_is_usage_error(capsys):
     assert (
         run_usage_error(

@@ -131,6 +131,21 @@ def test_family_size_matches_generated_graph(family, minus_edge):
         assert graphs._family_size(spec) == (g.n, len(g.edges))
 
 
+@pytest.mark.parametrize("family", sorted(graphs.FAMILIES))
+@pytest.mark.parametrize("minus_edge", [False, True])
+def test_family_core_size_matches_generated_graph(family, minus_edge):
+    # the non-isolated vertices, as the energy sweep's order check counts
+    # them without building the graph
+    for n in range(1, 8):
+        for m in [1, 2, 3] if family == "complete_bipartite" else [None]:
+            spec = FamilySpec(family, n, m=m, minus_edge=minus_edge)
+            try:
+                g = generate(spec)
+            except (DomainError, UnsupportedFamilyError):
+                continue
+            assert graphs._family_core_size(spec) == g.n - g.degrees.count(0), spec.label()
+
+
 @pytest.mark.parametrize("family", ["friendship", "dutch4"])
 def test_minus_edge_unsupported(family):
     with pytest.raises(UnsupportedFamilyError):

@@ -4,7 +4,7 @@ from fractions import Fraction as Fr
 
 import pytest
 import oracles
-from oracles import charpoly_at, charpoly_bruteforce
+from oracles import charpoly_at, charpoly_bruteforce, randic_index
 
 from randic import spectral
 from randic import (
@@ -25,7 +25,6 @@ from randic import (
     graph_energy,
     permute_vertices,
     randic_energy,
-    randic_index,
     randic_matrix,
 )
 
@@ -851,7 +850,7 @@ def _with_diagonal(mat, i, x):
 
 def _blocks(mat):
     supports = [sum(1 << j for j, x in enumerate(r) if x) for r in mat.entries]
-    return [(sorted(even + odd), bipartite) for (even, odd), bipartite in spectral._blocks(supports)]
+    return [(sorted(v for layer in layers for v in layer), bipartite) for layers, bipartite in spectral._blocks(supports)]
 
 
 def test_bipartite_support_with_a_diagonal_entry_takes_householder():
@@ -872,12 +871,111 @@ def test_negative_zero_diagonal_is_bipartite():
 
 @pytest.mark.parametrize("n", [2, 3, 8, 9])
 def test_bidiagonalization_of_a_path_is_its_own_weights(n):
-    # B, odd vertices by even ones, is already upper bidiagonal: no reflection
+    # B, odd vertices by even ones, is already upper bidiagonal: no rotation
     mat = randic_matrix(generate(FamilySpec("path", n)))
     odd, even = range(1, n, 2), range(0, n, 2)
     b = [[mat.entries[i][j] for j in even] for i in odd]
-    weights = [mat.entries[i][i + 1] for i in range(n - 1)]
-    assert spectral._bidiagonalize(b, len(even)) == weights + [0.0] * (2 * len(odd) - n + 1)
+    weights = [mat.entries[i][i + 1] for i in range(n - 1)] + [0.0] * (1 - n % 2)
+    assert spectral._band_bidiagonalize(b, len(even)) == (weights[0::2], weights[1::2])
+
+
+def _supports(mat):
+    return [sum(1 << j for j, x in enumerate(r) if x) for r in mat.entries]
+
+
+def _one_block_bidiagonal(mat):
+    """The bidiagonal the band route makes of a connected bipartite matrix."""
+    supports = _supports(mat)
+    ((layers, bipartite),) = spectral._blocks(supports)
+    assert bipartite
+    return spectral._block_bidiagonal(mat.entries, supports, layers)
+
+
+def test_band_route_reads_a_shuffled_path_off_its_weights():
+    # whatever the labels, halves in breadth-first order from an end of the
+    # path make B upper bidiagonal: its weights come back untouched, in order
+    g = generate(FamilySpec("path", 64))
+    natural = randic_matrix(g).entries
+    weights = [natural[i][i + 1] for i in range(63)] + [0.0]
+    shuffled = randic_matrix(_shuffled(random.Random(64), g))
+    assert shuffled != natural
+    assert _one_block_bidiagonal(shuffled) == (weights[0::2], weights[1::2])
+
+
+@pytest.mark.parametrize("n", [5, 9, 31, 65])
+def test_odd_path_folds_its_extra_column(n):
+    # B is p x (p+1); its last superdiagonal entry is folded in, and the
+    # one zero of the spectrum is emitted exactly
+    mat = randic_matrix(_shuffled(random.Random(n), generate(FamilySpec("path", n))))
+    a, b = _one_block_bidiagonal(mat)
+    assert len(a) == len(b) == n // 2
+    assert b[-1] != 0.0
+    assert eigenvalues(mat).values.count(0.0) == 1
+    _assert_matches_rotation(mat, seed=n)
+
+
+# twin-free, halves of 6 and 6, nullity 2: its B is singular
+SINGULAR_TREE = Graph.from_edges(
+    12, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (4, 8), (5, 6), (5, 11), (6, 7), (7, 9), (8, 10)]
+)
+
+
+def test_tree_with_nullity_beyond_its_halves_deflates_a_zero_diagonal():
+    assert charpoly_exact(SINGULAR_TREE).coeffs[:3] == (0, 0, Fr(-1, 24))
+    mat = randic_matrix(SINGULAR_TREE)
+    assert _twin_classes(mat) == []
+    a, _ = _one_block_bidiagonal(mat)
+    assert len(a) == 6 and 0.0 in a
+    assert sorted(map(abs, eigenvalues(mat).values))[:3] == [0.0, 0.0, pytest.approx(0.3766581318, abs=1e-9)]
+    _assert_matches_rotation(mat)
+    _assert_matches_rotation(adjacency_matrix(SINGULAR_TREE))
+
+
+def _weighted_path(weights, seed):
+    """A path with the given edge weights, as a matrix, relabeled at random."""
+    n = len(weights) + 1
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    rows = [[0.0] * n for _ in range(n)]
+    for i, w in enumerate(weights):
+        rows[perm[i]][perm[i + 1]] = rows[perm[i + 1]][perm[i]] = w
+    return SymMatrix(tuple(map(tuple, rows)))
+
+
+def test_planted_tiny_singular_value_keeps_its_relative_accuracy():
+    # weights 0.5, 1, 0.5, ..., 0.5 make B = 0.5*I + N, 33 x 33: the product
+    # of its singular values is det B = 0.5^33, and the least is 8.7e-11
+    mat = _weighted_path([0.5, 1.0] * 32 + [0.5], seed=66)
+    positive = eigenvalues(mat).values[:33]
+    assert 8.7e-11 < positive[-1] < 8.8e-11
+    assert math.prod(positive) == pytest.approx(0.5**33, rel=1e-13)
+    _assert_matches_rotation(mat, seed=66)
+
+
+@pytest.mark.parametrize("p, q", [(6, 6), (5, 9)])
+def test_planted_tiny_singular_value_matches_rotated_spectrum(p, q):
+    # B = U diag(sigma) V^T with sigma_1 = 1e-10: a dense bipartite block
+    rng = random.Random(p * q)
+    sigma = [1e-10] + [rng.uniform(0.5, 2.0) for _ in range(p - 1)]
+    u, v = _random_orthogonal(rng, p), _random_orthogonal(rng, q)
+    rows = [[0.0] * (p + q) for _ in range(p + q)]
+    for i in range(p):
+        for j in range(q):
+            rows[i][p + j] = rows[p + j][i] = sum(u[i][k] * sigma[k] * v[k][j] for k in range(p))
+    mat = SymMatrix(tuple(map(tuple, rows)))
+    values = sorted(map(abs, eigenvalues(mat).values))
+    assert values[: q - p] == [0.0] * (q - p)
+    assert values[q - p : q - p + 2] == [pytest.approx(1e-10, abs=1e-14)] * 2
+    _assert_matches_rotation(mat, seed=p + q)
+
+
+def test_dqds_iteration_cap_raises_with_a_finite_residual(monkeypatch):
+    # a twin-free bipartite block needs dqds transforms; with a cap of 0
+    # none is allowed
+    monkeypatch.setattr(spectral, "QL_ITERATION_CAP", 0)
+    with pytest.raises(ConvergenceError, match="dqds did not converge") as err:
+        eigenvalues(randic_matrix(generate(FamilySpec("cycle", 10))))
+    assert math.isfinite(err.value.residual) and err.value.residual > 0.0
 
 
 @pytest.mark.parametrize(
