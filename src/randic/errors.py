@@ -14,9 +14,11 @@ class EdgeNotFoundError(LookupError):
 
 
 class ConvergenceError(RuntimeError):
-    """The iterative eigensolver did not converge within its iteration cap.
+    """dqds, the eigensolver's one iteration, did not converge within its cap.
 
-    Carries the remaining off-diagonal Frobenius norm in ``residual``.
+    Carries in ``residual`` the Frobenius norm of the superdiagonal of the
+    bidiagonal still to be reduced: the square root of the sum of the qd
+    array e over the values not yet found.
     """
 
     def __init__(self, message: str, residual: float):

@@ -1,7 +1,6 @@
 """Degree-normalized (Randic) matrices, exact characteristic polynomials,
-an eigensolver (band bidiagonalization and dqds for bipartite blocks,
-tridiagonal reduction and implicit-shift QL for the rest), and the two
-spectral energies.
+an eigensolver (band bidiagonalization for bipartite blocks, tridiagonal
+reduction for the rest, and dqds for both), and the two spectral energies.
 
 The Randic matrix has entry 1/sqrt(d_i*d_j) on adjacent pairs. Its entries
 are irrational, but it is similar (via D^{1/2}) to the random-walk matrix
@@ -45,8 +44,10 @@ value, however small, to high relative accuracy; the eigenvalues of B^T B
 computed from the matrix itself could be off by eps*||B||^2 each, so a
 singular value near 0 could be off by sqrt(eps) = 1.5e-8 in the energy.
 Any other block goes through Householder tridiagonalization; those
-tridiagonals are joined and solved by one implicit-shift QL run. Single
-indices are their own eigenvalues.
+tridiagonals are joined into one T, shifted below its Gershgorin bound so
+that T - sigma*I = LDL^T is positive definite, and dqds finds the
+eigenvalues of LDL^T from q_i = D_i, e_i = L_i^2*D_i, which sigma shifts
+back. Single indices are their own eigenvalues.
 
 ``SymMatrix`` and ``Spectrum`` are immutable, hashable value classes.
 """
@@ -63,8 +64,7 @@ from .errors import ConvergenceError, DomainError
 from .graphs import Graph, _bfs
 from .ratpoly import RatPoly, convolve
 
-SOLVER_TOL = 1e-12
-QL_ITERATION_CAP = 30
+ITERATION_CAP = 30
 EXACT_ORDER_CAP = 128
 # the energies build a dense matrix of the non-isolated vertices and run a
 # cubic solver on it; beyond this order they raise DomainError instead
@@ -763,7 +763,8 @@ def _qd_pair(a: float, b: float, c: float, tol2: float) -> tuple[float, float]:
 
 def _dqds(q: list[float], e: list[float]) -> list[float]:
     """Eigenvalues of B^T B for a square upper bidiagonal B given by its qd
-    arrays q_i = a_i^2 > 0 and e_i = b_i^2 (e[i] couples i and i+1).
+    arrays q_i = a_i^2 > 0 and e_i = b_i^2 (e[i] couples i and i+1); for a
+    positive definite LDL^T = B^T B, q_i = D_i and e_i = L_i^2*D_i.
 
     The differential qd algorithm with shifts (Fernando and Parlett, Numer.
     Math. 67, 1994; Parlett and Marques, Linear Algebra Appl. 309, 2000;
@@ -777,7 +778,7 @@ def _dqds(q: list[float], e: list[float]) -> list[float]:
     add up in sigma; a value is deflated at the bottom once e_{n-1} <=
     tol^2*(sigma + q_n), tol = 100*eps, or two at once from the bottom 2 x 2
     once e_{n-2} <= tol^2*sigma. A zero e_j splits the array; each part has
-    its own sigma. ``QL_ITERATION_CAP`` caps the transforms, failed ones
+    its own sigma. ``ITERATION_CAP`` caps the transforms, failed ones
     included, at that many per value; past it ConvergenceError carries the
     Frobenius norm of the superdiagonal still to be reduced.
     """
@@ -818,10 +819,10 @@ def _dqds(q: list[float], e: list[float]) -> list[float]:
             tau = _dqds_shift(q, e, qo, eo, i0, n0, n0in, dmins, state)
             split = None
             while True:
-                if iterations >= QL_ITERATION_CAP * n:
+                if iterations >= ITERATION_CAP * n:
                     residual = math.sqrt(sum(e[i0:n0]) + sum(sum(s[4][s[0] : s[1]]) for s in stack))
                     raise ConvergenceError(
-                        f"dqds did not converge in {QL_ITERATION_CAP} iterations per value: "
+                        f"dqds did not converge in {ITERATION_CAP} iterations per value: "
                         f"{len(out)} of {n} found (residual {residual:.3e})",
                         residual,
                     )
@@ -1074,17 +1075,15 @@ def eigenvalues(mat: SymMatrix) -> Spectrum:
       is symmetric by construction;
     * any other block goes through Householder tridiagonalization.
 
-    The other blocks' tridiagonals are joined, with a zero subdiagonal entry
-    at each seam, and go through implicit Wilkinson-shift QL once (EISPACK
-    tql1, eigenvalues only). A subdiagonal entry e_m is deflated once
-    |e_m| <= max(eps*(|d_m|+|d_{m+1}|), t/sqrt(2(k-1))) at reduced order k,
-    t = ``SOLVER_TOL``, so the off-diagonal Frobenius norm dropped in total
-    is at most t beyond rounding. ``QL_ITERATION_CAP`` caps the QL
-    iterations spent on each eigenvalue of the joined tridiagonal, and the
-    dqds transforms spent on a bipartite block, at that many per singular
-    value; exceeding either raises ConvergenceError carrying the
-    off-diagonal Frobenius norm still to be reduced. A non-finite entry or
-    an asymmetric matrix raises ValueError.
+    The other blocks' tridiagonals are joined into one T, with a zero
+    subdiagonal entry at each seam. T is shifted below its Gershgorin bound
+    by sigma, with LAPACK DLARRE's margin, so that T - sigma*I = LDL^T is
+    positive definite; dqds finds the eigenvalues of LDL^T from q_i = D_i,
+    e_i = L_i^2*D_i (zero at the seams, where it splits), and sigma is added
+    back. ``ITERATION_CAP`` caps the dqds transforms of every call at that
+    many per value; past it ConvergenceError carries the Frobenius norm of
+    the superdiagonal still to be reduced. A non-finite entry or an
+    asymmetric matrix raises ValueError.
     """
     # one scan: each row is finite and equals the matching column, and its
     # support is taken for the twin search and the blocks
@@ -1096,24 +1095,24 @@ def eigenvalues(mat: SymMatrix) -> Spectrum:
         if row != col:
             raise ValueError("matrix is not symmetric")
         supports.append(sum(compress(bits, row)))
-    rows, split = mat.entries, []
+    rows, found = mat.entries, []
     while classes := _twin_classes(rows, supports):
         rows, supports, known = _split_twins(rows, classes)
-        split += known
+        found += known
     d: list[float] = []
     e: list[float] = []
     for layers, bipartite in _blocks(supports):
         if len(layers) == 1:
             (i,) = layers[0]
-            split.append(rows[i][i])
+            found.append(rows[i][i])
         elif bipartite:
             # two indices would be a twin pair, split off already, so B has
             # two or more columns
             a, b = _block_bidiagonal(rows, supports, layers)
             values = _singular_values(a, b)
-            split += values
-            split += [-x for x in values]
-            split += [0.0] * (sum(map(len, layers)) - 2 * len(values))
+            found += values
+            found += [-x for x in values]
+            found += [0.0] * (sum(map(len, layers)) - 2 * len(values))
         else:
             block = rows
             index = sorted(v for layer in layers for v in layer)
@@ -1122,53 +1121,22 @@ def eigenvalues(mat: SymMatrix) -> Spectrum:
             db, eb = _tridiagonalize(block)
             d += db
             e += eb
-    n = len(d)
-    floor = SOLVER_TOL / math.sqrt(2.0 * max(n - 1, 1))
-    eps = sys.float_info.epsilon
-    for l in range(n):
-        iterations = 0
-        while True:
-            m = l
-            while m < n - 1 and (em := abs(e[m])) > floor and em > eps * (abs(d[m]) + abs(d[m + 1])):
-                m += 1
-            if m == l:
-                break
-            if iterations >= QL_ITERATION_CAP:
-                residual = math.sqrt(2.0 * sum(x * x for x in e))
-                raise ConvergenceError(
-                    f"QL did not converge in {QL_ITERATION_CAP} iterations "
-                    f"for eigenvalue {l} (residual {residual:.3e})",
-                    residual,
-                )
-            iterations += 1
-            # implicit QL step on d[l..m] with the Wilkinson shift
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    # underflow: the block split at i+1; restart on it
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            else:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-    return Spectrum(tuple(sorted(d + split, reverse=True)))
+    if d:
+        # below the Gershgorin bound every pivot D_i is positive; the margin
+        # (LAPACK DLARRE's) keeps it so through the factorization's rounding
+        radii = list(map(operator.add, map(abs, e), map(abs, [0.0] + e)))
+        low = min(map(operator.sub, d, radii))
+        high = max(map(operator.add, d, radii))
+        eps = sys.float_info.epsilon
+        sigma = low - max(len(d) * eps * (high - low), 2.0 * eps * abs(low))
+        q = [d[0] - sigma]
+        f = []
+        for dj, ej in zip(d[1:], e):
+            t = ej * (ej / q[-1])
+            f.append(t)
+            q.append(dj - sigma - t)
+        found += [x + sigma for x in _dqds(q, f)]
+    return Spectrum(tuple(sorted(found, reverse=True)))
 
 
 def _check_energy_order(core: int) -> None:

@@ -482,7 +482,7 @@ def test_eigenvalues_randic_c4():
     assert spec.values == pytest.approx((1.0, 0.0, 0.0, -1.0), abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [3, 5, 8, 12, 200])
+@pytest.mark.parametrize("n", [3, 5, 8, 12, 31, 200, 201])
 def test_eigenvalues_cycle_analytic(n):
     # normalized cycle matrix has spectrum cos(2πk/n)
     got = eigenvalues(randic_matrix(generate(FamilySpec("cycle", n)))).values
@@ -512,17 +512,6 @@ def test_eigenvalues_rejects_bad_input():
 def test_eigenvalues_trivial_orders():
     assert eigenvalues(SymMatrix(())).values == ()
     assert eigenvalues(SymMatrix(((3.5,),))).values == (3.5,)
-
-
-def test_convergence_error_carries_residual(monkeypatch):
-    # no twins (the diagonals differ), so the QL iteration is needed
-    monkeypatch.setattr(spectral, "QL_ITERATION_CAP", 0)
-    mat = SymMatrix(((0.0, 1.0), (1.0, 1.0)))
-    with pytest.raises(ConvergenceError, match="in 0 iterations") as err:
-        eigenvalues(mat)
-    assert err.value.residual == pytest.approx(SQRT2, abs=1e-12)
-    # K2 is a twin pair: split off exactly, with no QL iteration
-    assert eigenvalues(SymMatrix(((0.0, 1.0), (1.0, 0.0)))).values == (1.0, -1.0)
 
 
 # ---------------------------------------------------------------- energies
@@ -611,18 +600,36 @@ def test_eigenvalues_isolated_vertices_scattered():
     assert eigenvalues(mat).values == pytest.approx(want, abs=1e-12)
 
 
-def test_eigenvalues_random_symmetric_trace_and_frobenius():
+@pytest.mark.parametrize("offset", [0.0, -10.0])
+def test_eigenvalues_random_symmetric_trace_and_frobenius(offset):
+    # an offset of -10 puts the whole spectrum, and the LDL^T shift below
+    # it, far below zero
     rng = random.Random(2014)
     n = 60
     rows = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            rows[i][j] = rows[j][i] = rng.uniform(-1.0, 1.0)
+            rows[i][j] = rows[j][i] = rng.uniform(-1.0, 1.0) + (offset if i == j else 0.0)
     vals = eigenvalues(SymMatrix(tuple(tuple(r) for r in rows))).values
     assert len(vals) == n
     assert sum(vals) == pytest.approx(sum(rows[i][i] for i in range(n)), abs=1e-11)
     frob = sum(x * x for r in rows for x in r)
     assert sum(v * v for v in vals) == pytest.approx(frob, rel=1e-13)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_eigenvalues_scale_with_the_matrix(scale):
+    # every deflation test is relative, so a matrix scaled far from 1 keeps
+    # its spectrum to the same relative accuracy
+    rng = random.Random(17)
+    n = 20
+    rows = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = rng.uniform(-1.0, 1.0)
+    want = eigenvalues(SymMatrix(tuple(map(tuple, rows)))).values
+    got = eigenvalues(SymMatrix(tuple(tuple(scale * x for x in r) for r in rows))).values
+    assert [x / scale for x in got] == pytest.approx(want, abs=1e-13)
 
 
 def test_eigenvalues_random_graph_roots_of_exact_charpoly():
@@ -669,7 +676,8 @@ def _rotated(mat, seed):
 def _assert_matches_rotation(mat, seed=0):
     got = eigenvalues(mat).values
     rotated = _rotated(mat, seed)
-    # the rotation leaves no twins, so this spectrum comes from QL alone
+    # the rotation leaves no twins and no bipartite block, so this spectrum
+    # comes from the tridiagonal's LDL^T alone
     assert _twin_classes(rotated) == []
     want = eigenvalues(rotated).values
     assert got == pytest.approx(want, abs=1e-12 * max(mat.order, 1))
@@ -787,8 +795,8 @@ def test_twin_split_exact_values(monkeypatch):
     assert values[0] == pytest.approx(1.0, abs=1e-12)
     assert values[1:] == (-1.0 / 127,) * 127
     assert randic_energy(generate(FamilySpec("friendship", 63))) == pytest.approx(64.0, abs=1e-9)
-    # complete and complete bipartite graphs split down to one index: no QL step
-    monkeypatch.setattr(spectral, "QL_ITERATION_CAP", 0)
+    # complete and complete bipartite graphs split down to one index: no dqds transform
+    monkeypatch.setattr(spectral, "ITERATION_CAP", 0)
     for spec in (FamilySpec("complete", 40), FamilySpec("complete_bipartite", 20, m=30)):
         assert len(eigenvalues(randic_matrix(generate(spec)))) == spec.n + (spec.m or 0)
 
@@ -969,13 +977,17 @@ def test_planted_tiny_singular_value_matches_rotated_spectrum(p, q):
     _assert_matches_rotation(mat, seed=p + q)
 
 
-def test_dqds_iteration_cap_raises_with_a_finite_residual(monkeypatch):
-    # a twin-free bipartite block needs dqds transforms; with a cap of 0
-    # none is allowed
-    monkeypatch.setattr(spectral, "QL_ITERATION_CAP", 0)
-    with pytest.raises(ConvergenceError, match="dqds did not converge") as err:
-        eigenvalues(randic_matrix(generate(FamilySpec("cycle", 10))))
+@pytest.mark.parametrize("n", [10, 9], ids=["bipartite", "non-bipartite"])
+def test_iteration_cap_raises_with_a_finite_residual(monkeypatch, n):
+    # a twin-free cycle needs dqds transforms, on the singular values of its
+    # bidiagonal or on the LDL^T of its tridiagonal; with a cap of 0 none is
+    # allowed
+    monkeypatch.setattr(spectral, "ITERATION_CAP", 0)
+    with pytest.raises(ConvergenceError, match="dqds did not converge in 0 iterations") as err:
+        eigenvalues(randic_matrix(generate(FamilySpec("cycle", n))))
     assert math.isfinite(err.value.residual) and err.value.residual > 0.0
+    # K2 is a twin pair: split off exactly, with no transform
+    assert eigenvalues(SymMatrix(((0.0, 1.0), (1.0, 0.0)))).values == (1.0, -1.0)
 
 
 @pytest.mark.parametrize(
