@@ -14,7 +14,6 @@ from .graphs import (
     FamilySpec,
     Graph,
     delete_edge,
-    disjoint_union,
     format_edge_list,
     generate,
     is_bipartite,
@@ -57,7 +56,6 @@ __all__ = [
     "FamilySpec",
     "Graph",
     "delete_edge",
-    "disjoint_union",
     "format_edge_list",
     "generate",
     "is_bipartite",

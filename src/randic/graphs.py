@@ -222,14 +222,6 @@ def delete_edge(g: Graph, u: int, v: int) -> Graph:
     return Graph(g.n, g.edges - {key})
 
 
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    """Union with g2's vertices relabeled by offset g1.n."""
-    off = g1.n
-    edges = set(g1.edges)
-    edges.update((u + off, v + off) for u, v in g2.edges)
-    return Graph(g1.n + g2.n, frozenset(edges))
-
-
 def permute_vertices(g: Graph, perm: Sequence[int]) -> Graph:
     """Relabel vertex v to perm[v]; perm must be a permutation of range(n)."""
     if sorted(perm) != list(range(g.n)):

@@ -34,8 +34,7 @@ layered breadth first from a pseudo-peripheral index (George and Liu), and
 each half taken in visiting order, so that B is banded whatever the labels:
 a path's B is upper bidiagonal and a cycle's has one diagonal below and one
 above. Givens rotations reduce B to upper bidiagonal form by chasing each
-bulge off the band (Schwarz; LAPACK xGBBRD), at O(p*q*w) for bandwidth w;
-a band as wide as the block goes through Golub-Kahan reflections instead.
+bulge off the band (Schwarz; LAPACK xGBBRD), at O(p*q*w) for bandwidth w.
 The singular values of the bidiagonal come from dqds on q_i = a_i^2, e_i =
 b_i^2 with the shifts of LAPACK DLASQ4 (Fernando and Parlett; Parlett and
 Marques), after a p x (p+1) bidiagonal's last entry is folded in and each
@@ -415,12 +414,10 @@ def _band_bidiagonalize(b, q: int) -> tuple[list[float], list[float]]:
     at each step from a bound kept on each row's first nonzero, so a dense
     column widens the band only until its step has cleared it.
 
-    Once kl + ku reaches the order of the trailing block, a chase would cost
-    more than reflecting what is left, and the rest is Golub-Kahan: one
-    Householder reflection from the left on column k and one from the right
-    on row k (Golub and Kahan, SIAM J. Numer. Anal. B 2, 1965; Golub and Van
-    Loan, Matrix Computations, 5.4.8). A full band takes that route from the
-    start, so it costs what Golub-Kahan costs.
+    A full band costs O(p^2*q): each rotation at step k spans the trailing
+    block, and the bulge it makes falls off the matrix at once. The last
+    step has only row p - 1 to clear past its superdiagonal, and that row
+    is read off.
     """
     p = len(b)
     first = [next(compress(count(), row)) for row in b]
@@ -482,8 +479,7 @@ def _band_bidiagonalize(b, q: int) -> tuple[list[float], list[float]]:
 
     diag: list[float] = []
     sup: list[float] = []
-    k = 0
-    while k < p:
+    for k in range(p):
         # the band for step k: rows k.. are zero left of column k, and those
         # with an entry in column k are taken past it, so a dense column
         # widens the band only at its own step; a row rotated with the row
@@ -494,56 +490,12 @@ def _band_bidiagonalize(b, q: int) -> tuple[list[float], list[float]]:
             rest[i - k] = next(compress(count(k + 1), a[i][k + 1 :]), q)
             bottom = i
         kl = max(chain([0], map(operator.sub, range(k + 1, p), rest[1:]), map(operator.sub, range(k + 1, bottom + 1), rest)))
-        if kl + ku >= p - k:
-            break
         for i in range(bottom, k, -1):
             chase(i, k)
         for j in range(min(k + ku, q - 1), k + 1, -1):
             chase(k, j)
         diag.append(a[k][k])
-        sup.append(a[k][k + 1])
-        k += 1
-    # Golub-Kahan on the trailing block; a row always ends at column q-1, so
-    # column j of row i is a[i][j - q], and a reflection replaces rows by
-    # shorter lists
-    for k in range(k, p):
-        lo = k + 1
-        x = list(map(operator.itemgetter(k - q), a[k:]))
-        if lo == q:
-            # the last row of a square B: a 1 x 1 block is left
-            diag.append(x[0])
-            sup.append(0.0)
-            break
-        top = a[k][lo - q :]
-        left = any(x[1:])
-        if not left and not any(top[1:]):
-            diag.append(x[0])
-            sup.append(top[0])
-            continue
-        rest = [a[i][lo - q :] for i in range(lo, p)]
-        # the left reflection I - beta*v*v^T on rows k..p-1 takes column k
-        # onto alpha*e1 and row i to row_i - c_i*u, with u = v^T R, c_i = beta*v_i
-        if left:
-            v, beta, alpha = _reflector(x)
-            u = [sum(map(operator.mul, v, col)) for col in zip(top, *rest)]
-            cs = [beta * vi for vi in v]
-            top = [y - cs[0] * uj for y, uj in zip(top, u)]
-        else:
-            alpha, u, cs = x[0], [0.0] * (q - lo), [0.0] * (p - k)
-        # the right reflection I - gamma*w*w^T on columns lo..q-1 takes row k
-        # (past its diagonal) onto b_k*e1
-        if any(top[1:]):
-            w, gamma, b_k = _reflector(top)
-        else:
-            w, gamma, b_k = [0.0] * (q - lo), 0.0, top[0]
-        diag.append(alpha)
-        sup.append(b_k)
-        # both applied to rows k+1..p-1 in one pass:
-        # row_i <- row_i - c_i*u - s_i*w with s_i = gamma*(row_i - c_i*u).w
-        wu = sum(map(operator.mul, w, u))
-        for i, c, row in zip(range(lo, p), cs[1:], rest):
-            s = gamma * (sum(map(operator.mul, row, w)) - c * wu)
-            a[i] = [y - c * uj - s * wj for y, uj, wj in zip(row, u, w)]
+        sup.append(a[k][k + 1] if k + 1 < q else 0.0)
     return diag, sup
 
 

@@ -19,8 +19,9 @@ from the integer numerators.
 ``cheb_u`` builds the Chebyshev polynomials of the second kind by their
 recurrence, an independent check on the library's explicit coefficients of
 the tridiagonal determinants Λ_k = U_k(λ)/2^k. ``is_connected`` is a plain
-breadth-first search, and ``randic_index`` the sum over the edges of
-1/sqrt(d_u d_v).
+breadth-first search, ``randic_index`` the sum over the edges of
+1/sqrt(d_u d_v), and ``disjoint_union`` places a second graph's vertices
+after the first's.
 """
 
 import math
@@ -74,6 +75,14 @@ def randic_index(g: Graph) -> float:
     """Sum over edges of 1/sqrt(d_i*d_j)."""
     degs = g.degrees
     return sum(1.0 / math.sqrt(degs[u] * degs[v]) for u, v in g.edges)
+
+
+def disjoint_union(g1: Graph, g2: Graph) -> Graph:
+    """Union with g2's vertices relabeled by offset g1.n."""
+    off = g1.n
+    edges = set(g1.edges)
+    edges.update((u + off, v + off) for u, v in g2.edges)
+    return Graph(g1.n + g2.n, frozenset(edges))
 
 
 def is_connected(g: Graph) -> bool:

@@ -23,7 +23,6 @@ from randic import (
     check_edge_deletion_lemmas,
     closed_charpoly,
     closed_energy,
-    disjoint_union,
     eigenvalues,
     generate,
     graph_energy,
@@ -36,7 +35,7 @@ from randic import (
 )
 from randic.cli import main as cli_main
 
-from oracles import cheb_u, is_connected
+from oracles import cheb_u, disjoint_union, is_connected
 
 ENERGY_TOL = 1e-9
 RESIDUAL_TOL = 1e-6

@@ -77,7 +77,6 @@ def test_public_surface_is_pinned():
         "closed_charpoly",
         "closed_energy",
         "delete_edge",
-        "disjoint_union",
         "eigenvalues",
         "format_edge_list",
         "format_poly",

@@ -10,7 +10,6 @@ from randic import (
     Graph,
     UnsupportedFamilyError,
     delete_edge,
-    disjoint_union,
     format_edge_list,
     generate,
     is_bipartite,
@@ -18,7 +17,7 @@ from randic import (
     permute_vertices,
 )
 
-from oracles import is_connected
+from oracles import disjoint_union, is_connected
 
 from randic import graphs, spectral
 from randic.graphs import EDGE_LIST_MAX_ORDER, FAMILY_MAX_EDGES

@@ -4,7 +4,7 @@ from fractions import Fraction as Fr
 
 import pytest
 import oracles
-from oracles import charpoly_at, charpoly_bruteforce, randic_index
+from oracles import charpoly_at, charpoly_bruteforce, disjoint_union, randic_index
 
 from randic import spectral
 from randic import (
@@ -19,7 +19,6 @@ from randic import (
     closed_charpoly,
     closed_energy,
     delete_edge,
-    disjoint_union,
     eigenvalues,
     generate,
     graph_energy,
@@ -975,6 +974,28 @@ def test_planted_tiny_singular_value_matches_rotated_spectrum(p, q):
     assert values[: q - p] == [0.0] * (q - p)
     assert values[q - p : q - p + 2] == [pytest.approx(1e-10, abs=1e-14)] * 2
     _assert_matches_rotation(mat, seed=p + q)
+
+
+def _crown(n):
+    """K_n x K_2, that is K(n, n) minus a perfect matching: vertex i is
+    joined to n + j for every j != i."""
+    return Graph.from_edges(2 * n, [(i, n + j) for i in range(n) for j in range(n) if i != j])
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_crown_runs_the_chase_through_a_full_square_band(n):
+    # dense, twin-free and bipartite: B is n x n with its band full from the
+    # first step, and the chase ends on a last row with no superdiagonal
+    g = _shuffled(random.Random(n), _crown(n))
+    mat = randic_matrix(g)
+    assert _twin_classes(mat) == []
+    a, b = _one_block_bidiagonal(mat)
+    assert len(a) == n and b[-1] == 0.0
+    # (n-1)-regular, so R = A/(n-1): eigenvalues ±1 and ±1/(n-1), n-1 times each
+    want = [1.0] + [1.0 / (n - 1)] * (n - 1) + [-1.0 / (n - 1)] * (n - 1) + [-1.0]
+    assert list(eigenvalues(mat).values) == pytest.approx(want, abs=1e-13)
+    assert randic_energy(g) == pytest.approx(4.0, abs=1e-9)
+    assert graph_energy(g) == pytest.approx(4.0 * (n - 1), abs=1e-9)
 
 
 @pytest.mark.parametrize("n", [10, 9], ids=["bipartite", "non-bipartite"])

@@ -19,6 +19,8 @@ from randic import (
 )
 from fractions import Fraction as Fr
 
+from oracles import disjoint_union
+
 
 def test_verify_instance_friendship5():
     rec = verify_instance(FamilySpec("friendship", 5))
@@ -103,7 +105,7 @@ def test_verify_instance_fills_symmetry_for_bipartite_only():
 def test_check_union_additivity_examples():
     # P2 u P3, K3 u K1 and F2 u F2 against the closed forms; K1 is an
     # isolated vertex (lambda, energy 0)
-    from randic import closed_energy, disjoint_union, randic_energy
+    from randic import closed_energy, randic_energy
 
     def part(family, n):
         spec = FamilySpec(family, n)
@@ -346,7 +348,7 @@ def test_union_additivity_respects_energy_values():
     # energies known in closed form: star -> 2, friendship n -> n+1
     star = generate(FamilySpec("star", 7))
     f3 = generate(FamilySpec("friendship", 3))
-    from randic import disjoint_union, randic_energy
+    from randic import randic_energy
 
     assert randic_energy(disjoint_union(star, f3)) == pytest.approx(6.0, abs=1e-9)
     assert math.isclose(
