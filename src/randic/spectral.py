@@ -35,13 +35,18 @@ each half taken in visiting order, so that B is banded whatever the labels:
 a path's B is upper bidiagonal and a cycle's has one diagonal below and one
 above. Givens rotations reduce B to upper bidiagonal form by chasing each
 bulge off the band (Schwarz; LAPACK xGBBRD), at O(p*q*w) for bandwidth w.
-The singular values of the bidiagonal come from dqds on q_i = a_i^2, e_i =
-b_i^2 with the shifts of LAPACK DLASQ4 (Fernando and Parlett; Parlett and
-Marques), after a p x (p+1) bidiagonal's last entry is folded in and each
-zero diagonal entry is split off by rotations. dqds keeps every singular
-value, however small, to high relative accuracy; the eigenvalues of B^T B
-computed from the matrix itself could be off by eps*||B||^2 each, so a
-singular value near 0 could be off by sqrt(eps) = 1.5e-8 in the energy.
+The bidiagonal is scaled by a power of two, exactly, to a largest entry in
+[1/2, 1), a p x (p+1) one has its last entry folded in, and each zero
+diagonal entry is split off by rotations; its singular values then come
+from dqds on q_i = a_i^2, e_i = b_i^2 (Fernando and Parlett; Parlett and
+Marques). Each dqds shift is LAPACK DLASQ4's bound from the bottom 2 x 2
+when nothing has deflated since the last transform and its least two d_j
+are its last two, and a quarter of the least d_j otherwise; the array
+splits at every zero e_j, one that underflows to zero on the way included.
+dqds keeps every singular value, however small, to high relative accuracy;
+the eigenvalues of B^T B computed from the matrix itself could be off by
+eps*||B||^2 each, so a singular value near 0 could be off by sqrt(eps) =
+1.5e-8 in the energy.
 Any other block goes through Householder tridiagonalization; those
 tridiagonals are joined into one T, shifted below its Gershgorin bound so
 that T - sigma*I = LDL^T is positive definite, and dqds finds the
@@ -544,155 +549,39 @@ def _deflate_zero(d: list[float], e: list[float], k: int) -> None:
         _fold(d, e, k)
 
 
-def _dqds_tail(q, e, j, i0, term, total, newest, cap):
-    """DLASQ4's estimate of how far the least d_j lies from the least
-    eigenvalue: ``total`` plus the terms term*e_j/q_j, term*e_j/q_j*e_{j-1}/
-    q_{j-1}, ... down to i0, stopped once the newest term (or, unless
-    ``newest``, the one before it) is below a hundredth of the total, or the
-    total passes ``cap``. None when some e_j > q_j, where the estimate fails.
+def _dqds_shift(q, e, n0, n0in, dmins):
+    """The shift for the next dqds transform of the segment ending at n0.
+
+    ``q``, ``e`` are the qd arrays the last transform made; ``n0in`` is n0
+    before the deflations since; ``dmins`` is (dmin, dmin1, dmin2, dn, dn1)
+    of that transform: the least d_j over all j, over j < n0in and over
+    j < n0in - 1, and the last two d_j. When nothing has deflated and the
+    least two d_j are the last two, the shift is LAPACK DLASQ4's bound from
+    the bottom 2 x 2 (Parlett and Marques, Linear Algebra Appl. 309, 2000,
+    section 6, cases 2 and 3); otherwise a quarter of the least d_j of the
+    values not deflated.
     """
-    while j >= i0 and term:
-        if e[j] > q[j]:
-            return None
-        prev = term
-        term *= e[j] / q[j]
-        total += term
-        if 100.0 * (term if newest else prev) < total or total > cap:
-            break
-        j -= 1
-    return total
-
-
-def _dqds_shift(q, e, qo, eo, i0, n0, n0in, dmins, state):
-    """The shift for the next dqds transform of the segment i0..n0: LAPACK
-    DLASQ4 (Parlett and Marques, Linear Algebra Appl. 309, 2000, section 6),
-    its cases numbered as there.
-
-    ``q``, ``e`` are the qd arrays the last transform made from ``qo``,
-    ``eo``; ``n0in`` is n0 before the deflations since; ``dmins`` is
-    (dmin, dmin1, dmin2, dn, dn1, dn2) of that transform: the least d_j over
-    all j, over j < n0in and over j < n0in - 1, and the last three d_j.
-    ``state`` holds the shift type and the growth factor g of case 6 across
-    calls. The shift is an estimate from below of the least eigenvalue: from
-    the bottom 2 x 2 when the least d_j are the last, else from a bound on
-    how far the least d_j is from it, else a fraction of dmin.
-    """
-    dmin, dmin1, dmin2, dn, dn1, dn2 = dmins
-    # the least d_j of the values not deflated since; -0.0 after a flip or a
-    # split asks for a transform without shift
-    if dmins[min(n0in - n0, 2)] <= 0.0:
-        state[0] = -1
+    dmin, dmin1, dmin2, dn, dn1 = dmins
+    # -0.0 after a flip or a split asks for a transform without shift
+    least = dmins[min(n0in - n0, 2)]
+    if least <= 0.0:
         return 0.0
-    third = 0.333
-    if n0in == n0:
-        if dmin == dn or dmin == dn1:
-            b1 = math.sqrt(q[n0]) * math.sqrt(e[n0 - 1])
-            b2 = math.sqrt(q[n0 - 1]) * math.sqrt(e[n0 - 2])
-            a2 = q[n0 - 1] + e[n0 - 1]
-            if dmin == dn and dmin1 == dn1:
-                # cases 2 and 3: the least two d_j are the last two
-                gap2 = dmin2 - a2 - dmin2 * 0.25
-                if gap2 > 0.0 and gap2 > b2:
-                    gap1 = a2 - dn - (b2 / gap2) * b2
-                else:
-                    gap1 = a2 - dn - (b1 + b2)
-                if gap1 > 0.0 and gap1 > b1:
-                    state[0] = -2
-                    return max(dn - (b1 / gap1) * b1, 0.5 * dmin)
-                s = dn - b1 if dn > b1 else 0.0
-                if a2 > b1 + b2:
-                    s = min(s, a2 - (b1 + b2))
-                state[0] = -3
-                return max(s, third * dmin)
-            # case 4: a Rayleigh quotient residual bound
-            state[0] = -4
-            s = 0.25 * dmin
-            if dmin == dn:
-                gam = dn
-                if e[n0 - 1] > q[n0 - 1]:
-                    return s
-                b2 = e[n0 - 1] / q[n0 - 1]
-                a2 = _dqds_tail(q, e, n0 - 2, i0, b2, b2, False, 0.563)
-            else:
-                gam = dn1
-                if eo[n0 - 1] > qo[n0] or e[n0 - 2] > q[n0 - 2]:
-                    return s
-                b2 = e[n0 - 2] / q[n0 - 2]
-                a2 = _dqds_tail(q, e, n0 - 3, i0, b2, eo[n0 - 1] / qo[n0] + b2, False, 0.563)
-            if a2 is not None and 1.05 * a2 < 0.563:
-                a2 *= 1.05
-                s = gam * (1.0 - math.sqrt(a2)) / (1.0 + a2)
-            return s
-        if dmin == dn2:
-            # case 5: the least d_j is the third from last
-            state[0] = -5
-            s = 0.25 * dmin
-            b1, b2 = qo[n0], qo[n0 - 1]
-            if eo[n0 - 2] > b2 or eo[n0 - 1] > b1:
-                return s
-            a2 = (eo[n0 - 2] / b2) * (1.0 + eo[n0 - 1] / b1)
-            if n0 - i0 > 2:
-                b2 = e[n0 - 3] / q[n0 - 3]
-                a2 = _dqds_tail(q, e, n0 - 4, i0, b2, a2 + b2, False, 0.563)
-                if a2 is None:
-                    return s
-                a2 *= 1.05
-            if a2 < 0.563:
-                s = dn2 * (1.0 - math.sqrt(a2)) / (1.0 + a2)
-            return s
-        # case 6: no information; a growing fraction of dmin
-        if state[0] == -6:
-            state[1] += third * (1.0 - state[1])
-        elif state[0] == -18:
-            state[1] = 0.25 * third
+    if n0in == n0 and dmin == dn and dmin1 == dn1:
+        b1 = math.sqrt(q[n0]) * math.sqrt(e[n0 - 1])
+        b2 = math.sqrt(q[n0 - 1]) * math.sqrt(e[n0 - 2])
+        a2 = q[n0 - 1] + e[n0 - 1]
+        gap2 = dmin2 - a2 - dmin2 * 0.25
+        if gap2 > 0.0 and gap2 > b2:
+            gap1 = a2 - dn - (b2 / gap2) * b2
         else:
-            state[1] = 0.25
-        state[0] = -6
-        return state[1] * dmin
-    if n0in == n0 + 1:
-        # one value deflated: dmin1 and dn1 stand for dmin and dn
-        if dmin1 == dn1 and dmin2 == dn2:
-            # cases 7 and 8
-            state[0] = -7
-            s = third * dmin1
-            if e[n0 - 1] > q[n0 - 1]:
-                return s
-            b1 = e[n0 - 1] / q[n0 - 1]
-            b2 = _dqds_tail(q, e, n0 - 2, i0, b1, b1, False, math.inf)
-            if b2 is None:
-                return s
-            b2 = math.sqrt(1.05 * b2)
-            a2 = dmin1 / (1.0 + b2 * b2)
-            gap2 = 0.5 * dmin2 - a2
-            if gap2 > 0.0 and gap2 > b2 * a2:
-                return max(s, a2 * (1.0 - 1.01 * a2 * (b2 / gap2) * b2))
-            state[0] = -8
-            return max(s, a2 * (1.0 - 1.01 * b2))
-        # case 9
-        state[0] = -9
-        return 0.5 * dmin1 if dmin1 == dn1 else 0.25 * dmin1
-    if n0in == n0 + 2:
-        # two values deflated: dmin2 and dn2 stand for dmin and dn
-        if dmin2 == dn2 and 2.0 * e[n0 - 1] < q[n0 - 1]:
-            # case 10
-            state[0] = -10
-            s = third * dmin2
-            b1 = e[n0 - 1] / q[n0 - 1]
-            b2 = _dqds_tail(q, e, n0 - 2, i0, b1, b1, True, math.inf)
-            if b2 is None:
-                return s
-            b2 = math.sqrt(1.05 * b2)
-            a2 = dmin2 / (1.0 + b2 * b2)
-            gap2 = q[n0 - 1] + e[n0 - 2] - math.sqrt(q[n0 - 2]) * math.sqrt(e[n0 - 2]) - a2
-            if gap2 > 0.0 and gap2 > b2 * a2:
-                return max(s, a2 * (1.0 - 1.01 * a2 * (b2 / gap2) * b2))
-            return max(s, a2 * (1.0 - 1.01 * b2))
-        # case 11
-        state[0] = -11
-        return 0.25 * dmin2
-    # case 12: more than two deflated, no information
-    state[0] = -12
-    return 0.0
+            gap1 = a2 - dn - (b1 + b2)
+        if gap1 > 0.0 and gap1 > b1:
+            return max(dn - (b1 / gap1) * b1, 0.5 * dmin)
+        s = dn - b1 if dn > b1 else 0.0
+        if a2 > b1 + b2:
+            s = min(s, a2 - (b1 + b2))
+        return max(s, 0.333 * dmin)
+    return 0.25 * least
 
 
 def _qd_pair(a: float, b: float, c: float, tol2: float) -> tuple[float, float]:
@@ -725,14 +614,21 @@ def _dqds(q: list[float], e: list[float]) -> list[float]:
     d_1 = q_1 - tau, q'_j = d_j + e_j, e'_j = e_j*q_{j+1}/q'_j,
     d_{j+1} = d_j*q_{j+1}/q'_j - tau, q'_n = d_n, with no subtraction but
     the shift's: every eigenvalue, however small, keeps high relative
-    accuracy, which forming B^T B would lose. A shift too large shows as a
-    negative d_j, and the transform is redone with a smaller one. The shifts
-    add up in sigma; a value is deflated at the bottom once e_{n-1} <=
-    tol^2*(sigma + q_n), tol = 100*eps, or two at once from the bottom 2 x 2
-    once e_{n-2} <= tol^2*sigma. A zero e_j splits the array; each part has
-    its own sigma. ``ITERATION_CAP`` caps the transforms, failed ones
-    included, at that many per value; past it ConvergenceError carries the
-    Frobenius norm of the superdiagonal still to be reduced.
+    accuracy, which forming B^T B would lose. The shift comes from the last
+    transform's d_j (``_dqds_shift``): DLASQ4's bound from the bottom 2 x 2
+    when its least two d_j are its last two and nothing has deflated since,
+    else a quarter of the least d_j of the values left. A shift too large
+    shows as a negative d_j, and the transform is redone with tau + d_n when
+    only d_n < 0, else with a quarter of tau, and with none after two
+    failures. The shifts add up in sigma; a value is deflated at the bottom
+    once e_{n-1} <= tol^2*(sigma + q_n), tol = 100*eps, or two at once from
+    the bottom 2 x 2 once e_{n-2} <= tol^2*sigma. A zero e_j splits the
+    array: one given, one a transform meets as d_j = e_j = 0, and, after a
+    transform whose least d_j is at most tol^2*sigma, the first that has
+    underflowed to 0. Each part has its own sigma. ``ITERATION_CAP`` caps
+    the transforms, failed ones included, at that many per value; past it
+    ConvergenceError carries the Frobenius norm of the superdiagonal still
+    to be reduced.
     """
     eps = sys.float_info.epsilon
     tol = 100.0 * eps
@@ -751,8 +647,7 @@ def _dqds(q: list[float], e: list[float]) -> list[float]:
     while stack:
         i0, n0, sigma, q, e, qo, eo = stack.pop()
         n0in = n0
-        dmins = (-0.0,) * 6
-        state = [0, 0.0]
+        dmins = (-0.0,) * 5
         while n0 >= i0:
             if n0 == i0 or e[n0 - 1] <= tol2 * (sigma + q[n0]):
                 out.append(q[n0] + sigma)
@@ -767,9 +662,10 @@ def _dqds(q: list[float], e: list[float]) -> list[float]:
                 # stands for J B^T J with the same singular values
                 q[i0 : n0 + 1] = q[i0 : n0 + 1][::-1]
                 e[i0:n0] = e[i0:n0][::-1]
-                dmins = (-0.0,) * 6
-            tau = _dqds_shift(q, e, qo, eo, i0, n0, n0in, dmins, state)
+                dmins = (-0.0,) * 5
+            tau = _dqds_shift(q, e, n0, n0in, dmins)
             split = None
+            failures = 0
             while True:
                 if iterations >= ITERATION_CAP * n:
                     residual = math.sqrt(sum(e[i0:n0]) + sum(sum(s[4][s[0] : s[1]]) for s in stack))
@@ -798,7 +694,7 @@ def _dqds(q: list[float], e: list[float]) -> list[float]:
                         dmin = d
                 else:
                     qo[n0] = d
-                    (dn2, dmin2), (dn1, dmin1) = tail
+                    (_, dmin2), (dn1, dmin1) = tail
                     if dmin >= 0.0:
                         break
                     if dmin1 > 0.0 and -d < tol * sigma and eo[n0 - 1] < tol * (sigma + dn1):
@@ -812,45 +708,56 @@ def _dqds(q: list[float], e: list[float]) -> list[float]:
                 # the shift was too large: after two failures none; when only
                 # the last d_j is negative, tau + d_n (a very good shift);
                 # else a quarter of it
-                if state[0] < -22:
+                if failures >= 2:
                     tau = 0.0
                 elif len(tail) == 2 and dmin1 > 0.0:
                     tau = (tau + d) * (1.0 - 2.0 * eps)
-                    state[0] -= 11
                 else:
                     tau *= 0.25
-                    state[0] -= 12
+                failures += 1
+            if split is None:
+                sigma += tau
+                dmins = (dmin, dmin1, dmin2, d, dn1)
+                q, qo, e, eo = qo, q, eo, e
+                n0in = n0
+                if dmin > tol2 * sigma:
+                    continue
+                # a d_j this close to 0 beside an e_j that underflowed to 0
+                # would be driven to 0/0 by the next shifts: split at the
+                # first zero e_j, as LAPACK DLASQ2 does when the least e_j is
+                # tiny
+                split = next(compress(count(i0), map(operator.not_, e[i0:n0])), None)
             if split is not None:
-                # d_j = e_j = 0: the array splits below j
+                # d_j = e_j = 0, or e_j = 0: the array splits below j
                 stack.append((i0, split, sigma, q, e, qo, eo))
                 i0 = split + 1
-                dmins = (-0.0,) * 6
+                dmins = (-0.0,) * 5
                 n0in = n0
-                continue
-            sigma += tau
-            dmins = (dmin, dmin1, dmin2, d, dn1, dn2)
-            q, qo, e, eo = qo, q, eo, e
-            n0in = n0
     return out
 
 
 def _singular_values(d: list[float], e: list[float]) -> list[float]:
     """Singular values of the m x (m+1) upper bidiagonal with diagonal ``d``
     and superdiagonal ``e`` (e[m-1] couples row m-1 to column m, 0 for a
-    square one); both lists are overwritten.
+    square one).
 
-    The extra column is folded in first (``_fold``). A diagonal entry whose
-    square underflows, an exact zero above all (B rank-deficient beyond
-    |p - q|), is split off by ``_deflate_zero`` as a zero singular value, so
-    every other q_i = d_i^2 is positive; then ``_dqds``.
+    The entries are scaled by a power of two, exactly, so that the largest
+    lies in [1/2, 1): their squares neither overflow nor underflow with the
+    scale of B. The extra column is folded in first (``_fold``). A diagonal
+    entry whose square underflows, an exact zero above all (B rank-deficient
+    beyond |p - q|), is split off by ``_deflate_zero`` as a zero singular
+    value, so every other q_i = d_i^2 is positive; then ``_dqds``.
     """
     m = len(d)
+    k = math.frexp(max(map(abs, d + e)))[1]
+    d = [math.ldexp(x, -k) for x in d]
+    e = [math.ldexp(x, -k) for x in e]
     if e[m - 1]:
         _fold(d, e, m)
-    for k in compress(count(), map(operator.not_, map(operator.mul, d, d))):
-        d[k] = 0.0
-        _deflate_zero(d, e, k)
-    return [math.sqrt(x) for x in _dqds([x * x for x in d], [x * x for x in e[: m - 1]])]
+    for j in compress(count(), map(operator.not_, map(operator.mul, d, d))):
+        d[j] = 0.0
+        _deflate_zero(d, e, j)
+    return [math.ldexp(math.sqrt(x), k) for x in _dqds([x * x for x in d], [x * x for x in e[: m - 1]])]
 
 
 def _twin_classes(rows, supports: list[int]) -> list[list[int]]:

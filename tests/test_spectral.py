@@ -616,19 +616,23 @@ def test_eigenvalues_random_symmetric_trace_and_frobenius(offset):
     assert sum(v * v for v in vals) == pytest.approx(frob, rel=1e-13)
 
 
-@pytest.mark.parametrize("scale", [1e-150, 1e150])
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-150, 1e150, 1e200, 1e300])
 def test_eigenvalues_scale_with_the_matrix(scale):
-    # every deflation test is relative, so a matrix scaled far from 1 keeps
-    # its spectrum to the same relative accuracy
+    # every deflation test is relative, and a bipartite block's entries are
+    # scaled by a power of two before they are squared, so a matrix scaled
+    # far from 1 keeps its spectrum to the same relative accuracy on both
+    # block routes
     rng = random.Random(17)
     n = 20
-    rows = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            rows[i][j] = rows[j][i] = rng.uniform(-1.0, 1.0)
-    want = eigenvalues(SymMatrix(tuple(map(tuple, rows)))).values
-    got = eigenvalues(SymMatrix(tuple(tuple(scale * x for x in r) for r in rows))).values
-    assert [x / scale for x in got] == pytest.approx(want, abs=1e-13)
+    for bipartite in (False, True):
+        rows = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if not bipartite or i < 9 <= j:
+                    rows[i][j] = rows[j][i] = rng.uniform(-1.0, 1.0)
+        want = eigenvalues(SymMatrix(tuple(map(tuple, rows)))).values
+        got = eigenvalues(SymMatrix(tuple(tuple(scale * x for x in r) for r in rows))).values
+        assert [x / scale for x in got] == pytest.approx(want, abs=1e-13)
 
 
 def test_eigenvalues_random_graph_roots_of_exact_charpoly():
@@ -959,6 +963,29 @@ def test_planted_tiny_singular_value_keeps_its_relative_accuracy():
     _assert_matches_rotation(mat, seed=66)
 
 
+def _frexp_product(xs):
+    """The product of positive floats as (mantissa, exponent), free of
+    underflow."""
+    m, k = 1.0, 0
+    for x in xs:
+        m, j = math.frexp(m * x)
+        k += j
+    return m, k
+
+
+def test_graded_path_splits_at_an_underflowed_coupling():
+    # weights from 1e-9 to 1: a coupling e_j underflows to 0 in mid array
+    # while its q_j shrinks towards 1e-301, and dqds must split there
+    rng = random.Random(20)
+    weights = [10 ** rng.uniform(-9, 0) for _ in range(219)]
+    values = eigenvalues(_weighted_path(weights, seed=20)).values
+    # the trace of M^2 is 2*sum(w^2), and the positive values multiply to
+    # |det B|, the product of B's diagonal weights
+    assert math.fsum(x * x for x in values) == pytest.approx(2.0 * math.fsum(w * w for w in weights), rel=1e-13)
+    (m, k), (want, k0) = _frexp_product(values[:110]), _frexp_product(weights[0::2])
+    assert math.ldexp(m, k - k0) == pytest.approx(want, rel=1e-11)
+
+
 @pytest.mark.parametrize("p, q", [(6, 6), (5, 9)])
 def test_planted_tiny_singular_value_matches_rotated_spectrum(p, q):
     # B = U diag(sigma) V^T with sigma_1 = 1e-10: a dense bipartite block
@@ -1009,6 +1036,14 @@ def test_iteration_cap_raises_with_a_finite_residual(monkeypatch, n):
     assert math.isfinite(err.value.residual) and err.value.residual > 0.0
     # K2 is a twin pair: split off exactly, with no transform
     assert eigenvalues(SymMatrix(((0.0, 1.0), (1.0, 0.0)))).values == (1.0, -1.0)
+
+
+def test_dqds_converges_well_inside_the_iteration_cap(monkeypatch):
+    # the least caps that converge are 5, 5, 10 and 9: a shift that
+    # converges more slowly fails here before it reaches the cap of 30
+    monkeypatch.setattr(spectral, "ITERATION_CAP", 12)
+    for spec in (FamilySpec("path", 255), FamilySpec("cycle", 256), FamilySpec("cycle", 63), FamilySpec("cycle", 127)):
+        assert randic_energy(generate(spec)) == pytest.approx(closed_energy(spec), abs=1e-9)
 
 
 @pytest.mark.parametrize(
