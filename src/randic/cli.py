@@ -1,7 +1,9 @@
 """Command-line front end: generate graphs, print polynomials and energies,
 and run the verification sweep.
 
-Exit codes: 0 success, 1 runtime/domain failure, 2 usage error.
+Exit codes: 0 success; 2 a request outside a documented limit (the library's
+DomainError, which ``main`` alone turns into an exit code; a --family spec is
+refused before any graph is built) or malformed usage; 1 work that failed.
 """
 
 from __future__ import annotations
@@ -9,12 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 
-from .closed_forms import closed_charpoly, closed_energy
-from .errors import ConvergenceError, DomainError, EdgeNotFoundError, UnsupportedFamilyError
+from .closed_forms import _check_domain, closed_charpoly, closed_energy
+from .errors import ConvergenceError, DomainError, EdgeNotFoundError
 from .graphs import (
-    COMPLETE_BIPARTITE,
     FAMILIES,
     FamilySpec,
     Graph,
@@ -25,7 +25,7 @@ from .graphs import (
     parse_edge_list,
 )
 from .ratpoly import RatPoly, format_coeffs, format_poly
-from .spectral import EXACT_ORDER_CAP, _check_energy_order, charpoly_exact, graph_energy, randic_energy
+from .spectral import ENERGY_ORDER_CAP, EXACT_ORDER_CAP, _check_order, charpoly_exact, graph_energy, randic_energy
 from .verify import verify_all
 
 _FAMILY_CHOICES = sorted(family.replace("_", "-") for family in FAMILIES)
@@ -40,33 +40,55 @@ def _add_family_args(sub: argparse.ArgumentParser, with_input: bool) -> None:
     sub.add_argument("--minus-edge", action="store_true", help="delete the canonical edge")
 
 
-def _family_from_args(args, parser: argparse.ArgumentParser) -> str:
-    """The --family value in library spelling, once --m is checked against it."""
+def _parse_sweep(text: str, parser) -> tuple[int, int]:
+    lo, sep, hi = text.partition("..")
+    if not sep or not lo.isdigit() or not hi.isdigit():
+        parser.error("--sweep expects a range like 2..8")
+    if int(lo) > int(hi):
+        parser.error(f"--sweep range {text} is empty: N1 must not exceed N2")
+    return int(lo), int(hi)
+
+
+def _family_specs(args, parser, cap: int | None = None, closed: bool = False) -> list[FamilySpec]:
+    """The --family spec at --n, or at each --sweep end, checked before any
+    graph is built: against ``generate``'s domain, against ``cap``
+    non-isolated vertices when one is given, and against the closed forms'
+    domain when ``closed``. A refusal is a DomainError that names the spec."""
     if args.family is None:
         parser.error("--family is required (or --input where supported)")
-    family = args.family.replace("-", "_")
-    if args.m is not None and family != COMPLETE_BIPARTITE:
-        parser.error("--m is only valid with --family complete-bipartite")
-    if family == COMPLETE_BIPARTITE and args.m is None:
-        parser.error("--family complete-bipartite requires --m")
-    return family
-
-
-def _spec_from_args(args, parser: argparse.ArgumentParser) -> FamilySpec:
-    if args.family is not None and args.n is None:
+    sweep = getattr(args, "sweep", None)
+    if sweep:
+        if args.n is not None:
+            parser.error("--sweep and --n are mutually exclusive")
+        ends, where = _parse_sweep(sweep, parser), f"--sweep {sweep} reaches "
+    elif args.n is None:
         parser.error("--n is required with --family")
-    family = _family_from_args(args, parser)
-    return FamilySpec(family, args.n, m=args.m, minus_edge=args.minus_edge)
+    else:
+        ends, where = (args.n,), ""
+    family = args.family.replace("-", "_")
+    specs = [FamilySpec(family, n, m=args.m, minus_edge=args.minus_edge) for n in ends]
+    for spec in specs:
+        try:
+            _validate_spec(spec)
+            if cap is not None:
+                _check_order(_family_core_size(spec), cap)
+            if closed:
+                _check_domain(spec, "form")
+        except DomainError as exc:
+            raise DomainError(f"{where}{spec.label()}: {exc}") from None
+    return specs
 
 
-def _graph_from_args(args, parser: argparse.ArgumentParser) -> tuple[Graph, FamilySpec | None]:
-    if getattr(args, "input", None):
-        if args.family is not None:
-            parser.error("--input and --family are mutually exclusive")
+def _graph_from_args(args, parser, cap: int) -> Graph:
+    """The --input graph, or the --family graph once its spec passes ``cap``."""
+    if args.input:
+        given = (("family", args.family), ("n", args.n), ("m", args.m), ("minus-edge", args.minus_edge or None))
+        for option, value in given:
+            if value is not None:
+                parser.error(f"--input and --{option} are mutually exclusive")
         with open(args.input, encoding="utf-8") as fh:
-            return parse_edge_list(fh.read()), None
-    spec = _spec_from_args(args, parser)
-    return generate(spec), spec
+            return parse_edge_list(fh.read())
+    return generate(_family_specs(args, parser, cap)[0])
 
 
 def _poly_json(p: RatPoly) -> dict:
@@ -74,8 +96,7 @@ def _poly_json(p: RatPoly) -> dict:
 
 
 def _cmd_gen(args, parser) -> int:
-    spec = _spec_from_args(args, parser)
-    text = format_edge_list(generate(spec))
+    text = format_edge_list(generate(_family_specs(args, parser)[0]))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -86,14 +107,15 @@ def _cmd_gen(args, parser) -> int:
 
 def _cmd_charpoly(args, parser) -> int:
     descending = args.order == "desc"
-    if args.mode in ("closed", "both") and getattr(args, "input", None):
-        parser.error("--mode closed/both requires --family, not --input")
-    if args.mode == "closed":
-        spec, exact = _spec_from_args(args, parser), None
+    if args.mode == "exact":
+        exact, closed = charpoly_exact(_graph_from_args(args, parser, EXACT_ORDER_CAP)), None
     else:
-        g, spec = _graph_from_args(args, parser)
-        exact = charpoly_exact(g)
-    closed = closed_charpoly(spec) if args.mode in ("closed", "both") else None
+        if args.input:
+            parser.error("--mode closed/both requires --family, not --input")
+        both = args.mode == "both"
+        spec = _family_specs(args, parser, EXACT_ORDER_CAP if both else None, closed=True)[0]
+        closed = closed_charpoly(spec)
+        exact = charpoly_exact(generate(spec)) if both else None
     if args.format == "json":
         if args.mode == "both":
             payload = {
@@ -114,92 +136,49 @@ def _cmd_charpoly(args, parser) -> int:
     return 0
 
 
-def _parse_sweep(text: str, parser) -> tuple[int, int]:
-    lo, sep, hi = text.partition("..")
-    if not sep or not lo.isdigit() or not hi.isdigit():
-        parser.error("--sweep expects a range like 2..8")
-    if int(lo) > int(hi):
-        parser.error(f"--sweep range {text} is empty: N1 must not exceed N2")
-    return int(lo), int(hi)
-
-
 def _cmd_energy(args, parser) -> int:
     if args.format == "csv" and not args.sweep:
         parser.error("--format csv is only valid with --sweep")
     if args.sweep:
-        if getattr(args, "input", None):
+        if args.input:
             parser.error("--sweep requires --family, not --input")
-        lo, hi = _parse_sweep(args.sweep, parser)
-        family = _family_from_args(args, parser)
-        spec_at = partial(FamilySpec, family, m=args.m, minus_edge=args.minus_edge)
-        # every family's limits and order bind at an end: check both before
-        # any energy, the order from the spec alone
-        try:
-            for spec in (spec_at(lo), spec_at(hi)):
-                _validate_spec(spec)
-            _check_energy_order(_family_core_size(spec))
-        except (DomainError, UnsupportedFamilyError) as exc:
-            parser.error(f"--sweep {args.sweep} reaches {spec.label()}: {exc}")
+        # every family's limits and order bind at an end
+        lo, hi = _family_specs(args, parser, ENERGY_ORDER_CAP)
         rows = []
-        for n in range(lo, hi + 1):
-            spec = spec_at(n)
+        for n in range(lo.n, hi.n + 1):
+            spec = FamilySpec(lo.family, n, m=lo.m, minus_edge=lo.minus_edge)
             re_num = randic_energy(generate(spec))
             try:
                 re_closed: float | None = closed_energy(spec)
-                err: float | None = abs(re_num - re_closed)
-            except (DomainError, UnsupportedFamilyError):
+            except DomainError:
                 re_closed = None
-                err = None
-            rows.append((spec, re_num, re_closed, err))
+            err = None if re_closed is None else abs(re_num - re_closed)
+            rows.append({"family": spec.family, "n": n, "m": spec.m, "minus_edge": spec.minus_edge,
+                         "re_numeric": re_num, "re_closed": re_closed, "abs_err": err})
         if args.format == "json":
-            print(
-                json.dumps(
-                    [
-                        {
-                            "family": s.family,
-                            "n": s.n,
-                            "m": s.m,
-                            "minus_edge": s.minus_edge,
-                            "re_numeric": re_num,
-                            "re_closed": re_closed,
-                            "abs_err": err,
-                        }
-                        for s, re_num, re_closed, err in rows
-                    ]
-                )
-            )
+            print(json.dumps(rows))
             return 0
-        lines = []
-        if args.format == "csv":
-            lines.append("family,n,m,re_numeric,re_closed,abs_err,minus_edge")
-        for s, re_num, re_closed, err in rows:
-            m_field = "" if s.m is None else str(s.m)
-            closed_field = "" if re_closed is None else str(re_closed)
-            err_field = "" if err is None else str(err)
-            minus_edge = "true" if s.minus_edge else "false"
-            lines.append(f"{s.family},{s.n},{m_field},{re_num},{closed_field},{err_field},{minus_edge}")
+        columns = ("family", "n", "m", "re_numeric", "re_closed", "abs_err")
+        lines = [",".join(columns) + ",minus_edge"] if args.format == "csv" else []
+        for row in rows:
+            cells = ["" if row[c] is None else str(row[c]) for c in columns]
+            lines.append(",".join([*cells, "true" if row["minus_edge"] else "false"]))
         print("\n".join(lines))
         return 0
-    g, _spec = _graph_from_args(args, parser)
-    re_num = randic_energy(g)
+    g = _graph_from_args(args, parser, ENERGY_ORDER_CAP)
+    energies = {"re": randic_energy(g)}
     if args.adjacency:
-        e_num = graph_energy(g)
-        if args.format == "json":
-            print(json.dumps({"re": re_num, "e": e_num}))
-        else:
-            print(f"RE {re_num}")
-            print(f"E {e_num}")
-        return 0
+        energies["e"] = graph_energy(g)
     if args.format == "json":
-        print(json.dumps({"re": re_num}))
+        print(json.dumps(energies))
+    elif args.adjacency:
+        print(f"RE {energies['re']}\nE {energies['e']}")
     else:
-        print(re_num)
+        print(energies["re"])
     return 0
 
 
 def _cmd_verify(args, parser) -> int:
-    if not 5 <= args.max_n <= EXACT_ORDER_CAP:
-        parser.error(f"--max-n must be between 5 and {EXACT_ORDER_CAP}")
     report = verify_all(args.max_n)
     text = report.to_json()
     if args.report:
@@ -250,14 +229,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (
-        DomainError,
-        UnsupportedFamilyError,
-        EdgeNotFoundError,
-        ConvergenceError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except DomainError as exc:  # a ValueError: caught before the runtime errors
+        parser.error(str(exc))
+    except (EdgeNotFoundError, ConvergenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

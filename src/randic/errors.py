@@ -5,7 +5,7 @@ class DomainError(ValueError):
     """A parameter lies outside the domain an operation supports."""
 
 
-class UnsupportedFamilyError(ValueError):
+class UnsupportedFamilyError(DomainError):
     """The requested variant is not defined for this graph family."""
 
 

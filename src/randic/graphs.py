@@ -270,8 +270,8 @@ EDGE_LIST_MAX_ORDER = 100_000
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format; blank lines and lines starting with '#' are ignored.
 
-    Raises ValueError on malformed input and on a header vertex count above
-    ``EDGE_LIST_MAX_ORDER``.
+    Raises ValueError on malformed input, and DomainError (a ValueError) on a
+    header vertex count above ``EDGE_LIST_MAX_ORDER``.
     """
     rows = [ln.strip() for ln in text.splitlines()]
     rows = [ln for ln in rows if ln and not ln.startswith("#")]
@@ -282,7 +282,7 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError(f"header must be 'n m', got {rows[0]!r}")
     n, m = int(head[0]), int(head[1])
     if n > EDGE_LIST_MAX_ORDER:
-        raise ValueError(f"header declares {n} vertices; the limit is {EDGE_LIST_MAX_ORDER}")
+        raise DomainError(f"header declares {n} vertices; the limit is {EDGE_LIST_MAX_ORDER}")
     if len(rows) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(rows) - 1}")
     edges: set[tuple[int, int]] = set()

@@ -75,6 +75,15 @@ EXACT_ORDER_CAP = 128
 ENERGY_ORDER_CAP = 1024
 
 
+def _check_order(k: int, cap: int) -> None:
+    """DomainError when ``k`` non-isolated vertices exceed ``cap``, the exact
+    route's ``EXACT_ORDER_CAP`` or the energies' ``ENERGY_ORDER_CAP``."""
+    if k > cap and cap == EXACT_ORDER_CAP:
+        raise DomainError(f"exact characteristic polynomial capped at order {cap} (got {k})")
+    if k > cap:
+        raise DomainError(f"energies capped at {cap} non-isolated vertices (got {k})")
+
+
 class SymMatrix(FrozenRecord):
     """Dense symmetric matrix of floats (row-major tuple of row tuples);
     immutable and hashable."""
@@ -288,8 +297,7 @@ def charpoly_exact(g: Graph) -> RatPoly:
     degs = g.degrees
     isolated = degs.count(0)
     k = g.n - isolated
-    if k > EXACT_ORDER_CAP:
-        raise DomainError(f"exact characteristic polynomial capped at order {EXACT_ORDER_CAP} (got {k})")
+    _check_order(k, EXACT_ORDER_CAP)
     if k == 0:
         return RatPoly.one().shift(isolated)
     # the non-isolated vertices in reversed breadth-first order: the labeling
@@ -998,12 +1006,6 @@ def eigenvalues(mat: SymMatrix) -> Spectrum:
     return Spectrum(tuple(sorted(found, reverse=True)))
 
 
-def _check_energy_order(core: int) -> None:
-    """DomainError when ``core`` non-isolated vertices exceed ``ENERGY_ORDER_CAP``."""
-    if core > ENERGY_ORDER_CAP:
-        raise DomainError(f"energies capped at {ENERGY_ORDER_CAP} non-isolated vertices (got {core})")
-
-
 def _energy_core(g: Graph) -> Graph:
     """``g`` less its isolated vertices, the others relabeled in order;
     DomainError when more than ``ENERGY_ORDER_CAP`` remain.
@@ -1013,7 +1015,7 @@ def _energy_core(g: Graph) -> Graph:
     """
     degs = g.degrees
     core = g.n - degs.count(0)
-    _check_energy_order(core)
+    _check_order(core, ENERGY_ORDER_CAP)
     if core == g.n:
         return g
     index = {v: i for i, v in enumerate(v for v, d in enumerate(degs) if d)}

@@ -27,7 +27,7 @@ from functools import cache, partial
 from . import __version__
 from ._record import Record
 from .closed_forms import closed_charpoly, closed_energy
-from .errors import ConvergenceError, DomainError, UnsupportedFamilyError
+from .errors import ConvergenceError, DomainError
 from .graphs import (
     COMPLETE,
     COMPLETE_BIPARTITE,
@@ -200,7 +200,7 @@ def _record(spec: FamilySpec, note: str, reference: Callable) -> VerdictRecord:
         g, expected_poly, expected_energy = reference()
         p_exact = charpoly_exact(g)
         spectrum = eigenvalues(randic_matrix(g))
-    except (DomainError, UnsupportedFamilyError, ConvergenceError) as exc:
+    except (DomainError, ConvergenceError) as exc:
         return VerdictRecord(
             spec=spec,
             charpoly_match=False,

@@ -20,6 +20,14 @@ def run_usage_error(capsys, *argv):
     return err.value.code
 
 
+def run_refused(capsys, *argv):
+    """Exit code, stdout and the last stderr line of a command that argparse ends."""
+    with pytest.raises(SystemExit) as err:
+        main(list(argv))
+    out = capsys.readouterr()
+    return err.value.code, out.out, out.err.splitlines()[-1]
+
+
 # ---------------------------------------------------------------- gen
 
 
@@ -55,17 +63,17 @@ def test_gen_to_file(tmp_path, capsys):
     assert target.read_text().splitlines()[0] == "4 4"
 
 
-def test_gen_domain_error_exit1(capsys):
-    code, _, err = run_cli(capsys, "gen", "--family", "cycle", "--n", "2")
-    assert code == 1
+def test_gen_domain_error_exit2(capsys):
+    code, _, err = run_refused(capsys, "gen", "--family", "cycle", "--n", "2")
+    assert code == 2
     assert "error:" in err
 
 
-def test_gen_above_family_edge_limit_exit1(tmp_path, capsys):
+def test_gen_above_family_edge_limit_exit2(tmp_path, capsys):
     # complete(1025) has 524,800 edges, one vertex past the largest the energies accept
     out_file = tmp_path / "k1025.txt"
-    code, out, err = run_cli(capsys, "gen", "--family", "complete", "--n", "1025", "--out", str(out_file))
-    assert code == 1 and out == ""
+    code, out, err = run_refused(capsys, "gen", "--family", "complete", "--n", "1025", "--out", str(out_file))
+    assert code == 2 and out == ""
     assert "limit is 523776" in err
     assert not out_file.exists()
 
@@ -111,18 +119,30 @@ def test_charpoly_cycle3_both(capsys):
     assert lines[2] == "equal: true"
 
 
-def test_charpoly_closed_outside_domain_exit1(capsys):
-    code, _, err = run_cli(
+def test_charpoly_closed_outside_domain_exit2(capsys):
+    code, _, err = run_refused(
         capsys, "charpoly", "--family", "path", "--n", "1", "--mode", "closed"
     )
-    assert code == 1
+    assert code == 2
     assert "n >= 2" in err
 
 
-def test_charpoly_closed_above_energy_order_cap_exit1(capsys):
-    code, out, err = run_cli(capsys, "charpoly", "--family", "path", "--n", "20000", "--mode", "closed")
-    assert code == 1 and out == ""
+def test_charpoly_closed_above_energy_order_cap_exit2(capsys):
+    code, out, err = run_refused(capsys, "charpoly", "--family", "path", "--n", "20000", "--mode", "closed")
+    assert code == 2 and out == ""
     assert f"capped at {spectral.ENERGY_ORDER_CAP}" in err
+
+
+def test_charpoly_both_checks_the_closed_domain_before_the_exact_route(capsys, monkeypatch):
+    import randic.cli
+
+    def no_exact(g):
+        raise AssertionError("the exact route ran")
+
+    monkeypatch.setattr(randic.cli, "charpoly_exact", no_exact)
+    code, out, err = run_refused(capsys, "charpoly", "--family", "path", "--n", "100", "--minus-edge", "--mode", "both")
+    assert code == 2 and out == ""
+    assert err.endswith("path(100)-e: no minus-edge closed form for path")
 
 
 def test_charpoly_json_coeff_strings(capsys):
@@ -320,6 +340,78 @@ def test_energy_json_single(capsys):
     assert abs(json.loads(out)["re"] - 2.0) < 1e-9
 
 
+# ---------------------------------------------------------------- refusals
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [
+        (["--family", "path"], 0),
+        (["--family", "cycle"], 2),
+        (["--family", "complete"], 1025),
+        (["--family", "path"], 500000),
+        (["--family", "friendship", "--minus-edge"], 3),
+        (["--family", "path", "--minus-edge"], 1026),
+        (["--family", "complete-bipartite"], 3),
+        (["--family", "star", "--m", "2"], 4),
+    ],
+    ids=["path-0", "cycle-2", "complete-1025", "path-500000", "friendship-3-e", "path-1026-e",
+         "complete-bipartite-no-m", "star-with-m"],
+)
+def test_energy_n_and_single_point_sweep_refuse_alike_from_the_spec(capsys, monkeypatch, family, n):
+    import randic.cli
+
+    def no_graph(spec):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(randic.cli, "generate", no_graph)
+    code, out, err_n = run_refused(capsys, "energy", *family, "--n", str(n))
+    assert (code, out) == (2, "")
+    code, out, err_sweep = run_refused(capsys, "energy", *family, "--sweep", f"{n}..{n}")
+    assert (code, out) == (2, "")
+    # both name the spec and give the library's message
+    reason = err_n.removeprefix("randic: error: ")
+    assert re.match(r"\w+\(\d+(,\d+)?\)(-e)?: ", reason)
+    assert err_sweep == f"randic: error: --sweep {n}..{n} reaches {reason}"
+
+
+def test_charpoly_above_exact_order_cap_builds_no_graph(capsys, monkeypatch):
+    import randic.cli
+
+    def no_graph(spec):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(randic.cli, "generate", no_graph)
+    code, out, err = run_refused(capsys, "charpoly", "--family", "complete", "--n", "1024")
+    assert (code, out) == (2, "")
+    assert err.endswith("complete(1024): exact characteristic polynomial capped at order 128 (got 1024)")
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["charpoly", "--minus-edge"], "--minus-edge"),
+        (["charpoly", "--n", "3"], "--n"),
+        (["energy", "--n", "7", "--m", "2"], "--n"),
+        (["energy", "--m", "2"], "--m"),
+        (["energy", "--minus-edge", "--adjacency"], "--minus-edge"),
+    ],
+    ids=["charpoly-minus-edge", "charpoly-n", "energy-n-m", "energy-m", "energy-minus-edge"],
+)
+def test_input_refuses_the_family_options_it_would_ignore(tmp_path, capsys, argv, option):
+    f = tmp_path / "p3.txt"
+    f.write_text("3 2\n0 1\n1 2\n")
+    code, out, err = run_refused(capsys, *argv, "--input", str(f))
+    assert (code, out) == (2, "")
+    assert err.endswith(f"--input and {option} are mutually exclusive")
+
+
+def test_sweep_refuses_the_n_it_would_ignore(capsys):
+    code, out, err = run_refused(capsys, "energy", "--family", "path", "--sweep", "2..4", "--n", "7")
+    assert (code, out) == (2, "")
+    assert err.endswith("--sweep and --n are mutually exclusive")
+
+
 # ---------------------------------------------------------------- round trip
 
 
@@ -373,20 +465,20 @@ def test_energy_input_isolated_vertices_build_no_matrix(tmp_path, capsys, small_
     assert [float(line.split()[1]) for line in out.splitlines()] == pytest.approx([2.0, 2.0])
 
 
-def test_energy_input_absurd_header_exit1(tmp_path, capsys, small_matrices_only):
+def test_energy_input_absurd_header_exit2(tmp_path, capsys, small_matrices_only):
     f = tmp_path / "huge.txt"
     f.write_text("1000000000000 0\n")
-    code, out, err = run_cli(capsys, "energy", "--input", str(f))
-    assert code == 1 and out == ""
+    code, out, err = run_refused(capsys, "energy", "--input", str(f))
+    assert code == 2 and out == ""
     assert "limit" in err
 
 
-def test_energy_input_above_energy_order_cap_exit1(tmp_path, capsys, small_matrices_only):
+def test_energy_input_above_energy_order_cap_exit2(tmp_path, capsys, small_matrices_only):
     # 50,000 disjoint edges: within the header limit, and no vertex is isolated
     f = tmp_path / "matching.txt"
     f.write_text("100000 50000\n" + "".join(f"{2 * i} {2 * i + 1}\n" for i in range(50000)))
-    code, out, err = run_cli(capsys, "energy", "--input", str(f), "--adjacency")
-    assert code == 1 and out == ""
+    code, out, err = run_refused(capsys, "energy", "--input", str(f), "--adjacency")
+    assert code == 2 and out == ""
     assert f"capped at {spectral.ENERGY_ORDER_CAP}" in err
 
 
@@ -423,16 +515,16 @@ def test_verify_max_n_below_minimum_exit2(capsys):
 
 
 def test_verify_max_n_above_exact_order_cap_exit2(capsys, monkeypatch):
-    import randic.cli
+    import randic.verify
 
     def no_sweep(*args, **kwargs):
         raise AssertionError("the sweep ran")
 
-    monkeypatch.setattr(randic.cli, "verify_all", no_sweep)
+    monkeypatch.setattr(randic.verify, "verify_instance", no_sweep)
     with pytest.raises(SystemExit) as err:
         main(["verify", "--max-n", str(spectral.EXACT_ORDER_CAP + 1)])
     assert err.value.code == 2
-    assert "--max-n must be between 5 and 128" in capsys.readouterr().err
+    assert "verify_all requires 5 <= max_n <= 128 (got 129)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
