@@ -53,7 +53,8 @@ def _family_specs(args, parser, cap: int | None = None, closed: bool = False) ->
     """The --family spec at --n, or at each --sweep end, checked before any
     graph is built: against ``generate``'s domain, against ``cap``
     non-isolated vertices when one is given, and against the closed forms'
-    domain when ``closed``. A refusal is a DomainError that names the spec."""
+    domain when ``closed``. A refusal is a DomainError that names the spec
+    once: the library's messages leave it to the caller."""
     if args.family is None:
         parser.error("--family is required (or --input where supported)")
     sweep = getattr(args, "sweep", None)
@@ -200,37 +201,38 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a family graph as an edge list")
     _add_family_args(p_gen, with_input=False)
     p_gen.add_argument("--out", metavar="FILE", help="write to FILE instead of stdout")
-    p_gen.set_defaults(func=_cmd_gen)
+    p_gen.set_defaults(func=_cmd_gen, parser=p_gen)
 
     p_char = sub.add_parser("charpoly", help="characteristic polynomial of the Randic matrix")
     _add_family_args(p_char, with_input=True)
     p_char.add_argument("--mode", choices=["exact", "closed", "both"], default="exact")
     p_char.add_argument("--format", choices=["text", "json"], default="text")
     p_char.add_argument("--order", choices=["asc", "desc"], default="desc")
-    p_char.set_defaults(func=_cmd_charpoly)
+    p_char.set_defaults(func=_cmd_charpoly, parser=p_char)
 
     p_energy = sub.add_parser("energy", help="Randic energy (and adjacency energy)")
     _add_family_args(p_energy, with_input=True)
     p_energy.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p_energy.add_argument("--sweep", metavar="N1..N2", help="sweep n over a range")
     p_energy.add_argument("--adjacency", action="store_true", help="also print the adjacency energy")
-    p_energy.set_defaults(func=_cmd_energy)
+    p_energy.set_defaults(func=_cmd_energy, parser=p_energy)
 
     p_verify = sub.add_parser("verify", help="run the full cross-check sweep")
     p_verify.add_argument("--max-n", type=int, default=12)
     p_verify.add_argument("--report", metavar="FILE", help="write the JSON report to FILE")
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.set_defaults(func=_cmd_verify, parser=p_verify)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # each subcommand's defaults carry its own parser, so a refusal prints
+    # that subcommand's usage line
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)
     except DomainError as exc:  # a ValueError: caught before the runtime errors
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     except (EdgeNotFoundError, ConvergenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -80,12 +80,10 @@ def _check_domain(spec: FamilySpec, what: str) -> None:
     least = 3 if spec.minus_edge and fam == COMPLETE else 2
     for name, size in (("n", spec.n), ("m", spec.m)):
         if size is not None and size < least:
-            raise DomainError(f"{spec.label()} closed {what} requires {name} >= {least}")
+            raise DomainError(f"closed {what} requires {name} >= {least}")
     order = _family_size(spec)[0]
     if order > ENERGY_ORDER_CAP:
-        raise DomainError(
-            f"{spec.label()} has {order} vertices; closed forms are capped at {ENERGY_ORDER_CAP}"
-        )
+        raise DomainError(f"{order} vertices; closed forms are capped at {ENERGY_ORDER_CAP}")
 
 
 def closed_charpoly(spec: FamilySpec) -> RatPoly:

@@ -177,7 +177,7 @@ def _validate_spec(spec: FamilySpec) -> None:
             raise DomainError(f"{spec.family} with minus_edge requires n >= 2 (needs an edge)")
     edges = _family_size(spec)[1]
     if edges > FAMILY_MAX_EDGES:
-        raise DomainError(f"{spec.label()} has {edges} edges; the limit is {FAMILY_MAX_EDGES}")
+        raise DomainError(f"{edges} edges; the limit is {FAMILY_MAX_EDGES}")
 
 
 def generate(spec: FamilySpec) -> Graph:

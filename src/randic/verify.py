@@ -5,7 +5,10 @@ polynomial must equal the closed form coefficient-for-coefficient (never by
 tolerance), the numeric energy must match the closed-form energy within the
 report tolerance, and every numeric eigenvalue must be a root of the exact
 polynomial within the residual limit. Failures are recorded, not raised;
-the Report is the contract.
+the Report is the contract. A record keeps exactly the fields the report
+writes, and its verdict reads those alone, so each pass or fail can be
+recomputed from the report's records, its tolerance and
+``ROOT_RESIDUAL_LIMIT``.
 
 Expected values come from the closed forms, or from a definition written
 out beside the check (the isolated vertex, an integer energy), never from
@@ -19,7 +22,6 @@ field by field.
 from __future__ import annotations
 
 import json
-import math
 import time
 from collections.abc import Callable
 from functools import cache, partial
@@ -40,7 +42,6 @@ from .graphs import (
     Graph,
     delete_edge,
     generate,
-    is_bipartite,
 )
 from .ratpoly import RatPoly
 from .spectral import (
@@ -59,56 +60,42 @@ WITNESS_MAX = 20
 
 
 class VerdictRecord(Record):
-    """Outcome of the cross-checks for one instance.
+    """Outcome of the cross-checks for one instance: exactly what the report
+    writes, and all that ``passed`` reads.
 
-    ``charpoly_match`` is exact coefficient equality. ``energy_abs_err`` is
-    None on a hard failure only. ``spectrum_sym_err`` is filled for
-    bipartite instances only, and is 0 there by construction: the
-    eigensolver emits each singular value of a bipartite block as the pair
-    +s, -s. Each value is still checked on its own, against the exact
-    polynomial, by ``max_root_residual``. ``passed`` reads the errors
-    against ``REPORT_TOL``. A record holds no timing, so reports stay
-    deterministic.
+    ``charpoly_match`` is exact coefficient equality. ``energy_abs_err`` and
+    ``max_root_residual`` are None when nothing was checked: on a hard
+    failure, whose error text is in ``notes``. ``passed`` reads the errors
+    against ``REPORT_TOL`` and ``ROOT_RESIDUAL_LIMIT``; None fails. A record
+    holds no timing, so reports stay deterministic.
     """
 
-    _fields = (
-        "spec", "charpoly_match", "energy_abs_err", "max_root_residual",
-        "spectrum_sym_err", "notes", "hard_failure",
-    )
+    _fields = ("spec", "charpoly_match", "energy_abs_err", "max_root_residual", "notes")
 
     def __init__(
         self,
         spec: FamilySpec,
         charpoly_match: bool,
         energy_abs_err: float | None,
-        max_root_residual: float,
-        spectrum_sym_err: float | None,
+        max_root_residual: float | None,
         notes: str = "",
-        hard_failure: bool = False,
     ):
         self.spec = spec
         self.charpoly_match = charpoly_match
         self.energy_abs_err = energy_abs_err
         self.max_root_residual = max_root_residual
-        self.spectrum_sym_err = spectrum_sym_err
         self.notes = notes
-        self.hard_failure = hard_failure
 
     def passed(self) -> bool:
-        if self.hard_failure or not self.charpoly_match:
-            return False
-        if self.energy_abs_err is not None and not self.energy_abs_err < REPORT_TOL:
-            return False
-        if not self.max_root_residual < ROOT_RESIDUAL_LIMIT:
-            return False
-        if self.spectrum_sym_err is not None and not self.spectrum_sym_err < REPORT_TOL:
-            return False
-        return True
+        return (
+            self.charpoly_match is True
+            and self.energy_abs_err is not None
+            and self.energy_abs_err < REPORT_TOL
+            and self.max_root_residual is not None
+            and self.max_root_residual < ROOT_RESIDUAL_LIMIT
+        )
 
     def to_dict(self) -> dict:
-        # non-finite residuals (hard failures) serialize as null; strict JSON
-        # has no Infinity token
-        residual = self.max_root_residual if math.isfinite(self.max_root_residual) else None
         return {
             "family": self.spec.family,
             "n": self.spec.n,
@@ -116,7 +103,7 @@ class VerdictRecord(Record):
             "minus_edge": self.spec.minus_edge,
             "charpoly_match": self.charpoly_match,
             "energy_abs_err": self.energy_abs_err,
-            "max_root_residual": residual,
+            "max_root_residual": self.max_root_residual,
             "notes": self.notes,
         }
 
@@ -181,20 +168,13 @@ def _max_root_residual(poly: RatPoly, spectrum: Spectrum) -> float:
     return max(abs(at(v)) for v in spectrum.values)
 
 
-def _symmetry_err(spectrum: Spectrum) -> float:
-    vals = spectrum.values
-    n = len(vals)
-    if n == 0:
-        return 0.0
-    return max(abs(vals[i] + vals[n - 1 - i]) for i in range(n))
-
-
 def _record(spec: FamilySpec, note: str, reference: Callable) -> VerdictRecord:
     """Check a graph's exact polynomial and numeric spectrum against a reference.
 
     ``reference()`` returns (graph, expected polynomial, expected energy).
     An error in it, in ``charpoly_exact`` or in ``eigenvalues`` makes a
-    hard-failure record, so one bad instance never aborts a sweep.
+    hard-failure record (no match, no energy or residual, the error in
+    ``notes``), so one bad instance never aborts a sweep.
     """
     try:
         g, expected_poly, expected_energy = reference()
@@ -205,17 +185,14 @@ def _record(spec: FamilySpec, note: str, reference: Callable) -> VerdictRecord:
             spec=spec,
             charpoly_match=False,
             energy_abs_err=None,
-            max_root_residual=float("inf"),
-            spectrum_sym_err=None,
+            max_root_residual=None,
             notes=f"{note}; error: {exc}" if note else f"error: {exc}",
-            hard_failure=True,
         )
     return VerdictRecord(
         spec=spec,
         charpoly_match=p_exact == expected_poly,
         energy_abs_err=abs(sum(abs(v) for v in spectrum.values) - expected_energy),
         max_root_residual=_max_root_residual(p_exact, spectrum),
-        spectrum_sym_err=_symmetry_err(spectrum) if is_bipartite(g) else None,
         notes=note,
     )
 
@@ -316,16 +293,13 @@ def verify_all(max_n: int) -> Report:
     """
     if not 5 <= max_n <= EXACT_ORDER_CAP:
         raise DomainError(f"verify_all requires 5 <= max_n <= {EXACT_ORDER_CAP} (got {max_n})")
+
+    def witness(spec: FamilySpec, m: int) -> tuple[Graph, RatPoly, float]:
+        return generate(spec), closed_charpoly(spec), m
+
     records = [verify_instance(spec) for spec in sweep_specs(max_n)]
     records += check_edge_deletion_lemmas(max_n).records
     for m in range(2, WITNESS_MAX + 1):
         spec = FamilySpec(COMPLETE, 2) if m == 2 else FamilySpec(FRIENDSHIP, m - 1)
-        # the reference runs inside this _record call, while m and spec are current
-        records.append(
-            _record(
-                spec,
-                f"integer energy witness m={m}",
-                lambda: (generate(spec), closed_charpoly(spec), m),
-            )
-        )
+        records.append(_record(spec, f"integer energy witness m={m}", partial(witness, spec, m)))
     return Report(records, _report_meta())

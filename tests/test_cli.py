@@ -273,13 +273,13 @@ def test_energy_reversed_sweep_is_usage_error(capsys, fmt):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--family", "complete", "--sweep", "1022..1026"], "complete(1026) has 525825 edges"),
+        (["--family", "complete", "--sweep", "1022..1026"], "complete(1026): 525825 edges"),
         (["--family", "path", "--sweep", "0..3"], "reaches path(0): path requires n >= 1"),
         (
             ["--family", "path", "--minus-edge", "--sweep", "1024..1026"],
             "reaches path(1026)-e: energies capped at 1024 non-isolated vertices (got 1025)",
         ),
-        (["--family", "path", "--sweep", "1..10000000000"], "path(10000000000) has 9999999999 edges"),
+        (["--family", "path", "--sweep", "1..10000000000"], "path(10000000000): 9999999999 edges"),
     ],
     ids=["complete-1022..1026", "path-0..3", "path-minus-edge-1024..1026", "path-1..10^10"],
 )
@@ -370,9 +370,53 @@ def test_energy_n_and_single_point_sweep_refuse_alike_from_the_spec(capsys, monk
     code, out, err_sweep = run_refused(capsys, "energy", *family, "--sweep", f"{n}..{n}")
     assert (code, out) == (2, "")
     # both name the spec and give the library's message
-    reason = err_n.removeprefix("randic: error: ")
+    reason = err_n.removeprefix("randic energy: error: ")
     assert re.match(r"\w+\(\d+(,\d+)?\)(-e)?: ", reason)
-    assert err_sweep == f"randic: error: --sweep {n}..{n} reaches {reason}"
+    assert err_sweep == f"randic energy: error: --sweep {n}..{n} reaches {reason}"
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["energy", "--family", "complete", "--n", "1025"], "complete(1025): 524800 edges; the limit is 523776"),
+        (
+            ["energy", "--family", "complete", "--sweep", "1022..1026"],
+            "--sweep 1022..1026 reaches complete(1026): 525825 edges; the limit is 523776",
+        ),
+        (
+            ["charpoly", "--mode", "closed", "--family", "complete", "--n", "2", "--minus-edge"],
+            "complete(2)-e: closed form requires n >= 3",
+        ),
+        (
+            ["charpoly", "--mode", "closed", "--family", "path", "--n", "1025"],
+            "path(1025): 1025 vertices; closed forms are capped at 1024",
+        ),
+    ],
+    ids=["energy-complete-1025", "energy-sweep-1022..1026", "charpoly-closed-complete-2-e", "charpoly-closed-path-1025"],
+)
+def test_family_refusal_names_the_spec_once(capsys, argv, line):
+    code, out, err = run_refused(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"randic {argv[0]}: error: {line}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--family", "cycle", "--n", "2"],
+        ["charpoly", "--family", "path", "--n", "1", "--mode", "closed"],
+        ["energy", "--family", "path", "--n", "500000"],
+        ["verify", "--max-n", "4"],
+    ],
+    ids=["gen", "charpoly", "energy", "verify"],
+)
+def test_refusal_prints_the_subcommand_usage(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith(f"usage: randic {argv[0]} [-h]")
+    assert lines[-1].startswith(f"randic {argv[0]}: error: ")
 
 
 def test_charpoly_above_exact_order_cap_builds_no_graph(capsys, monkeypatch):

@@ -28,7 +28,7 @@ def test_cli_import_loads_no_unneeded_module():
 
 
 def _record(notes=""):
-    return VerdictRecord(FamilySpec("path", 3), True, 0.0, 1e-15, None, notes=notes)
+    return VerdictRecord(FamilySpec("path", 3), True, 0.0, 1e-15, notes=notes)
 
 
 @pytest.mark.parametrize(
@@ -50,8 +50,7 @@ def _record(notes=""):
             _record,
             _record(notes="other"),
             "VerdictRecord(spec=FamilySpec(family='path', n=3, m=None, minus_edge=False), "
-            "charpoly_match=True, energy_abs_err=0.0, max_root_residual=1e-15, "
-            "spectrum_sym_err=None, notes='', hard_failure=False)",
+            "charpoly_match=True, energy_abs_err=0.0, max_root_residual=1e-15, notes='')",
         ),
         (
             lambda: Report(meta={"tool": "randic"}),
@@ -93,7 +92,7 @@ def test_equality_needs_the_same_class():
 
 def test_defaults_and_keywords():
     assert FamilySpec("star", 4) == FamilySpec(family="star", n=4, m=None, minus_edge=False)
-    assert VerdictRecord(FamilySpec("star", 4), True, None, 0.0, None).notes == ""
+    assert VerdictRecord(FamilySpec("star", 4), True, None, 0.0).notes == ""
     first, second = Report(), Report()
     first.records.append(_record())
     assert second.records == [] and second.meta == {}

@@ -22,6 +22,13 @@ from fractions import Fraction as Fr
 from oracles import disjoint_union
 
 
+def _hard_failure(rec: VerdictRecord) -> bool:
+    """The shape of a record whose reference or route raised: no match, no
+    energy or residual, and the error in its notes."""
+    checked = (rec.charpoly_match, rec.energy_abs_err, rec.max_root_residual)
+    return checked == (False, None, None) and "error:" in rec.notes
+
+
 def test_verify_instance_friendship5():
     rec = verify_instance(FamilySpec("friendship", 5))
     assert rec.charpoly_match
@@ -65,7 +72,7 @@ def test_verify_instance_path2_checks_its_energy():
 
 def test_verify_instance_bad_spec_is_recorded_not_raised():
     rec = verify_instance(FamilySpec("cycle", 2))
-    assert rec.hard_failure
+    assert _hard_failure(rec)
     assert not rec.passed()
     assert rec.notes.startswith("error:")
 
@@ -73,7 +80,7 @@ def test_verify_instance_bad_spec_is_recorded_not_raised():
 def test_verify_instance_closed_domain_error_is_hard_failure():
     # path(1) generates, but no closed form covers it
     rec = verify_instance(FamilySpec("path", 1))
-    assert rec.hard_failure
+    assert _hard_failure(rec)
     assert not rec.passed()
     assert rec.notes.startswith("error:")
 
@@ -93,13 +100,6 @@ def test_verify_instance_small_paths_check_against_closed_form(monkeypatch, n):
     rec = verify_instance(FamilySpec("path", n))
     assert not rec.charpoly_match
     assert not rec.passed()
-
-
-def test_verify_instance_fills_symmetry_for_bipartite_only():
-    bip = verify_instance(FamilySpec("path", 6))
-    assert bip.spectrum_sym_err is not None and bip.spectrum_sym_err < 1e-9
-    odd = verify_instance(FamilySpec("cycle", 5))
-    assert odd.spectrum_sym_err is None
 
 
 def test_check_union_additivity_examples():
@@ -192,7 +192,7 @@ def test_witness_domain_error_is_hard_failure(monkeypatch):
     assert two.notes == "integer energy witness m=2" and two.passed()
     assert [r.spec for r in rest] == [FamilySpec("friendship", m - 1) for m in range(3, 21)]
     for m, r in enumerate(rest, start=3):
-        assert r.hard_failure and not r.passed()
+        assert _hard_failure(r) and not r.passed()
         assert r.notes.startswith(f"integer energy witness m={m}; error:")
 
 
@@ -208,13 +208,13 @@ def test_lemma_error_is_hard_failure_not_abort(monkeypatch):
     notes = {r.notes.split(";")[0]: r for r in report.records[176:]}
     error = "error: exact characteristic polynomial capped at order 4 (got 5)"
     for note in ("path split r=2 s=3", "path split r=3 s=2", "integer energy witness m=3"):
-        assert notes[note].hard_failure and not notes[note].passed()
+        assert _hard_failure(notes[note]) and not notes[note].passed()
         assert notes[note].notes == f"{note}; {error}"
     cycles = [r for r in report.records if r.notes.startswith("cycle minus edge vs path")]
-    assert [r.hard_failure for r in cycles] == [False, False, True]
+    assert [_hard_failure(r) for r in cycles] == [False, False, True]
     # P_1 ∪ P_4 has four non-isolated vertices, so its record still checks and passes
     assert notes["path split r=1 s=4"].passed()
-    assert sum(r.hard_failure for r in report.records) == 182
+    assert sum(map(_hard_failure, report.records)) == 182
 
 
 def _lemma_records(report: Report) -> list[VerdictRecord]:
@@ -312,10 +312,10 @@ def test_report_json_schema():
             charpoly_match=True,
             energy_abs_err=1e-12,
             max_root_residual=1e-13,
-            spectrum_sym_err=1e-12,
             notes="",
         )
     )
+    assert VerdictRecord._fields == ("spec", "charpoly_match", "energy_abs_err", "max_root_residual", "notes")
     payload = json.loads(report.to_json())
     assert set(payload) == {"tolerance", "summary", "records", "meta"}
     assert payload["summary"] == {"pass": 1, "fail": 0}
@@ -334,14 +334,20 @@ def test_report_json_schema():
 
 def test_report_fail_accounting():
     report = Report()
-    good = VerdictRecord(FamilySpec("path", 5), True, 1e-12, 1e-12, None, 0.0)
-    bad_poly = VerdictRecord(FamilySpec("path", 6), False, 1e-12, 1e-12, None, 0.0)
-    bad_energy = VerdictRecord(FamilySpec("path", 7), True, 1e-3, 1e-12, None, 0.0)
-    bad_residual = VerdictRecord(FamilySpec("path", 8), True, 1e-12, 1.0, None, 0.0)
-    bad_sym = VerdictRecord(FamilySpec("path", 9), True, 1e-12, 1e-12, 0.5, 0.0)
-    report.records += [good, bad_poly, bad_energy, bad_residual, bad_sym]
+    good = VerdictRecord(FamilySpec("path", 5), True, 1e-12, 1e-12)
+    bad_poly = VerdictRecord(FamilySpec("path", 6), False, 1e-12, 1e-12)
+    bad_energy = VerdictRecord(FamilySpec("path", 7), True, 1e-3, 1e-12)
+    bad_residual = VerdictRecord(FamilySpec("path", 8), True, 1e-12, 1.0)
+    hard = VerdictRecord(FamilySpec("path", 9), False, None, None, "error: did not converge")
+    report.records += [good, bad_poly, bad_energy, bad_residual, hard]
     assert report.n_pass == 1
     assert report.n_fail == 4
+    # None is "not checked", which fails even beside a match
+    assert VerdictRecord(FamilySpec("path", 5), True, None, 1e-12).passed() is False
+    assert VerdictRecord(FamilySpec("path", 5), True, 1e-12, None).passed() is False
+    assert VerdictRecord(FamilySpec("path", 5), None, 1e-12, 1e-12).passed() is False
+    assert good.passed() is True
+    assert json.loads(report.to_json())["records"][4]["max_root_residual"] is None
 
 
 def test_union_additivity_respects_energy_values():
@@ -370,3 +376,60 @@ def test_max_root_residual_bit_identical_to_rational_horner(spec):
     assert _max_root_residual(poly, spectrum) == max(abs(float(poly(v))) for v in spectrum.values)
     for v in spectrum.values + (0.3, -2.5):
         assert _max_root_residual(poly, Spectrum((v,))) == abs(float(poly(v)))
+
+
+def _verdicts_from_json(report: Report) -> list[bool]:
+    """Each record's verdict recomputed from the serialized report alone,
+    its stated tolerance and the residual limit; null is "not checked"."""
+    from randic.verify import ROOT_RESIDUAL_LIMIT
+
+    payload = json.loads(report.to_json())
+    tol = payload["tolerance"]
+    verdicts = [
+        r["charpoly_match"] is True
+        and r["energy_abs_err"] is not None and r["energy_abs_err"] < tol
+        and r["max_root_residual"] is not None and r["max_root_residual"] < ROOT_RESIDUAL_LIMIT
+        for r in payload["records"]
+    ]
+    assert payload["summary"] == {"pass": sum(verdicts), "fail": len(verdicts) - sum(verdicts)}
+    assert verdicts == [r.passed() for r in report.records]
+    return verdicts
+
+
+def test_report_explains_every_verdict():
+    verdicts = _verdicts_from_json(verify_all(8))
+    assert len(verdicts) == 247 and all(verdicts)
+
+
+def test_report_explains_energy_failures(monkeypatch):
+    import randic.verify
+
+    real = randic.verify.closed_energy
+    monkeypatch.setattr(randic.verify, "closed_energy", lambda spec: real(spec) * 1.001)
+    report = verify_all(8)
+    verdicts = _verdicts_from_json(report)
+    failed = [r.to_dict() for r, ok in zip(report.records, verdicts) if not ok]
+    assert len(failed) > 100
+    # a charpoly still matches: each failure shows its energy error
+    assert all(r["charpoly_match"] and r["energy_abs_err"] >= 1e-3 for r in failed)
+
+
+def test_report_explains_a_hard_failure(monkeypatch):
+    import randic.verify
+    from randic import ConvergenceError, eigenvalues, randic_matrix
+
+    target = randic_matrix(generate(FamilySpec("cycle", 7)))
+
+    def fails_on_target(matrix):
+        if matrix == target:
+            raise ConvergenceError("dqds did not converge", 1.0)
+        return eigenvalues(matrix)
+
+    monkeypatch.setattr(randic.verify, "eigenvalues", fails_on_target)
+    report = verify_all(8)
+    verdicts = _verdicts_from_json(report)
+    assert verdicts.count(False) == 1
+    bad = report.records[verdicts.index(False)].to_dict()
+    assert (bad["family"], bad["n"], bad["charpoly_match"]) == ("cycle", 7, False)
+    assert (bad["energy_abs_err"], bad["max_root_residual"]) == (None, None)
+    assert bad["notes"] == "error: dqds did not converge"
