@@ -1,6 +1,6 @@
 """Degree-normalized (Randic) matrices, exact characteristic polynomials,
-an eigensolver (band bidiagonalization for bipartite blocks, tridiagonal
-reduction for the rest, and dqds for both), and the two spectral energies.
+an eigensolver (a Givens band chase to bidiagonal or tridiagonal form per
+block, then dqds), and the two spectral energies.
 
 The Randic matrix has entry 1/sqrt(d_i*d_j) on adjacent pairs. Its entries
 are irrational, but it is similar (via D^{1/2}) to the random-walk matrix
@@ -47,7 +47,9 @@ dqds keeps every singular value, however small, to high relative accuracy;
 the eigenvalues of B^T B computed from the matrix itself could be off by
 eps*||B||^2 each, so a singular value near 0 could be off by sqrt(eps) =
 1.5e-8 in the energy.
-Any other block goes through Householder tridiagonalization; those
+Any other block is ordered from a pseudo-peripheral index in the same way
+(Cuthill-McKee), and a chase of Givens rotations reduces its band to
+tridiagonal form (LAPACK xSBTRD) at O(n^2*b) for bandwidth b. Those
 tridiagonals are joined into one T, shifted below its Gershgorin bound so
 that T - sigma*I = LDL^T is positive definite, and dqds finds the
 eigenvalues of LDL^T from q_i = D_i, e_i = L_i^2*D_i, which sigma shifts
@@ -70,8 +72,9 @@ from .ratpoly import RatPoly, convolve
 
 ITERATION_CAP = 30
 EXACT_ORDER_CAP = 128
-# the energies build a dense matrix of the non-isolated vertices and run a
-# cubic solver on it; beyond this order they raise DomainError instead
+# the energies build a dense matrix of the non-isolated vertices; a sparse
+# block costs O(n^2*b) for its bandwidth b, but a dense one with no twins has
+# b near n and stays cubic, so beyond this order they raise DomainError
 ENERGY_ORDER_CAP = 1024
 
 
@@ -352,57 +355,55 @@ def charpoly_exact(g: Graph) -> RatPoly:
     return RatPoly.from_numerators([0] * isolated + num, scale)
 
 
-def _reflector(x: list[float]) -> tuple[list[float], float, float]:
-    """Householder reflector I - beta*v*v^T taking a nonzero x onto r*e1.
-
-    Returns (v, beta, r). Normalizing x first keeps beta in [1/2, 1] even
-    when x is rounding residue near underflow.
-    """
-    norm = math.hypot(*x)
-    v = [xi / norm for xi in x]
-    x0 = v[0]
-    alpha = -math.copysign(1.0, x0)
-    v[0] = x0 - alpha
-    return v, 1.0 / (1.0 + abs(x0)), alpha * norm  # beta = 2 / (v.v)
-
-
-def _tridiagonalize(rows) -> tuple[list[float], list[float]]:
-    """Householder reduction of a symmetric matrix to tridiagonal form.
+def _band_tridiagonalize(rows) -> tuple[list[float], list[float]]:
+    """Tridiagonal form of a symmetric band matrix.
 
     ``rows`` are the rows of a full symmetric matrix, as any sequences; they
-    are read, never written. Returns the diagonal d and the subdiagonal e
-    (e[i] couples d[i] and d[i+1]; e[-1] = 0). Eigenvalues only: the
-    reflections are not accumulated. A column already zero below its
-    subdiagonal is skipped, so a tridiagonal input (a path) costs O(n^2).
+    are read, never written, and only their lower triangles are kept. Returns
+    the diagonal d and the subdiagonal e (e[i] couples d[i] and d[i+1];
+    e[-1] = 0). Eigenvalues only: the rotations are not accumulated.
+
+    The lower bandwidth b is taken from each row's first nonzero. Each column
+    k is cleared below its subdiagonal, bottom of the band up: the entry at
+    (r, k) is zeroed by rotating rows and columns r-1 and r, which puts a
+    bulge at (r+b, r-1), and that bulge is zeroed in turn, b rows further
+    down each time, until it falls off the matrix (Schwarz, Numer. Math. 12,
+    1968; LAPACK xSBTRD). A rotation touches O(b) entries and a chase takes
+    O(n/b) of them, so the reduction costs O(n^2*b); an entry already zero
+    costs no rotation, so a tridiagonal matrix is read off.
     """
     n = len(rows)
-    a = list(rows)
-    d = [row[i] for i, row in enumerate(a)]
-    e = [0.0] * n
-    # step k replaces each row i > k by a new list of its columns k+1..n-1
-    # (the columns left of the trailing block are never read again), so a
-    # row always ends at column n-1 and column j of row i is a[i][j - n]
+    a = [list(row[: i + 1]) for i, row in enumerate(rows)]
+    b = max(i - next(compress(count(), row), i) for i, row in enumerate(a))
+    hypot = math.hypot
     for k in range(n - 2):
-        lo = k + 1
-        # column k below the diagonal, read from row k by symmetry
-        v = a[k][lo - n :]
-        if not any(v[1:]):
-            e[k] = v[0]
-            continue
-        v, beta, e[k] = _reflector(v)
-        # trailing block B -= v w^T + w v^T with p = beta*B*v, w = p - (beta*p.v/2)*v
-        p = [beta * sum(map(operator.mul, a[i][lo - n :], v)) for i in range(lo, n)]
-        half = 0.5 * beta * sum(map(operator.mul, p, v))
-        w = [pi - half * vi for pi, vi in zip(p, v)]
-        for i in range(lo, n):
-            vi = v[i - lo]
-            wi = w[i - lo]
-            # the sum is commutative, so the block stays exactly symmetric
-            a[i] = row = [x - (vi * wj + wi * vj) for x, vj, wj in zip(a[i][lo - n :], v, w)]
-            d[i] = row[i - lo]
-    if n >= 2:
-        e[n - 2] = a[n - 2][-1]
-    return d, e
+        for r in range(min(k + b, n - 1), k + 1, -1):
+            c = k
+            while r < n and (y := a[r][c]):
+                top, bot = a[r - 1], a[r]
+                x = top[c]
+                h = hypot(x, y)
+                cs, sn = x / h, y / h
+                top[c], bot[c] = h, 0.0
+                # the two rows left of the 2 x 2 block at (r-1, r)
+                xs, ys = top[c + 1 : r - 1], bot[c + 1 : r - 1]
+                top[c + 1 : r - 1] = [cs * u + sn * v for u, v in zip(xs, ys)]
+                bot[c + 1 : r - 1] = [cs * v - sn * u for u, v in zip(xs, ys)]
+                # the block itself
+                p, q, t = top[r - 1], bot[r - 1], bot[r]
+                u, v = cs * p + sn * q, cs * q + sn * t
+                w, z = cs * q - sn * p, cs * t - sn * q
+                top[r - 1] = cs * u + sn * v
+                bot[r - 1] = cs * w + sn * z
+                bot[r] = cs * z - sn * w
+                # the two columns below it; the last row gains the bulge
+                for row in a[r + 1 : r + b + 1]:
+                    u, v = row[r - 1], row[r]
+                    if u or v:
+                        row[r - 1] = cs * u + sn * v
+                        row[r] = cs * v - sn * u
+                r, c = r + b, r - 1
+    return [row[i] for i, row in enumerate(a)], [row[i] for i, row in enumerate(a[1:])] + [0.0]
 
 
 def _band_bidiagonalize(b, q: int) -> tuple[list[float], list[float]]:
@@ -940,7 +941,8 @@ def eigenvalues(mat: SymMatrix) -> Spectrum:
       singular values (``_singular_values``). The block's eigenvalues are
       those values, their negatives and q - p exact zeros, so its spectrum
       is symmetric by construction;
-    * any other block goes through Householder tridiagonalization.
+    * any other block is ordered in the same way, and Givens rotations
+      chase its band to tridiagonal form (``_band_tridiagonalize``).
 
     The other blocks' tridiagonals are joined into one T, with a zero
     subdiagonal entry at each seam. T is shifted below its Gershgorin bound
@@ -981,11 +983,8 @@ def eigenvalues(mat: SymMatrix) -> Spectrum:
             found += [-x for x in values]
             found += [0.0] * (sum(map(len, layers)) - 2 * len(values))
         else:
-            block = rows
-            index = sorted(v for layer in layers for v in layer)
-            if len(index) < len(rows):
-                block = _submatrix(rows, index, index)
-            db, eb = _tridiagonalize(block)
+            index = [v for layer in _peripheral_layers(supports, layers) for v in layer]
+            db, eb = _band_tridiagonalize(_submatrix(rows, index, index))
             d += db
             e += eb
     if d:

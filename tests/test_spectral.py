@@ -649,6 +649,32 @@ def test_eigenvalues_random_graph_roots_of_exact_charpoly():
     assert _max_root_residual(charpoly_exact(g), spectrum) < 1e-9
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_wide_irregular_band_roots_of_exact_charpoly(seed):
+    # a random connected non-bipartite graph of order 64-80 under a random
+    # labeling: its one block, ordered by Cuthill-McKee, has a band some 25
+    # wide and ragged. The exact polynomial is a reference that shares no
+    # code with the chase, as a rotated matrix's spectrum does not
+    from randic.verify import _max_root_residual
+
+    rng = random.Random(f"wide-band:{seed}")
+    n = 64 + 8 * (seed % 3)
+    g = _shuffled(rng, _connected_graph(rng, n, 3 * n // 2))
+    mat = randic_matrix(g)
+    supports = _supports(mat)
+    ((layers, bipartite),) = spectral._blocks(supports)
+    assert not bipartite
+    position = {v: i for i, v in enumerate(v for layer in spectral._peripheral_layers(supports, layers) for v in layer)}
+    assert 20 <= max(abs(position[u] - position[v]) for u, v in g.edges) <= 35
+    spectrum = eigenvalues(mat)
+    assert _max_root_residual(charpoly_exact(g), spectrum) < 1e-9
+    # the trace of R is 0 and that of R^2 is twice the sum of 1/(d_u*d_v) over the edges
+    degs = g.degrees
+    assert math.fsum(spectrum.values) == pytest.approx(0.0, abs=1e-12)
+    want = 2.0 * math.fsum(1.0 / (degs[u] * degs[v]) for u, v in g.edges)
+    assert math.fsum(x * x for x in spectrum.values) == pytest.approx(want, rel=1e-13)
+
+
 # ---------------------------------------------------------------- twin split
 
 
@@ -864,7 +890,7 @@ def _blocks(mat):
     return [(sorted(v for layer in layers for v in layer), bipartite) for layers, bipartite in spectral._blocks(supports)]
 
 
-def test_bipartite_support_with_a_diagonal_entry_takes_householder():
+def test_bipartite_support_with_a_diagonal_entry_takes_the_tridiagonal_route():
     path = adjacency_matrix(disjoint_union(generate(FamilySpec("path", 6)), generate(FamilySpec("cycle", 8))))
     assert _blocks(path) == [(list(range(6)), True), (list(range(6, 14)), True)]
     mat = _with_diagonal(path, 9, 0.5)
@@ -878,6 +904,32 @@ def test_negative_zero_diagonal_is_bipartite():
     assert _blocks(mat) == [(list(range(10)), True)]
     assert eigenvalues(mat).values == eigenvalues(cycle).values
     _assert_matches_rotation(mat)
+
+
+def test_tridiagonal_block_is_read_off_without_a_rotation(monkeypatch):
+    # a shuffled path with a nonzero diagonal is one non-bipartite block,
+    # tridiagonal once ordered from an end: the chase makes no rotation. An
+    # odd cycle, bandwidth 2 in that order, needs rotations
+    hypot = math.hypot
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return hypot(x, y)
+
+    for family, n in (("path", 48), ("cycle", 49)):
+        rng = random.Random(n)
+        rows = [list(r) for r in randic_matrix(_shuffled(rng, generate(FamilySpec(family, n)))).entries]
+        for i in range(n):
+            rows[i][i] = rng.uniform(-1.0, 1.0)
+        mat = SymMatrix(tuple(map(tuple, rows)))
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(math, "hypot", counted)
+            values = eigenvalues(mat).values
+        assert bool(calls) is (family == "cycle")
+        assert math.fsum(values) == pytest.approx(math.fsum(rows[i][i] for i in range(n)), abs=1e-13)
+        _assert_matches_rotation(mat, seed=n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 9])
@@ -1048,7 +1100,7 @@ def test_dqds_converges_well_inside_the_iteration_cap(monkeypatch):
 
 @pytest.mark.parametrize(
     "spec",
-    [FamilySpec("cycle", n) for n in (3, 4, 5, 64, 129, 256)]
+    [FamilySpec("cycle", n) for n in (3, 4, 5, 64, 129, 255, 256, 511)]
     + [FamilySpec("path", n) for n in (3, 4, 63, 128, 255, 256)]
     + [FamilySpec("dutch4", n) for n in (2, 3, 21, 85)],
     ids=FamilySpec.label,
