@@ -15,7 +15,10 @@ of its quotient, one vertex per class, computed by a Hessenberg reduction
 modulo a prime from a table of certified primes, the smallest above an
 a-priori bound on the coefficients of the quotient's det(λD' - A'), lifted
 back to integers and returned over the product of the degrees as one
-``RatPoly`` denominator.
+``RatPoly`` denominator. When every edge of the quotient joins breadth-first
+depths of opposite parity, its W' is [[0, X], [Y, 0]] with s <= t classes
+in its halves, and the reduction runs on the s x s product XY alone, whose
+eigenvalues are the squares of those of W'.
 
 The eigensolver first splits off twins: indices whose rows agree outside
 the pair and whose diagonals agree, compared exactly (in a graph's Randic or
@@ -291,10 +294,18 @@ def charpoly_exact(g: Graph) -> RatPoly:
     coefficients with |N'_j| <= P'·C(k', j), and one Hessenberg charpoly of
     W' modulo a prime p > 2·P'·C(k', k'/2) (the smallest in
     ``CERTIFIED_PRIMES`` that large) determines N' exactly: each coefficient
-    is lifted into (-p/2, p/2). The integer factors dλ and dλ + 1, one per
-    twin beyond its class's representative, are multiplied in, and each
-    coefficient is divided by the product of all k degrees. A twin-free
-    graph is its own quotient. Raises DomainError when k exceeds
+    is lifted into (-p/2, p/2). A quotient in which every edge joins classes
+    of opposite breadth-first depth parity has W' = [[0, X], [Y, 0]], with
+    halves of s <= t classes, X s x t and Y t x s. Then det(λI - W') =
+    λ^(t-s)·det(λ²I - XY) (Schur complement), so one Hessenberg charpoly ψ of
+    XY modulo p gives N'(λ) = P'·λ^(t-s)·ψ(λ²). The eigenvalues of XY are
+    squares of those of W', in [0, 1], so |P'·ψ_j| <= P'·C(s, j) and
+    p > 2·P'·C(s, s/2) suffices. A closed class is next to itself in the
+    quotient, so a quotient with one takes the general route; in a bipartite
+    graph, that is a K_2 component. The integer factors dλ and dλ + 1, one
+    per twin beyond its class's representative, are multiplied in, and each
+    coefficient is divided by the product of all k degrees. A twin-free graph
+    is its own quotient. Raises DomainError when k exceeds
     ``EXACT_ORDER_CAP``, or when no certified prime is large enough.
     """
     degs = g.degrees
@@ -306,7 +317,8 @@ def charpoly_exact(g: Graph) -> RatPoly:
     # the non-isolated vertices in reversed breadth-first order: the labeling
     # does not change the polynomial, and this one keeps the Hessenberg
     # fill-in of a sparse graph small
-    core = [v for v in reversed(_bfs(g)[0]) if degs[v]]
+    order, depth = _bfs(g)
+    core = [v for v in reversed(order) if degs[v]]
     # twin classes: the vertices of one open neighbourhood N(v) (pairwise
     # non-adjacent) or of one closed neighbourhood N[v] (pairwise adjacent).
     # No N(u) equals an N[v], so one dict holds both kinds of key, and a
@@ -332,22 +344,47 @@ def charpoly_exact(g: Graph) -> RatPoly:
     kq = len(quotient)
     scale = math.prod(degs[v] for v in core)
     scale_q = math.prod(degs[v] for v in quotient)
-    p = _modulus(2 * scale_q * math.comb(kq, kq // 2))
-    index = {v: i for i, v in enumerate(quotient)}
+    # the classes next to each class; a closed class is next to itself
+    near = {u: {rep[v] for v in g.adjacency[u]} for u in quotient}
+    # W' = [[0, X], [Y, 0]] when no class is next to one of the same depth
+    # parity, itself included, so a closed class keeps the full route; the
+    # kernel then gets XY, on the smaller half, and otherwise W' itself
+    halved = all(depth[u] % 2 != depth[r] % 2 for u in quotient for r in near[u])
+    rows = quotient
+    if halved:
+        rows = [u for u in quotient if depth[u] % 2 == 0]
+        if 2 * len(rows) > kq:
+            rows = [u for u in quotient if depth[u] % 2]
+    s = len(rows)
+    p = _modulus(2 * scale_q * math.comb(s, s // 2))
+    index = {v: i for i, v in enumerate(rows)}
     inverse = {d: pow(d, -1, p) for d in set(degs[v] for v in quotient)}
-    # row I of W' mod p: |J|/d_I at each neighbouring class J (|J| - 1 at
-    # I itself, for a closed class)
-    w = [[0] * kq for _ in range(kq)]
-    for i, u in enumerate(quotient):
-        row, inv = w[i], inverse[degs[u]]
-        for v in g.adjacency[u]:
-            r = rep[v]
-            row[index[r]] = (size[r] - (r == u)) * inv % p
+    h = [[0] * s for _ in range(s)]
+    for row, u in zip(h, rows):
+        inv = inverse[degs[u]]
+        if halved:
+            # row u of XY: W'[u][r] = |r|/d_u times row r of Y, W'[r][q] =
+            # |q|/d_r, summed over the classes r next to u
+            for r in near[u]:
+                f = size[r] * inverse[degs[r]]
+                for q in near[r]:
+                    row[index[q]] += f * size[q]
+            row[:] = [a * inv % p for a in row]
+        else:
+            # row u of W': |r|/d_u at each class r next to u (|r| - 1 at u
+            # itself, for a closed class)
+            for r in near[u]:
+                row[index[r]] = (size[r] - (r == u)) * inv % p
+    coeffs = _hessenberg_charpoly(h, p)
+    if halved:
+        # det(λI - W') = λ^(t-s)·det(λ²I - XY), by the Schur complement
+        coeffs, psi = [0] * (kq + 1), coeffs
+        coeffs[kq - 2 * s :: 2] = psi
     # N'(λ) = det(λD' - A'), lifted into (-p/2, p/2), times the twin factors
     # (dλ + c)^m = sum_j C(m, j) d^j c^(m-j) λ^j, all integers
     half = p // 2
     num = []
-    for c in _hessenberg_charpoly(w, p):
+    for c in coeffs:
         c = c * scale_q % p
         num.append(c - p if c > half else c)
     for (d, c), m in factors.items():

@@ -463,6 +463,128 @@ def test_charpoly_twin_free_dense_graph_against_elimination():
     _check_against_elimination(g, rng)
 
 
+# ---------------------------------------------------------------- bipartite quotient
+
+
+def _bipartite_graph(rng, n, m):
+    """A random connected bipartite graph: a random tree (which is
+    bipartite) plus random edges between its two colour classes up to m."""
+    g = _connected_graph(rng, n, n - 1)
+    depth = [0] * n
+    for u, v in sorted(g.edges, key=max):
+        depth[v] = depth[u] + 1
+    edges = set(g.edges)
+    while len(edges) < m:
+        u, v = sorted(rng.sample(range(n), 2))
+        if depth[u] % 2 != depth[v] % 2:
+            edges.add((u, v))
+    return Graph.from_edges(n, edges)
+
+
+def _union(*graphs):
+    g = graphs[0]
+    for h in graphs[1:]:
+        g = disjoint_union(g, h)
+    return g
+
+
+# each vertex of the first half is a nonempty subset of {0, 1, 2}, joined to
+# its elements in the second half: twin-free, with halves of 7 and 3
+SUBSETS_3 = Graph.from_edges(
+    10, [(s - 1, 7 + e) for s in range(1, 8) for e in range(3) if s >> e & 1]
+)
+
+
+def _crown(n):
+    """K_n x K_2: K(n, n) minus a perfect matching, dense and twin-free."""
+    return Graph.from_edges(2 * n, [(i, n + j) for i in range(n) for j in range(n) if i != j])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bipartite_quotient_with_open_twins_matches_cofactor_oracle(seed):
+    # an open clone keeps a graph bipartite, and a closed one would not
+    rng = random.Random(f"bipartite-clones:{seed}")
+    g = _shuffled(rng, _cloned(rng, _bipartite_graph(rng, 6, 7), 3, "open"))
+    assert _twin_classes_of(g)
+    assert charpoly_exact(g) == charpoly_bruteforce(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        # three isolated vertices beside a twin-free path and C_4
+        Graph.from_edges(12, [(i, i + 1) for i in range(4)] + [(6, 7), (7, 8), (8, 9), (9, 6)]),
+        # a K_2 component, whose closed class sends the union the full route
+        _union(generate(FamilySpec("path", 2)), generate(FamilySpec("cycle", 4)), generate(FamilySpec("path", 5))),
+        _union(generate(FamilySpec("path", 2)), generate(FamilySpec("path", 2)), generate(FamilySpec("path", 4))),
+        # halves far apart: t - s = 5 in the graph and 0 in its quotient
+        generate(FamilySpec("star", 7)),
+        generate(FamilySpec("complete_bipartite", 7, m=2)),
+        # t - s = 4 in the quotient itself
+        SUBSETS_3,
+        # the larger half of path 0-1-2-3-4 has even depth, that of path
+        # 6-5-7-8-9 (first visited from 5) odd
+        Graph.from_edges(10, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (5, 7), (7, 8), (8, 9)]),
+    ],
+)
+def test_bipartite_quotient_matches_cofactor_oracle(g):
+    want = charpoly_bruteforce(g)
+    assert charpoly_exact(g) == want
+    assert charpoly_exact(_shuffled(random.Random(g.n), g)) == want
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_bipartite_union_with_halves_on_opposite_parities_matches_cofactor_oracle(seed):
+    # star(5) and two twin-free paths, relabeled at random, so the breadth-first
+    # roots, and with them the parity of each component's larger half, vary
+    rng = random.Random(f"bipartite-union:{seed}")
+    g = _union(*(generate(FamilySpec(f, n)) for f, n in (("star", 5), ("path", 4), ("path", 5))))
+    assert charpoly_exact(_shuffled(rng, g)) == charpoly_bruteforce(g)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_bipartite_order_64_against_elimination(seed):
+    rng = random.Random(f"bipartite-64:{seed}")
+    _check_against_elimination(_shuffled(rng, _bipartite_graph(rng, 64, 80 + 20 * seed)), rng)
+
+
+def test_crown_order_64_against_elimination():
+    # a full 32 x 32 XY; one point, since elimination on the dense matrix
+    # is slow over Fractions
+    g = _shuffled(random.Random("crown-32"), _crown(32))
+    assert not _twin_classes_of(g)
+    assert charpoly_exact(g)(Fr(3, 7)) == charpoly_at(g, Fr(3, 7))
+
+
+def test_crown_at_the_exact_order_cap_matches_its_spectrum():
+    # K_n x K_2 has Randic eigenvalues ±1 and ±1/(n-1), each of the latter
+    # n - 1 times: φ = (λ² - 1)(λ² - 1/(n-1)²)^(n-1)
+    n = 64
+    want = RatPoly([-1, 0, 1]) * RatPoly([Fr(-1, (n - 1) ** 2), 0, 1]) ** (n - 1)
+    assert charpoly_exact(_crown(n)) == want
+
+
+def test_bipartite_quotient_takes_the_half_order_bound(monkeypatch):
+    # the bound decides the modulus; a quotient sent the full route would
+    # give the same polynomial under a larger one
+    bounds = []
+    modulus = spectral._modulus
+    monkeypatch.setattr(spectral, "_modulus", lambda bound: bounds.append(bound) or modulus(bound))
+    path2, path4 = (generate(FamilySpec("path", n)) for n in (2, 4))
+    for g in (generate(FamilySpec("path", 64)), SUBSETS_3, _union(path2, path4), generate(FamilySpec("cycle", 5))):
+        charpoly_exact(g)
+    assert bounds == [
+        # path(64): halves of 32, P' = 2^62
+        2 * 2**62 * math.comb(32, 16),
+        # halves of 7 and 3, P' = 1·1·1·2·2·2·3 · 4·4·4
+        2 * 1536 * math.comb(3, 1),
+        # P_2 ∪ P_4: P_2's closed class is next to itself, so all 5 classes
+        2 * 4 * math.comb(5, 2),
+        # an odd cycle is not bipartite
+        2 * 2**5 * math.comb(5, 2),
+    ]
+
+
 # ---------------------------------------------------------------- eigensolver
 
 
