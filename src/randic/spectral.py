@@ -42,10 +42,10 @@ The bidiagonal is scaled by a power of two, exactly, to a largest entry in
 [1/2, 1), a p x (p+1) one has its last entry folded in, and each zero
 diagonal entry is split off by rotations; its singular values then come
 from dqds on q_i = a_i^2, e_i = b_i^2 (Fernando and Parlett; Parlett and
-Marques). Each dqds shift is LAPACK DLASQ4's bound from the bottom 2 x 2
-when nothing has deflated since the last transform and its least two d_j
-are its last two, and a quarter of the least d_j otherwise; the array
-splits at every zero e_j, one that underflows to zero on the way included.
+Marques). Each dqds shift reads the last transform's d_j up to the current
+bottom: LAPACK DLASQ4's bound from the bottom 2 x 2 when the least two are
+the last two, and a quarter of the least otherwise; the array splits at
+every zero e_j, one that underflows to zero on the way included.
 dqds keeps every singular value, however small, to high relative accuracy;
 the eigenvalues of B^T B computed from the matrix itself could be off by
 eps*||B||^2 each, so a singular value near 0 could be off by sqrt(eps) =
@@ -595,24 +595,24 @@ def _deflate_zero(d: list[float], e: list[float], k: int) -> None:
         _fold(d, e, k)
 
 
-def _dqds_shift(q, e, n0, n0in, dmins):
+def _dqds_shift(q, e, n0, tail):
     """The shift for the next dqds transform of the segment ending at n0.
 
-    ``q``, ``e`` are the qd arrays the last transform made; ``n0in`` is n0
-    before the deflations since; ``dmins`` is (dmin, dmin1, dmin2, dn, dn1)
-    of that transform: the least d_j over all j, over j < n0in and over
-    j < n0in - 1, and the last two d_j. When nothing has deflated and the
-    least two d_j are the last two, the shift is LAPACK DLASQ4's bound from
-    the bottom 2 x 2 (Parlett and Marques, Linear Algebra Appl. 309, 2000,
-    section 6, cases 2 and 3); otherwise a quarter of the least d_j of the
-    values not deflated.
+    ``q``, ``e`` are the qd arrays the last transform made, and ``tail`` holds
+    (d_j, the least d_i for i <= j) of that transform for its last positions
+    up to n0, d_n0 last: a deflation drops the d_j of the values it takes, and
+    those left are what a transform of the shorter segment would have made.
+    When the least two d_j up to n0 are the last two, the shift is LAPACK
+    DLASQ4's bound from the bottom 2 x 2 (Parlett and Marques, Linear Algebra
+    Appl. 309, 2000, section 6, cases 2 and 3); otherwise a quarter of the
+    least d_j up to n0. An empty ``tail``, or a least d_j <= 0, asks for a
+    transform without shift.
     """
-    dmin, dmin1, dmin2, dn, dn1 = dmins
-    # -0.0 after a flip or a split asks for a transform without shift
-    least = dmins[min(n0in - n0, 2)]
-    if least <= 0.0:
+    if not tail or tail[-1][1] <= 0.0:
         return 0.0
-    if n0in == n0 and dmin == dn and dmin1 == dn1:
+    dn, dmin = tail[-1]
+    if len(tail) > 2 and dn == dmin and tail[-2][0] == tail[-2][1]:
+        dmin2 = tail[-3][1]
         b1 = math.sqrt(q[n0]) * math.sqrt(e[n0 - 1])
         b2 = math.sqrt(q[n0 - 1]) * math.sqrt(e[n0 - 2])
         a2 = q[n0 - 1] + e[n0 - 1]
@@ -627,7 +627,7 @@ def _dqds_shift(q, e, n0, n0in, dmins):
         if a2 > b1 + b2:
             s = min(s, a2 - (b1 + b2))
         return max(s, 0.333 * dmin)
-    return 0.25 * least
+    return 0.25 * dmin
 
 
 def _qd_pair(a: float, b: float, c: float, tol2: float) -> tuple[float, float]:
@@ -661,20 +661,20 @@ def _dqds(q: list[float], e: list[float]) -> list[float]:
     d_{j+1} = d_j*q_{j+1}/q'_j - tau, q'_n = d_n, with no subtraction but
     the shift's: every eigenvalue, however small, keeps high relative
     accuracy, which forming B^T B would lose. The shift comes from the last
-    transform's d_j (``_dqds_shift``): DLASQ4's bound from the bottom 2 x 2
-    when its least two d_j are its last two and nothing has deflated since,
-    else a quarter of the least d_j of the values left. A shift too large
-    shows as a negative d_j, and the transform is redone with tau + d_n when
-    only d_n < 0, else with a quarter of tau, and with none after two
-    failures. The shifts add up in sigma; a value is deflated at the bottom
-    once e_{n-1} <= tol^2*(sigma + q_n), tol = 100*eps, or two at once from
-    the bottom 2 x 2 once e_{n-2} <= tol^2*sigma. A zero e_j splits the
-    array: one given, one a transform meets as d_j = e_j = 0, and, after a
-    transform whose least d_j is at most tol^2*sigma, the first that has
-    underflowed to 0. Each part has its own sigma. ``ITERATION_CAP`` caps
-    the transforms, failed ones included, at that many per value; past it
-    ConvergenceError carries the Frobenius norm of the superdiagonal still
-    to be reduced.
+    transform's d_j up to the current bottom: those of its last five
+    positions, less one per value deflated since (``_dqds_shift``). It is
+    DLASQ4's bound from the bottom 2 x 2 when the least two are the last
+    two, else a quarter of the least. A shift too large shows as a negative
+    d_j, and the transform is redone with tau + d_n when only d_n < 0, else
+    with a quarter of tau, and with none after two failures. The shifts add
+    up in sigma; a value is deflated at the bottom once e_{n-1} <=
+    tol^2*(sigma + q_n), tol = 100*eps, or two at once from the bottom 2 x 2
+    once e_{n-2} <= tol^2*sigma. A zero e_j splits the array: one given, one
+    a transform meets as d_j = e_j = 0, and, after a transform whose least
+    d_j is at most tol^2*sigma, the first that has underflowed to 0. Each
+    part has its own sigma. ``ITERATION_CAP`` caps the transforms, failed
+    ones included, at that many per value; past it ConvergenceError carries
+    the Frobenius norm of the superdiagonal still to be reduced.
     """
     eps = sys.float_info.epsilon
     tol = 100.0 * eps
@@ -692,24 +692,19 @@ def _dqds(q: list[float], e: list[float]) -> list[float]:
         i0 = j + 1
     while stack:
         i0, n0, sigma, q, e, qo, eo = stack.pop()
-        n0in = n0
-        dmins = (-0.0,) * 5
+        tail = []
         while n0 >= i0:
             if n0 == i0 or e[n0 - 1] <= tol2 * (sigma + q[n0]):
                 out.append(q[n0] + sigma)
                 n0 -= 1
+                del tail[-1:]
                 continue
             if n0 - 1 == i0 or e[n0 - 2] <= tol2 * sigma:
                 out += [x + sigma for x in _qd_pair(q[n0 - 1], e[n0 - 1], q[n0], tol2)]
                 n0 -= 2
+                del tail[-2:]
                 continue
-            if (dmins[0] <= 0.0 or n0 < n0in) and 1.5 * q[i0] < q[n0]:
-                # the larger values at the bottom: flip the array, which
-                # stands for J B^T J with the same singular values
-                q[i0 : n0 + 1] = q[i0 : n0 + 1][::-1]
-                e[i0:n0] = e[i0:n0][::-1]
-                dmins = (-0.0,) * 5
-            tau = _dqds_shift(q, e, n0, n0in, dmins)
+            tau = _dqds_shift(q, e, n0, tail)
             split = None
             failures = 0
             while True:
@@ -721,11 +716,13 @@ def _dqds(q: list[float], e: list[float]) -> list[float]:
                         residual,
                     )
                 iterations += 1
-                # the transform into qo, eo; a d_j < 0 ends it early, and so
-                # does d_j = e_j = 0, a split
+                # the transform into qo, eo, keeping (d_j, least d_i for
+                # i <= j) of its last five positions in tail; a d_j < 0 ends
+                # it early, and so does d_j = e_j = 0, a split
                 d = dmin = q[i0] - tau
-                last = n0 - 2
+                last = n0 - 4
                 tail = []
+                only_dn = False
                 for j in range(i0, n0):
                     if d <= 0.0 and (d < 0.0 or not e[j]):
                         break
@@ -740,32 +737,32 @@ def _dqds(q: list[float], e: list[float]) -> list[float]:
                         dmin = d
                 else:
                     qo[n0] = d
-                    (_, dmin2), (dn1, dmin1) = tail
+                    tail.append((d, dmin))
                     if dmin >= 0.0:
                         break
-                    if dmin1 > 0.0 and -d < tol * sigma and eo[n0 - 1] < tol * (sigma + dn1):
+                    dn1, dmin1 = tail[-2]
+                    only_dn = dmin1 > 0.0
+                    if only_dn and -d < tol * sigma and eo[n0 - 1] < tol * (sigma + dn1):
                         # only d_n < 0, and by less than rounding: the last
                         # value has converged; take d_n as 0
-                        qo[n0] = d = dmin = 0.0
+                        qo[n0] = dmin = 0.0
+                        tail[-1] = (0.0, 0.0)
                         break
                 if d == 0.0:
                     split = j
                     break
                 # the shift was too large: after two failures none; when only
-                # the last d_j is negative, tau + d_n (a very good shift);
-                # else a quarter of it
+                # d_n < 0, tau + d_n (a very good shift); else a quarter of it
                 if failures >= 2:
                     tau = 0.0
-                elif len(tail) == 2 and dmin1 > 0.0:
+                elif only_dn:
                     tau = (tau + d) * (1.0 - 2.0 * eps)
                 else:
                     tau *= 0.25
                 failures += 1
             if split is None:
                 sigma += tau
-                dmins = (dmin, dmin1, dmin2, d, dn1)
                 q, qo, e, eo = qo, q, eo, e
-                n0in = n0
                 if dmin > tol2 * sigma:
                     continue
                 # a d_j this close to 0 beside an e_j that underflowed to 0
@@ -777,8 +774,9 @@ def _dqds(q: list[float], e: list[float]) -> list[float]:
                 # d_j = e_j = 0, or e_j = 0: the array splits below j
                 stack.append((i0, split, sigma, q, e, qo, eo))
                 i0 = split + 1
-                dmins = (-0.0,) * 5
-                n0in = n0
+                # the d_j above a split say nothing of the part below it:
+                # its first transform takes no shift
+                tail = []
     return out
 
 

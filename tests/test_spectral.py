@@ -1220,6 +1220,59 @@ def test_dqds_converges_well_inside_the_iteration_cap(monkeypatch):
         assert randic_energy(generate(spec)) == pytest.approx(closed_energy(spec), abs=1e-9)
 
 
+def _count_shifts(monkeypatch):
+    """Wrap ``_dqds_shift`` and ``_dqds``: the shifts asked for, and the
+    values of every dqds array, as a dict of two running counts."""
+    counts = {"shifts": 0, "values": 0}
+    shift, dqds = spectral._dqds_shift, spectral._dqds
+
+    def counted_shift(*args):
+        counts["shifts"] += 1
+        return shift(*args)
+
+    def counted_dqds(q, e):
+        counts["values"] += len(q)
+        return dqds(q, e)
+
+    monkeypatch.setattr(spectral, "_dqds_shift", counted_shift)
+    monkeypatch.setattr(spectral, "_dqds", counted_dqds)
+    return counts
+
+
+@pytest.mark.parametrize("n, most", [(255, 1035), (127, 554)])
+def test_dqds_shift_calls_on_odd_cycles(monkeypatch, n, most):
+    # 1.2 times the shifts of the DLASQ4 port (863 and 462): the bound from
+    # the bottom 2 x 2 serves the bottom left after a deflation as well
+    counts = _count_shifts(monkeypatch)
+    randic_energy(generate(FamilySpec("cycle", n)))
+    assert counts["values"] == n
+    assert counts["shifts"] <= most
+
+
+def test_dqds_shift_calls_per_value_over_the_sweep(monkeypatch):
+    # 1.2 times the 3.19 per value of the DLASQ4 port
+    from randic.verify import verify_all
+
+    counts = _count_shifts(monkeypatch)
+    verify_all(24)
+    assert counts["shifts"] <= 3.83 * counts["values"]
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_dqds_converges_on_graded_arrays(seed):
+    # entries across 15 decades: several values deflate between two
+    # transforms, and the shift reads what is left of the last one's d_j;
+    # the eigenvalues of B^T B add up to its trace, sum(q) + sum(e)
+    rng = random.Random(seed)
+    n = rng.randint(2, 60)
+    q = [10 ** rng.uniform(-15, 0) for _ in range(n)]
+    e = [10 ** rng.uniform(-15, 0) for _ in range(n - 1)]
+    trace = math.fsum(q + e)
+    values = spectral._dqds(q, e)
+    assert len(values) == n and min(values) >= 0.0
+    assert math.fsum(values) == pytest.approx(trace, rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "spec",
     [FamilySpec("cycle", n) for n in (3, 4, 5, 64, 129, 255, 256, 511)]
