@@ -39,13 +39,16 @@ a path's B is upper bidiagonal and a cycle's has one diagonal below and one
 above. Givens rotations reduce B to upper bidiagonal form by chasing each
 bulge off the band (Schwarz; LAPACK xGBBRD), at O(p*q*w) for bandwidth w.
 The bidiagonal is scaled by a power of two, exactly, to a largest entry in
-[1/2, 1), a p x (p+1) one has its last entry folded in, and each zero
-diagonal entry is split off by rotations; its singular values then come
-from dqds on q_i = a_i^2, e_i = b_i^2 (Fernando and Parlett; Parlett and
-Marques). Each dqds shift reads the last transform's d_j up to the current
-bottom: LAPACK DLASQ4's bound from the bottom 2 x 2 when the least two are
-the last two, and a quarter of the least otherwise; the array splits at
-every zero e_j, one that underflows to zero on the way included.
+[1/2, 1), and dqds finds its singular values from q_i = a_i^2, e_i = b_i^2
+(Fernando and Parlett; Parlett and Marques) with one zero row appended,
+which makes a p x (p+1) bidiagonal square. A zero q_i, that row's or a
+square below the least normal float, leaves through dqds: the transform
+without shift that starts every segment carries it to the bottom, where it
+splits off exactly. Each dqds shift reads the last transform's d_j up to
+the current bottom: LAPACK DLASQ4's bound from the bottom 2 x 2 when the
+least two are the last two, and a quarter of the least otherwise; the
+array splits at every zero e_j, one that underflows to zero on the way
+included.
 dqds keeps every singular value, however small, to high relative accuracy;
 the eigenvalues of B^T B computed from the matrix itself could be off by
 eps*||B||^2 each, so a singular value near 0 could be off by sqrt(eps) =
@@ -550,51 +553,6 @@ def _band_bidiagonalize(b, q: int) -> tuple[list[float], list[float]]:
     return diag, sup
 
 
-def _fold(d: list[float], e: list[float], m: int) -> None:
-    """Fold the last superdiagonal entry e[m-1] of the m x (m+1) upper
-    bidiagonal d[:m], e[:m] into an m x m one, in place.
-
-    The entry at (m-1, m) is zeroed by rotating columns m-1 and m, which puts
-    a bulge at (m-2, m); it is zeroed against d[m-2], and so on up to row 0:
-    O(m) rotations, and column m is left zero.
-    """
-    f = e[m - 1]
-    e[m - 1] = 0.0
-    for i in range(m - 1, -1, -1):
-        if not f:
-            return
-        h = math.hypot(d[i], f)
-        cs, sn = d[i] / h, f / h
-        d[i] = h
-        if i:
-            f = -sn * e[i - 1]
-            e[i - 1] *= cs
-
-
-def _deflate_zero(d: list[float], e: list[float], k: int) -> None:
-    """Split a zero diagonal entry d[k] off a square upper bidiagonal, in place.
-
-    Row k is (0, e[k]): its entry is zeroed against d[k+1] by rotating rows
-    k and k+1, which moves it to (k, k+2), and so on to the last column, so
-    row k ends all zero: a zero singular value. Column k then holds e[k-1]
-    alone, the extra column of the k x (k+1) bidiagonal above, which
-    ``_fold`` folds in. Nothing is divided by d[k].
-    """
-    m = len(d)
-    f = e[k]
-    e[k] = 0.0
-    for j in range(k + 1, m):
-        if not f:
-            break
-        h = math.hypot(d[j], f)
-        cs, sn = d[j] / h, f / h
-        d[j] = h
-        f = -sn * e[j]
-        e[j] *= cs
-    if k:
-        _fold(d, e, k)
-
-
 def _dqds_shift(q, e, n0, tail):
     """The shift for the next dqds transform of the segment ending at n0.
 
@@ -650,8 +608,9 @@ def _qd_pair(a: float, b: float, c: float, tol2: float) -> tuple[float, float]:
 
 def _dqds(q: list[float], e: list[float]) -> list[float]:
     """Eigenvalues of B^T B for a square upper bidiagonal B given by its qd
-    arrays q_i = a_i^2 > 0 and e_i = b_i^2 (e[i] couples i and i+1); for a
-    positive definite LDL^T = B^T B, q_i = D_i and e_i = L_i^2*D_i.
+    arrays q_i = a_i^2 >= 0 and e_i = b_i^2 (e[i] couples i and i+1); for a
+    positive definite LDL^T = B^T B, q_i = D_i and e_i = L_i^2*D_i. Neither
+    list is written.
 
     The differential qd algorithm with shifts (Fernando and Parlett, Numer.
     Math. 67, 1994; Parlett and Marques, Linear Algebra Appl. 309, 2000;
@@ -672,15 +631,20 @@ def _dqds(q: list[float], e: list[float]) -> list[float]:
     once e_{n-2} <= tol^2*sigma. A zero e_j splits the array: one given, one
     a transform meets as d_j = e_j = 0, and, after a transform whose least
     d_j is at most tol^2*sigma, the first that has underflowed to 0. Each
-    part has its own sigma. ``ITERATION_CAP`` caps the transforms, failed
-    ones included, at that many per value; past it ConvergenceError carries
-    the Frobenius norm of the superdiagonal still to be reduced.
+    part has its own sigma, and starts with a transform without shift, which
+    carries a zero q_i to the bottom: d_j = 0 from i on, so q'_n = 0. Its
+    least d_j is 0, so the next transform takes no shift either, and its
+    e'_{n-1}, a multiple of q_n = 0, is 0: the zero splits off exactly, as
+    in Demmel and Kahan's zero-shift QR sweep (SIAM J. Sci. Stat. Comput.
+    11, 1990). ``ITERATION_CAP`` caps the transforms, failed ones included,
+    at that many per value; past it ConvergenceError carries the Frobenius
+    norm of the superdiagonal still to be reduced.
     """
     eps = sys.float_info.epsilon
     tol = 100.0 * eps
     tol2 = tol * tol
     n = len(q)
-    e = e + [0.0] * (n - len(e))
+    q, e = q[:], e + [0.0] * (n - len(e))
     out = []
     iterations = 0
     # segments to do, each with its shift so far and the buffers holding it
@@ -787,21 +751,16 @@ def _singular_values(d: list[float], e: list[float]) -> list[float]:
 
     The entries are scaled by a power of two, exactly, so that the largest
     lies in [1/2, 1): their squares neither overflow nor underflow with the
-    scale of B. The extra column is folded in first (``_fold``). A diagonal
-    entry whose square underflows, an exact zero above all (B rank-deficient
-    beyond |p - q|), is split off by ``_deflate_zero`` as a zero singular
-    value, so every other q_i = d_i^2 is positive; then ``_dqds``.
+    scale of B, and a square below the least normal float is taken as 0.
+    A zero row appended, q_{m+1} = 0, makes B square with one more singular
+    value, 0; ``_dqds`` splits off each zero q_i, and that one 0 is dropped.
     """
-    m = len(d)
     k = math.frexp(max(map(abs, d + e)))[1]
-    d = [math.ldexp(x, -k) for x in d]
-    e = [math.ldexp(x, -k) for x in e]
-    if e[m - 1]:
-        _fold(d, e, m)
-    for j in compress(count(), map(operator.not_, map(operator.mul, d, d))):
-        d[j] = 0.0
-        _deflate_zero(d, e, j)
-    return [math.ldexp(math.sqrt(x), k) for x in _dqds([x * x for x in d], [x * x for x in e[: m - 1]])]
+    scaled = [math.ldexp(x, -k) for x in d + e]
+    squares = [s if s >= sys.float_info.min else 0.0 for s in map(operator.mul, scaled, scaled)]
+    values = _dqds(squares[: len(d)] + [0.0], squares[len(d) :])
+    values.remove(0.0)
+    return [math.ldexp(math.sqrt(x), k) for x in values]
 
 
 def _twin_classes(rows, supports: list[int]) -> list[list[int]]:

@@ -1089,8 +1089,8 @@ def test_band_route_reads_a_shuffled_path_off_its_weights():
 
 @pytest.mark.parametrize("n", [5, 9, 31, 65])
 def test_odd_path_folds_its_extra_column(n):
-    # B is p x (p+1); its last superdiagonal entry is folded in, and the
-    # one zero of the spectrum is emitted exactly
+    # B is p x (p+1); a zero row appended makes it square, and the one zero
+    # of the spectrum is emitted exactly
     mat = randic_matrix(_shuffled(random.Random(n), generate(FamilySpec("path", n))))
     a, b = _one_block_bidiagonal(mat)
     assert len(a) == len(b) == n // 2
@@ -1114,6 +1114,44 @@ def test_tree_with_nullity_beyond_its_halves_deflates_a_zero_diagonal():
     assert sorted(map(abs, eigenvalues(mat).values))[:3] == [0.0, 0.0, pytest.approx(0.3766581318, abs=1e-9)]
     _assert_matches_rotation(mat)
     _assert_matches_rotation(adjacency_matrix(SINGULAR_TREE))
+
+
+def _bipartite_forest(rng, cut):
+    """A random tree of order 8 to 40 whose colour classes differ in size by
+    0 to 3, relabeled at random, less ``cut`` random edges. Each vertex after
+    a path of four joins an earlier vertex of the other class, one with no
+    leaf neighbour where there is one, so that few leaves are twins and some
+    zero singular values are left for dqds."""
+    skew = rng.randint(0, 3)
+    small = rng.randint(4, (40 - skew) // 2)
+    n = 2 * small + skew
+    colours = [0, 1, 0, 1] + rng.sample([0] * (small + skew - 2) + [1] * (small - 2), n - 4)
+    adj = [{1}, {0, 2}, {1, 3}, {2}] + [set() for _ in range(n - 4)]
+    for v in range(4, n):
+        other = [u for u in range(v) if colours[u] != colours[v]]
+        free = [u for u in other if all(len(adj[w]) > 1 for w in adj[u])]
+        u = rng.choice(free or other)
+        adj[u].add(v)
+        adj[v].add(u)
+    edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
+    for _ in range(cut):
+        edges.remove(rng.choice(edges))
+    return _shuffled(rng, Graph.from_edges(n, edges))
+
+
+@pytest.mark.parametrize(
+    "g", [_bipartite_forest(random.Random(f"forest:{seed}"), seed % 4) for seed in range(24)] + [SINGULAR_TREE]
+)
+@pytest.mark.parametrize("build", [randic_matrix, adjacency_matrix])
+def test_zero_eigenvalues_of_trees_and_forests_match_the_exact_nullity(g, build):
+    # the multiplicity of the root 0 of the exact characteristic polynomial
+    # counts the zeros: |p - q| of each block's halves, the twins' and those
+    # of a singular B, which dqds splits off as zero q_i
+    coeffs = charpoly_exact(g).coeffs
+    nullity = next(i for i, c in enumerate(coeffs) if c)
+    mat = build(g)
+    assert sum(abs(x) < 1e-12 for x in eigenvalues(mat).values) == nullity
+    _assert_matches_rotation(mat, seed=g.n)
 
 
 def _weighted_path(weights, seed):
@@ -1158,6 +1196,19 @@ def test_graded_path_splits_at_an_underflowed_coupling():
     assert math.fsum(x * x for x in values) == pytest.approx(2.0 * math.fsum(w * w for w in weights), rel=1e-13)
     (m, k), (want, k0) = _frexp_product(values[:110]), _frexp_product(weights[0::2])
     assert math.ldexp(m, k - k0) == pytest.approx(want, rel=1e-11)
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_weighted_path_across_200_decades(seed):
+    # a weight below 1e-154 of the largest squares to below the least normal
+    # float and is taken as 0: a zero q_i leaves through dqds and a zero e_j
+    # splits the array, where a subnormal one would stall or give NaN; the
+    # trace of M^2 is 2*sum(w^2)
+    rng = random.Random(seed)
+    weights = [10 ** rng.uniform(-200, 0) for _ in range(59)]
+    values = eigenvalues(_weighted_path(weights, seed)).values
+    got, want = math.fsum(x * x for x in values), 2.0 * math.fsum(w * w for w in weights)
+    assert abs(got - want) <= 1e-13 * want
 
 
 @pytest.mark.parametrize("p, q", [(6, 6), (5, 9)])
@@ -1271,6 +1322,34 @@ def test_dqds_converges_on_graded_arrays(seed):
     values = spectral._dqds(q, e)
     assert len(values) == n and min(values) >= 0.0
     assert math.fsum(values) == pytest.approx(trace, rel=1e-12)
+
+
+def test_dqds_writes_neither_list():
+    rng = random.Random(12)
+    q = [rng.uniform(0.1, 1.0) for _ in range(12)]
+    e = [rng.uniform(0.1, 1.0) for _ in range(11)]
+    q0, e0 = q[:], e[:]
+    assert len(spectral._dqds(q, e)) == 12
+    assert q == q0 and e == e0
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_singular_values_of_bidiagonals_with_planted_zeros(seed):
+    # m values, square or m x (m+1), with 1 to 3 zero diagonal entries; a
+    # superdiagonal with no zero leaves rank at least m - 1, so a square B
+    # has exactly one zero singular value and an m x (m+1) one none
+    rng = random.Random(seed)
+    m = rng.randint(1, 30)
+    square = seed % 2 == 0
+    d = [rng.uniform(0.1, 1.0) for _ in range(m)]
+    e = [rng.uniform(0.1, 1.0) for _ in range(m - 1)] + [0.0 if square else rng.uniform(0.1, 1.0)]
+    for j in rng.sample(range(m), min(m, rng.randint(1, 3))):
+        d[j] = 0.0
+    values = spectral._singular_values(d, e)
+    assert len(values) == m and min(values) >= 0.0
+    assert values.count(0.0) == int(square)
+    got, want = math.fsum(x * x for x in values), math.fsum(x * x for x in d + e)
+    assert abs(got - want) <= 1e-13 * want
 
 
 @pytest.mark.parametrize(
