@@ -4,6 +4,7 @@ from fractions import Fraction as Fr
 
 import pytest
 import oracles
+from graded import graded_qd, graded_weights, weighted_path
 from oracles import charpoly_at, charpoly_bruteforce, disjoint_union, randic_index
 
 from randic import spectral
@@ -1154,21 +1155,10 @@ def test_zero_eigenvalues_of_trees_and_forests_match_the_exact_nullity(g, build)
     _assert_matches_rotation(mat, seed=g.n)
 
 
-def _weighted_path(weights, seed):
-    """A path with the given edge weights, as a matrix, relabeled at random."""
-    n = len(weights) + 1
-    perm = list(range(n))
-    random.Random(seed).shuffle(perm)
-    rows = [[0.0] * n for _ in range(n)]
-    for i, w in enumerate(weights):
-        rows[perm[i]][perm[i + 1]] = rows[perm[i + 1]][perm[i]] = w
-    return SymMatrix(tuple(map(tuple, rows)))
-
-
 def test_planted_tiny_singular_value_keeps_its_relative_accuracy():
     # weights 0.5, 1, 0.5, ..., 0.5 make B = 0.5*I + N, 33 x 33: the product
     # of its singular values is det B = 0.5^33, and the least is 8.7e-11
-    mat = _weighted_path([0.5, 1.0] * 32 + [0.5], seed=66)
+    mat = weighted_path([0.5, 1.0] * 32 + [0.5], seed=66)
     positive = eigenvalues(mat).values[:33]
     assert 8.7e-11 < positive[-1] < 8.8e-11
     assert math.prod(positive) == pytest.approx(0.5**33, rel=1e-13)
@@ -1188,9 +1178,8 @@ def _frexp_product(xs):
 def test_graded_path_splits_at_an_underflowed_coupling():
     # weights from 1e-9 to 1: a coupling e_j underflows to 0 in mid array
     # while its q_j shrinks towards 1e-301, and dqds must split there
-    rng = random.Random(20)
-    weights = [10 ** rng.uniform(-9, 0) for _ in range(219)]
-    values = eigenvalues(_weighted_path(weights, seed=20)).values
+    weights = graded_weights(20, 219, 9)
+    values = eigenvalues(weighted_path(weights, seed=20)).values
     # the trace of M^2 is 2*sum(w^2), and the positive values multiply to
     # |det B|, the product of B's diagonal weights
     assert math.fsum(x * x for x in values) == pytest.approx(2.0 * math.fsum(w * w for w in weights), rel=1e-13)
@@ -1204,9 +1193,8 @@ def test_weighted_path_across_200_decades(seed):
     # float and is taken as 0: a zero q_i leaves through dqds and a zero e_j
     # splits the array, where a subnormal one would stall or give NaN; the
     # trace of M^2 is 2*sum(w^2)
-    rng = random.Random(seed)
-    weights = [10 ** rng.uniform(-200, 0) for _ in range(59)]
-    values = eigenvalues(_weighted_path(weights, seed)).values
+    weights = graded_weights(seed, 59, 200)
+    values = eigenvalues(weighted_path(weights, seed)).values
     got, want = math.fsum(x * x for x in values), 2.0 * math.fsum(w * w for w in weights)
     assert abs(got - want) <= 1e-13 * want
 
@@ -1226,12 +1214,6 @@ def test_planted_tiny_singular_value_matches_rotated_spectrum(p, q):
     assert values[: q - p] == [0.0] * (q - p)
     assert values[q - p : q - p + 2] == [pytest.approx(1e-10, abs=1e-14)] * 2
     _assert_matches_rotation(mat, seed=p + q)
-
-
-def _crown(n):
-    """K_n x K_2, that is K(n, n) minus a perfect matching: vertex i is
-    joined to n + j for every j != i."""
-    return Graph.from_edges(2 * n, [(i, n + j) for i in range(n) for j in range(n) if i != j])
 
 
 @pytest.mark.parametrize("n", range(3, 17))
@@ -1272,10 +1254,11 @@ def test_dqds_converges_well_inside_the_iteration_cap(monkeypatch):
 
 
 def _count_shifts(monkeypatch):
-    """Wrap ``_dqds_shift`` and ``_dqds``: the shifts asked for, and the
-    values of every dqds array, as a dict of two running counts."""
+    """Wrap ``_dqds_shift``, ``_dqds`` and ``_singular_values``: the shifts
+    asked for, and the values of every dqds array less the zero row each
+    ``_singular_values`` call appends, as a dict of two running counts."""
     counts = {"shifts": 0, "values": 0}
-    shift, dqds = spectral._dqds_shift, spectral._dqds
+    shift, dqds, singular_values = spectral._dqds_shift, spectral._dqds, spectral._singular_values
 
     def counted_shift(*args):
         counts["shifts"] += 1
@@ -1285,8 +1268,13 @@ def _count_shifts(monkeypatch):
         counts["values"] += len(q)
         return dqds(q, e)
 
+    def counted_singular_values(d, e):
+        counts["values"] -= 1
+        return singular_values(d, e)
+
     monkeypatch.setattr(spectral, "_dqds_shift", counted_shift)
     monkeypatch.setattr(spectral, "_dqds", counted_dqds)
+    monkeypatch.setattr(spectral, "_singular_values", counted_singular_values)
     return counts
 
 
@@ -1314,13 +1302,10 @@ def test_dqds_converges_on_graded_arrays(seed):
     # entries across 15 decades: several values deflate between two
     # transforms, and the shift reads what is left of the last one's d_j;
     # the eigenvalues of B^T B add up to its trace, sum(q) + sum(e)
-    rng = random.Random(seed)
-    n = rng.randint(2, 60)
-    q = [10 ** rng.uniform(-15, 0) for _ in range(n)]
-    e = [10 ** rng.uniform(-15, 0) for _ in range(n - 1)]
+    q, e = graded_qd(seed, 60)
     trace = math.fsum(q + e)
     values = spectral._dqds(q, e)
-    assert len(values) == n and min(values) >= 0.0
+    assert len(values) == len(q) and min(values) >= 0.0
     assert math.fsum(values) == pytest.approx(trace, rel=1e-12)
 
 
