@@ -41,14 +41,15 @@ bulge off the band (Schwarz; LAPACK xGBBRD), at O(p*q*w) for bandwidth w.
 The bidiagonal is scaled by a power of two, exactly, to a largest entry in
 [1/2, 1), and dqds finds its singular values from q_i = a_i^2, e_i = b_i^2
 (Fernando and Parlett; Parlett and Marques) with one zero row appended,
-which makes a p x (p+1) bidiagonal square. A zero q_i, that row's or a
-square below the least normal float, leaves through dqds: the transform
-without shift that starts every segment carries it to the bottom, where it
-splits off exactly. Each dqds shift reads the last transform's d_j up to
-the current bottom: LAPACK DLASQ4's bound from the bottom 2 x 2 when the
-least two are the last two, and a quarter of the least otherwise; the
-array splits at every zero e_j, one that underflows to zero on the way
-included.
+which makes a p x (p+1) bidiagonal square. Each dqds shift reads the last
+transform's d_j up to the current bottom: LAPACK DLASQ4's bound from the
+bottom 2 x 2 when the least two are the last two, and a quarter of the
+least otherwise. A transform with a negative d_j is redone without shift,
+which cannot fail. A transform that meets a zero e_j, given or underflowed
+to zero on the way, stops there, and the array splits below j; the part
+below goes on without shift. A zero q_i, that row's or a square below the
+least normal float, leaves through dqds: a transform without shift carries
+it to the bottom, where it deflates exactly.
 dqds keeps every singular value, however small, to high relative accuracy;
 the eigenvalues of B^T B computed from the matrix itself could be off by
 eps*||B||^2 each, so a singular value near 0 could be off by sqrt(eps) =
@@ -624,21 +625,23 @@ def _dqds(q: list[float], e: list[float]) -> list[float]:
     positions, less one per value deflated since (``_dqds_shift``). It is
     DLASQ4's bound from the bottom 2 x 2 when the least two are the last
     two, else a quarter of the least. A shift too large shows as a negative
-    d_j, and the transform is redone with tau + d_n when only d_n < 0, else
-    with a quarter of tau, and with none after two failures. The shifts add
-    up in sigma; a value is deflated at the bottom once e_{n-1} <=
+    d_j, and the transform is redone without shift, whose d_j all stay >= 0,
+    so none is redone twice. Only d_n < 0, by less than rounding, is no
+    failure: the last value has converged, and d_n is taken as 0. The shifts
+    add up in sigma; a value is deflated at the bottom once e_{n-1} <=
     tol^2*(sigma + q_n), tol = 100*eps, or two at once from the bottom 2 x 2
-    once e_{n-2} <= tol^2*sigma. A zero e_j splits the array: one given, one
-    a transform meets as d_j = e_j = 0, and, after a transform whose least
-    d_j is at most tol^2*sigma, the first that has underflowed to 0. Each
-    part has its own sigma, and starts with a transform without shift, which
-    carries a zero q_i to the bottom: d_j = 0 from i on, so q'_n = 0. Its
-    least d_j is 0, so the next transform takes no shift either, and its
-    e'_{n-1}, a multiple of q_n = 0, is 0: the zero splits off exactly, as
-    in Demmel and Kahan's zero-shift QR sweep (SIAM J. Sci. Stat. Comput.
-    11, 1990). ``ITERATION_CAP`` caps the transforms, failed ones included,
-    at that many per value; past it ConvergenceError carries the Frobenius
-    norm of the superdiagonal still to be reduced.
+    once e_{n-2} <= tol^2*sigma. A transform that meets a zero e_j, given or
+    underflowed to 0 on the way, stops there before using it, and the array
+    splits below j: the part above waits with its arrays and sigma, and the
+    part below goes on, its next transform without shift. A transform
+    without shift carries a zero q_i to the bottom: d_j = 0 from i on, so
+    q'_n = 0. Its least d_j is 0, so the next transform takes no shift
+    either, and its e'_{n-1}, a multiple of q_n = 0, is 0: the zero deflates
+    exactly, as in Demmel and Kahan's zero-shift QR sweep (SIAM J. Sci.
+    Stat. Comput. 11, 1990). ``ITERATION_CAP`` caps the transforms, failed
+    ones and those stopped at a split included, at that many per value;
+    past it ConvergenceError carries the Frobenius norm of the
+    superdiagonal still to be reduced.
     """
     eps = sys.float_info.epsilon
     tol = 100.0 * eps
@@ -648,12 +651,7 @@ def _dqds(q: list[float], e: list[float]) -> list[float]:
     out = []
     iterations = 0
     # segments to do, each with its shift so far and the buffers holding it
-    stack = []
-    i0 = 0
-    qo, eo = q[:], e[:]
-    for j in chain(compress(count(), map(operator.not_, e[: n - 1])), [n - 1]):
-        stack.append((i0, j, 0.0, q, e, qo, eo))
-        i0 = j + 1
+    stack = [(0, n - 1, 0.0, q, e, q[:], e[:])]
     while stack:
         i0, n0, sigma, q, e, qo, eo = stack.pop()
         tail = []
@@ -669,8 +667,6 @@ def _dqds(q: list[float], e: list[float]) -> list[float]:
                 del tail[-2:]
                 continue
             tau = _dqds_shift(q, e, n0, tail)
-            split = None
-            failures = 0
             while True:
                 if iterations >= ITERATION_CAP * n:
                     residual = math.sqrt(sum(e[i0:n0]) + sum(sum(s[4][s[0] : s[1]]) for s in stack))
@@ -682,13 +678,12 @@ def _dqds(q: list[float], e: list[float]) -> list[float]:
                 iterations += 1
                 # the transform into qo, eo, keeping (d_j, least d_i for
                 # i <= j) of its last five positions in tail; a d_j < 0 ends
-                # it early, and so does d_j = e_j = 0, a split
+                # it early, and so does a zero e_j, before it is used
                 d = dmin = q[i0] - tau
                 last = n0 - 4
                 tail = []
-                only_dn = False
                 for j in range(i0, n0):
-                    if d <= 0.0 and (d < 0.0 or not e[j]):
+                    if d < 0.0 or not e[j]:
                         break
                     if j >= last:
                         tail.append((d, dmin))
@@ -702,45 +697,28 @@ def _dqds(q: list[float], e: list[float]) -> list[float]:
                 else:
                     qo[n0] = d
                     tail.append((d, dmin))
-                    if dmin >= 0.0:
-                        break
                     dn1, dmin1 = tail[-2]
-                    only_dn = dmin1 > 0.0
-                    if only_dn and -d < tol * sigma and eo[n0 - 1] < tol * (sigma + dn1):
+                    if d < 0.0 and dmin1 > 0.0 and -d < tol * sigma and eo[n0 - 1] < tol * (sigma + dn1):
                         # only d_n < 0, and by less than rounding: the last
                         # value has converged; take d_n as 0
                         qo[n0] = dmin = 0.0
                         tail[-1] = (0.0, 0.0)
-                        break
-                if d == 0.0:
-                    split = j
+                split = not e[j]
+                if split or dmin >= 0.0:
                     break
-                # the shift was too large: after two failures none; when only
-                # d_n < 0, tau + d_n (a very good shift); else a quarter of it
-                if failures >= 2:
-                    tau = 0.0
-                elif only_dn:
-                    tau = (tau + d) * (1.0 - 2.0 * eps)
-                else:
-                    tau *= 0.25
-                failures += 1
-            if split is None:
-                sigma += tau
-                q, qo, e, eo = qo, q, eo, e
-                if dmin > tol2 * sigma:
-                    continue
-                # a d_j this close to 0 beside an e_j that underflowed to 0
-                # would be driven to 0/0 by the next shifts: split at the
-                # first zero e_j, as LAPACK DLASQ2 does when the least e_j is
-                # tiny
-                split = next(compress(count(i0), map(operator.not_, e[i0:n0])), None)
-            if split is not None:
-                # d_j = e_j = 0, or e_j = 0: the array splits below j
-                stack.append((i0, split, sigma, q, e, qo, eo))
-                i0 = split + 1
-                # the d_j above a split say nothing of the part below it:
-                # its first transform takes no shift
+                # a d_j < 0: the shift was too large; redo the transform
+                # without one, whose d_j all stay >= 0
+                tau = 0.0
+            if split:
+                # e_j = 0: the array splits below j; the d_j above the split
+                # say nothing of the part below it, whose first transform
+                # takes no shift
+                stack.append((i0, j, sigma, q, e, qo, eo))
+                i0 = j + 1
                 tail = []
+                continue
+            sigma += tau
+            q, qo, e, eo = qo, q, eo, e
     return out
 
 
@@ -753,7 +731,8 @@ def _singular_values(d: list[float], e: list[float]) -> list[float]:
     lies in [1/2, 1): their squares neither overflow nor underflow with the
     scale of B, and a square below the least normal float is taken as 0.
     A zero row appended, q_{m+1} = 0, makes B square with one more singular
-    value, 0; ``_dqds`` splits off each zero q_i, and that one 0 is dropped.
+    value, 0; each zero q_i leaves ``_dqds`` through its deflation at the
+    bottom, and that one 0 is dropped.
     """
     k = math.frexp(max(map(abs, d + e)))[1]
     scaled = [math.ldexp(x, -k) for x in d + e]

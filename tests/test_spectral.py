@@ -1176,8 +1176,11 @@ def _frexp_product(xs):
 
 
 def test_graded_path_splits_at_an_underflowed_coupling():
-    # weights from 1e-9 to 1: a coupling e_j underflows to 0 in mid array
-    # while its q_j shrinks towards 1e-301, and dqds must split there
+    # weights from 1e-9 to 1 on a path of order 220: the spectrum keeps the
+    # trace of M^2 and the determinant of B. A coupling e_j underflows to 0
+    # in mid array, but this test passes without dqds's split at a zero e_j;
+    # test_weighted_path_across_200_decades, the planted-zero tests and
+    # test_dqds_splits_exactly_at_zero_couplings are the ones that need it
     weights = graded_weights(20, 219, 9)
     values = eigenvalues(weighted_path(weights, seed=20)).values
     # the trace of M^2 is 2*sum(w^2), and the positive values multiply to
@@ -1307,6 +1310,23 @@ def test_dqds_converges_on_graded_arrays(seed):
     values = spectral._dqds(q, e)
     assert len(values) == len(q) and min(values) >= 0.0
     assert math.fsum(values) == pytest.approx(trace, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(500))
+def test_dqds_splits_exactly_at_zero_couplings(seed):
+    # 2 to 4 qd arrays of order 1 to 25, entries 10^U(-8, 0), joined by
+    # zero couplings: the first transform to meet a zero e_j splits the
+    # array there, and each part gives, bit for bit, the values it gives
+    # alone
+    rng = random.Random(seed)
+    parts = []
+    for _ in range(rng.randint(2, 4)):
+        k = rng.randint(1, 25)
+        parts.append(([10 ** rng.uniform(-8, 0) for _ in range(k)], [10 ** rng.uniform(-8, 0) for _ in range(k - 1)]))
+    q = [x for part, _ in parts for x in part]
+    e = [x for _, part in parts for x in part + [0.0]][:-1]
+    want = sorted(x for part in parts for x in spectral._dqds(*part))
+    assert sorted(spectral._dqds(q, e)) == want
 
 
 def test_dqds_writes_neither_list():
