@@ -15,7 +15,9 @@ of its quotient, one vertex per class, computed by a Hessenberg reduction
 modulo a prime from a table of certified primes, the smallest above an
 a-priori bound on the coefficients of the quotient's det(λD' - A'), lifted
 back to integers and returned over the product of the degrees as one
-``RatPoly`` denominator. When every edge of the quotient joins breadth-first
+``RatPoly`` denominator. Each row operation of the reduction reads only the
+pivot row's nonzeros, so a sparse quotient pays for its nonzeros and their
+fill, not for every entry. When every edge of the quotient joins breadth-first
 depths of opposite parity, its W' is [[0, X], [Y, 0]] with s <= t classes
 in its halves, and the reduction runs on the s x s product XY alone, whose
 eigenvalues are the squares of those of W'.
@@ -219,37 +221,46 @@ def _hessenberg_charpoly(h: list[list[int]], p: int) -> list[int]:
     (any nonzero pivot, with a row and column swap), then run the
     Hessenberg determinant recurrence. ``h`` holds residues in [0, p) and
     is overwritten. Returns ascending coefficients in [0, p), c[n] = 1.
+
+    Each step reads column m - 1 below the diagonal once for the pivot and
+    the rows it eliminates, and a row operation reads only the pivot row's
+    nonzeros right of the pivot, so a sparse matrix pays for its nonzeros and
+    their fill, not for every entry of the tail. The entries stay reduced in
+    [0, p) throughout.
     """
     n = len(h)
     for m in range(1, n - 1):
         col = m - 1
-        piv = next((i for i in range(m, n) if h[i][col]), None)
-        if piv is None:
+        # the rows at and below m with a nonzero in column m - 1: the first
+        # is the pivot, the rest are eliminated
+        idx = list(compress(range(m, n), map(operator.itemgetter(col), h[m:])))
+        if not idx:
             continue
+        piv = idx.pop(0)
         if piv != m:
             h[piv], h[m] = h[m], h[piv]
             for row in h:
                 row[piv], row[m] = row[m], row[piv]
-        inv = pow(h[m][col], -1, p)
-        tail = h[m][m:]
+        top = h[m]
+        inv = pow(top[col], -1, p)
         # row_i -= u_i * row_m for each i > m (as row_i += (p - u_i) * row_m,
-        # which keeps the operands non-negative); these transforms commute,
-        # so the inverse column updates are applied together afterwards
-        idx, mults = [], []
-        for i in range(m + 1, n):
+        # which keeps the operands non-negative), on the columns from m on
+        # where row m is nonzero; these transforms commute, so the inverse
+        # column updates are applied together afterwards
+        cols = list(compress(range(m, n), top[m:]))
+        mults = []
+        for i in idx:
             row = h[i]
-            if row[col]:
-                u = row[col] * inv % p
-                neg = p - u
-                row[col] = 0
-                row[m:] = [(a + neg * b) % p for a, b in zip(row[m:], tail)]
-                idx.append(i)
-                mults.append(u)
+            u = row[col] * inv % p
+            neg = p - u
+            row[col] = 0
+            for j in cols:
+                row[j] = (row[j] + neg * top[j]) % p
+            mults.append(u)
         if len(idx) == 1:
             i, u = idx[0], mults[0]
-            for row in h:
-                if row[i]:
-                    row[m] = (row[m] + u * row[i]) % p
+            for row in compress(h, map(operator.itemgetter(i), h)):
+                row[m] = (row[m] + u * row[i]) % p
         elif idx:
             # column_m += sum of u_i * column_i
             pick = operator.itemgetter(*idx)
@@ -264,7 +275,7 @@ def _hessenberg_charpoly(h: list[list[int]], p: int) -> list[int]:
         hm = h[m][m]
         acc = [-hm * c for c in prev] + [0]
         acc[1:] = [a + c for a, c in zip(acc[1:], prev)]
-        top = next((r for r in range(m) if h[r][m]), m)
+        top = next(compress(range(m), map(operator.itemgetter(m), h)), m)
         t = 1
         for i in range(1, m - top + 1):
             t = t * h[m - i + 1][m - i] % p

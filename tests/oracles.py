@@ -10,6 +10,20 @@ up to ~12 vertices.
 as det(aD - bA)/(bⁿ·∏d), the determinant by fraction-free elimination in
 integers, for graphs without isolated vertices; it is practical at order 64.
 
+``charpoly_mod_p`` computes det(λI - H) of a matrix over Z/p with neither
+a Hessenberg form nor a recurrence: the determinant by elimination mod p at
+the n + 1 points λ = 0, ..., n, then Lagrange interpolation.
+
+``weighted_matching_polynomial`` is Sachs' coefficient theorem on a forest
+(Cvetkovic, Doob and Sachs, Spectra of Graphs, 1980): no cycles, so
+det(λD - A) is the sum over matchings M of (-1)^|M| times the product of
+d_w·λ over the vertices w that M leaves free (Godsil and Gutman, J. Graph
+Theory 5, 1981), with λ in place of d_w·λ for an isolated vertex, in
+integers, by one dynamic program per rooted tree. ``matching_number`` is
+greedy leaf matching, which is maximum on a forest: the Randic eigenvalue
+0 of a forest has multiplicity n - 2ν (Cvetkovic and Gutman, Mat. Vesnik
+9, 1972).
+
 ``schoolbook_product`` multiplies two coefficient lists term by term in
 ``Fraction`` arithmetic, the reference for ``RatPoly``'s integer
 convolution, and ``format_fractions`` renders a polynomial from its
@@ -169,3 +183,134 @@ def charpoly_at(g: Graph, x) -> Fraction:
             row[c + 1 :] = [(p * u - f * v) // prev for u, v in zip(row[c + 1 :], top[c + 1 :])]
         prev = p
     return Fraction(sign * prev, b**n * math.prod(degs))
+
+
+def _det_mod_p(rows: list[list[int]], p: int) -> int:
+    """Determinant over Z/p by Gaussian elimination with row swaps; ``rows``
+    is overwritten."""
+    n = len(rows)
+    det = 1
+    for c in range(n):
+        piv = next((r for r in range(c, n) if rows[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            det = -det
+        top = rows[c]
+        det = det * top[c] % p
+        inv = pow(top[c], -1, p)
+        tail = top[c + 1 :]
+        for row in rows[c + 1 :]:
+            f = row[c] * inv % p
+            if f:
+                # column c is not read again
+                row[c + 1 :] = [(u - f * v) % p for u, v in zip(row[c + 1 :], tail)]
+    return det % p
+
+
+def charpoly_mod_p(h: list[list[int]], p: int) -> list[int]:
+    """Ascending coefficients of det(λI - H) mod p, for a prime p above the
+    order n: the determinant at λ = 0, ..., n, then Lagrange interpolation."""
+    n = len(h)
+    xs = range(n + 1)
+    ys = [_det_mod_p([[((x if i == j else 0) - h[i][j]) % p for j in range(n)] for i in range(n)], p) for x in xs]
+    coeffs = [0] * (n + 1)
+    for k, (xk, yk) in enumerate(zip(xs, ys)):
+        basis, denom = [1], 1
+        for j, xj in enumerate(xs):
+            if j != k:
+                # basis *= (λ - x_j)
+                basis = [(a - xj * b) % p for a, b in zip([0] + basis, basis + [0])]
+                denom = denom * (xk - xj) % p
+        f = yk * pow(denom, -1, p) % p
+        coeffs = [(c + f * b) % p for c, b in zip(coeffs, basis)]
+    return coeffs
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _poly_add(a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b + [0] * (len(a) - len(b)))]
+
+
+def _forest_order(g: Graph) -> list[tuple[int, int]]:
+    """(vertex, parent) pairs of a breadth-first search from each component's
+    least vertex, parents first; ValueError if ``g`` has a cycle."""
+    parent = [None] * g.n
+    visits = []
+    for root in range(g.n):
+        if parent[root] is not None:
+            continue
+        parent[root] = -1
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            visits.append((u, parent[u]))
+            for w in g.adjacency[u]:
+                if parent[w] is None:
+                    parent[w] = u
+                    queue.append(w)
+                elif w != parent[u]:
+                    raise ValueError("not a forest: the graph has a cycle")
+    return visits
+
+
+def weighted_matching_polynomial(g: Graph) -> list[int]:
+    """Ascending integer coefficients of det(λD - A) of a forest, with λ in
+    place of d_w·λ for an isolated vertex w: the sum over matchings M of
+    (-1)^|M| times the product over the vertices w that M leaves free of
+    d_w·λ. Per vertex v of a rooted tree, ``free[v]`` sums the matchings of
+    v's subtree that leave v free, without v's own factor, and ``total[v]``
+    sums all of them with it; matching v to its child c takes -free[c]."""
+    degs = g.degrees
+    visits = _forest_order(g)
+    children: list[list[int]] = [[] for _ in range(g.n)]
+    for v, up in visits:
+        if up >= 0:
+            children[up].append(v)
+    free: list[list[int]] = [[]] * g.n
+    total: list[list[int]] = [[]] * g.n
+    for v, _ in reversed(visits):
+        unmatched, matched = [1], [0]
+        for c in children[v]:
+            matched = _poly_add(_poly_mul(matched, total[c]), _poly_mul(unmatched, [-x for x in free[c]]))
+            unmatched = _poly_mul(unmatched, total[c])
+        free[v] = unmatched
+        total[v] = _poly_add(_poly_mul([0, degs[v] or 1], unmatched), matched)
+    poly = [1]
+    for v, up in visits:
+        if up < 0:
+            poly = _poly_mul(poly, total[v])
+    return poly
+
+
+def matching_number(g: Graph) -> int:
+    """Size of a maximum matching of a forest, by greedy leaf matching: a
+    leaf is matched to its neighbour, both leave, and so on."""
+    _forest_order(g)
+    left = [set(nbrs) for nbrs in g.adjacency]
+    leaves = [v for v in range(g.n) if len(left[v]) == 1]
+    size = 0
+    while leaves:
+        v = leaves.pop()
+        if len(left[v]) != 1:
+            continue
+        (u,) = left[v]
+        size += 1
+        for w in (u, v):
+            for x in left[w]:
+                left[x].discard(w)
+                if len(left[x]) == 1:
+                    leaves.append(x)
+            left[w] = set()
+    return size

@@ -306,6 +306,57 @@ def test_hessenberg_kernel_pivot_swap():
     assert spectral._hessenberg_charpoly(h, p) == want
 
 
+KERNEL_PRIMES = [101, (1 << 61) - 1, PROTH_ENTRIES[0][0]]
+KERNEL_PRIME_IDS = [f"{p.bit_length()}bit" for p in KERNEL_PRIMES]
+
+
+def _random_mod_p(rng, n, per_row, p):
+    """An n x n matrix over Z/p with ``per_row`` nonzeros in each row."""
+    h = [[0] * n for _ in range(n)]
+    for row in h:
+        for j in rng.sample(range(n), per_row):
+            row[j] = rng.randrange(1, p)
+    return h
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 21, 40])
+@pytest.mark.parametrize("density", ["one", "third", "dense"])
+def test_hessenberg_kernel_matches_interpolated_determinant(n, density):
+    # from one nonzero per row, where most steps find a lone row or none to
+    # eliminate, through a third of each row, to dense, where every row
+    # operation reads a full tail; p = 101 makes entries cancel to 0 on the
+    # way. The reference shares no code with the kernel (oracles.py)
+    rng = random.Random(f"kernel:{n}:{density}")
+    per_row = {"one": 1, "third": max(1, n // 3), "dense": n}[density]
+    p = rng.choice(KERNEL_PRIMES)
+    h = _random_mod_p(rng, n, per_row, p)
+    assert spectral._hessenberg_charpoly([row[:] for row in h], p) == oracles.charpoly_mod_p(h, p)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES, ids=KERNEL_PRIME_IDS)
+def test_hessenberg_kernel_block_triangular_splits(p):
+    # H = [[A, B], [0, C]]: column 6 is zero below row 7, so the reduction
+    # skips that step and the Hessenberg form splits into A's and C's
+    rng = random.Random(f"split:{p}")
+    n, k = 16, 7
+    h = _random_mod_p(rng, n, 6, p)
+    for row in h[k:]:
+        row[:k] = [0] * k
+    assert spectral._hessenberg_charpoly([row[:] for row in h], p) == oracles.charpoly_mod_p(h, p)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES, ids=KERNEL_PRIME_IDS)
+def test_hessenberg_kernel_swaps_for_a_zero_first_column_entry(p):
+    # h[1][0] = 0 and only h[5][0] is nonzero below it: the first step swaps
+    # rows and columns 1 and 5 and then has no row to eliminate
+    rng = random.Random(f"swap:{p}")
+    h = _random_mod_p(rng, 12, 5, p)
+    for i in range(1, 12):
+        h[i][0] = 0
+    h[5][0] = rng.randrange(1, p)
+    assert spectral._hessenberg_charpoly([row[:] for row in h], p) == oracles.charpoly_mod_p(h, p)
+
+
 @pytest.mark.parametrize(
     "spec",
     [
