@@ -6,10 +6,11 @@ explicit coefficients
 
     Λ_k = Σ_j (-1)^j·C(k-j, j)/4^j·λ^(k-2j),   0 <= j <= k/2,
 
-with Λ_0 = 1 and Λ_{-1} = 0 so the small-n formulas close under one code
-path. The tests check these against the recurrence
-Λ_k = λ·Λ_{k-1} - (1/4)·Λ_{k-2} and against the identity Λ_k = U_k(λ)/2^k,
-with U_k the Chebyshev polynomial of the second kind.
+with Λ_0 = 1 and Λ_{-1} = 0. The path P_n has φ = (λ^2 - 1)·Λ_{n-2} for
+every n >= 2, P_2 through Λ_0 = 1, so no closed form reads Λ_{-1}; it stays
+as the recurrence's starting value. The tests check these against the
+recurrence Λ_k = λ·Λ_{k-1} - (1/4)·Λ_{k-2} and against the identity
+Λ_k = U_k(λ)/2^k, with U_k the Chebyshev polynomial of the second kind.
 
 Friendship and dutch4 are the windmills D_3^(n) and D_4^(n), n cycles C_k
 sharing one vertex, and both follow from the windmill identity
@@ -37,7 +38,6 @@ from .graphs import (
 from .ratpoly import RatPoly
 from .spectral import ENERGY_ORDER_CAP
 
-_QUARTER = RatPoly.from_numerators((1,), 4)
 _HALF = RatPoly.from_numerators((1,), 2)
 
 
@@ -107,10 +107,7 @@ def closed_charpoly(spec: FamilySpec) -> RatPoly:
         k = WINDMILL_CYCLE[fam]
         return lambda_poly(k - 1) ** (n - 1) * closed_charpoly(FamilySpec(CYCLE, k))
     if fam == PATH:
-        if n == 2:
-            return _x2_minus(1)
-        # n = 3 reaches Λ_{-1} = 0
-        return _x2_minus(1) * (x * lambda_poly(n - 3) - _QUARTER * lambda_poly(n - 4))
+        return _x2_minus(1) * lambda_poly(n - 2)
     if fam == CYCLE:
         return x * lambda_poly(n - 1) - _HALF * lambda_poly(n - 2) \
             - RatPoly.from_numerators((1,), 2 ** (n - 1))

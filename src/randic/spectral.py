@@ -458,7 +458,7 @@ def _band_tridiagonalize(rows) -> tuple[list[float], list[float]]:
     return [row[i] for i, row in enumerate(a)], [row[i] for i, row in enumerate(a[1:])] + [0.0]
 
 
-def _band_bidiagonalize(b, q: int) -> tuple[list[float], list[float]]:
+def _band_bidiagonalize(b) -> tuple[list[float], list[float]]:
     """Upper bidiagonal form of a p x q band matrix B, p <= q, no row of
     which is all zero.
 
@@ -485,7 +485,7 @@ def _band_bidiagonalize(b, q: int) -> tuple[list[float], list[float]]:
     step has only row p - 1 to clear past its superdiagonal, and that row
     is read off.
     """
-    p = len(b)
+    p, q = len(b), len(b[0])
     first = [next(compress(count(), row)) for row in b]
     ku = max(q - 1 - next(compress(count(), reversed(row))) - i for i, row in enumerate(b))
     if ku <= 1 and all(map(operator.ge, first, range(p))):
@@ -821,13 +821,6 @@ def _split_twins(rows, classes: list[list[int]]) -> tuple[list[list[float]], lis
     return reduced, supports, split
 
 
-def _submatrix(rows, top: list[int], side: list[int]) -> list[tuple[float, ...]]:
-    """Rows ``top`` of a matrix, restricted to the columns ``side``, which
-    must hold two or more indices."""
-    pick = operator.itemgetter(*side)
-    return [pick(rows[i]) for i in top]
-
-
 def _layers(supports: list[int], root: int) -> tuple[list[list[int]], int, bool]:
     """Breadth-first layers of the component of ``root`` in a symmetric
     matrix's support graph, the component as a bitmask, and whether it is
@@ -865,45 +858,44 @@ def _layers(supports: list[int], root: int) -> tuple[list[list[int]], int, bool]
 
 
 def _blocks(supports: list[int]):
-    """Connected components of a symmetric matrix's support graph, as
-    ``_layers`` from each component's smallest index, in that order."""
+    """Connected components of a symmetric matrix's support graph, in the
+    order of their smallest indices, each as its breadth-first layers from a
+    pseudo-peripheral index and whether it is bipartite.
+
+    A component is layered from its smallest index (``_layers``), then
+    re-rooted at an index of least degree in its last layer while that adds
+    a layer (George and Liu, ACM TOMS 5, 1979). A path is then layered from
+    an end, whatever its labels, and a cycle from any index.
+    """
     unseen = (1 << len(supports)) - 1
     while unseen:
         layers, seen, bipartite = _layers(supports, (unseen & -unseen).bit_length() - 1)
         unseen &= ~seen
+        while len(layers) > 1:
+            root = min(layers[-1], key=lambda v: supports[v].bit_count())
+            trial = _layers(supports, root)[0]
+            if len(trial) <= len(layers):
+                break
+            layers = trial
         yield layers, bipartite
 
 
-def _peripheral_layers(supports: list[int], layers: list[list[int]]) -> list[list[int]]:
-    """The layers of a component from a pseudo-peripheral index (George and
-    Liu, ACM TOMS 5, 1979), given its layers from any index: re-root at an
-    index of least degree in the last layer while that adds a layer. A path
-    is then layered from an end, whatever its labels, and a cycle from any
-    index."""
-    while True:
-        last = layers[-1]
-        root = min(last, key=lambda v: supports[v].bit_count())
-        trial = _layers(supports, root)[0]
-        if len(trial) <= len(layers):
-            return layers
-        layers = trial
-
-
-def _block_bidiagonal(rows, supports: list[int], layers: list[list[int]]) -> tuple[list[float], list[float]]:
+def _block_bidiagonal(rows, layers: list[list[int]]) -> tuple[list[float], list[float]]:
     """Upper bidiagonal form of the B of a bipartite block [[0, B], [B^T, 0]].
 
-    The block is layered from a pseudo-peripheral index, and its even and
-    odd layers are its two halves, in visiting order; the smaller half gives
-    the rows of B (on a tie, the half without the root), the other its
-    columns. Then every nonzero of B is within a few places of the diagonal
-    when the layers are narrow: a path's B is upper bidiagonal already and a
-    cycle's has one diagonal below and one above.
+    ``layers`` are the block's breadth-first layers from a pseudo-peripheral
+    index (``_blocks``), and its even and odd layers are its two halves, in
+    visiting order; the smaller half gives the rows of B (on a tie, the half
+    without the root), the other its columns, two or more of them. Then
+    every nonzero of B is within a few places of the diagonal when the
+    layers are narrow: a path's B is upper bidiagonal already and a cycle's
+    has one diagonal below and one above.
     """
-    layers = _peripheral_layers(supports, layers)
     even = [v for layer in layers[0::2] for v in layer]
     odd = [v for layer in layers[1::2] for v in layer]
     top, side = (odd, even) if len(odd) <= len(even) else (even, odd)
-    return _band_bidiagonalize(_submatrix(rows, top, side), len(side))
+    pick = operator.itemgetter(*side)
+    return _band_bidiagonalize([pick(rows[i]) for i in top])
 
 
 def eigenvalues(mat: SymMatrix) -> Spectrum:
@@ -961,14 +953,15 @@ def eigenvalues(mat: SymMatrix) -> Spectrum:
         elif bipartite:
             # two indices would be a twin pair, split off already, so B has
             # two or more columns
-            a, b = _block_bidiagonal(rows, supports, layers)
+            a, b = _block_bidiagonal(rows, layers)
             values = _singular_values(a, b)
             found += values
             found += [-x for x in values]
             found += [0.0] * (sum(map(len, layers)) - 2 * len(values))
         else:
-            index = [v for layer in _peripheral_layers(supports, layers) for v in layer]
-            db, eb = _band_tridiagonalize(_submatrix(rows, index, index))
+            index = [v for layer in layers for v in layer]
+            pick = operator.itemgetter(*index)
+            db, eb = _band_tridiagonalize([pick(rows[i]) for i in index])
             d += db
             e += eb
     if d:

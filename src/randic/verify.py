@@ -150,8 +150,6 @@ def _report_meta() -> dict:
 
 
 def _max_root_residual(poly: RatPoly, spectrum: Spectrum) -> float:
-    if not spectrum.values:
-        return 0.0
     # Horner in floats on coefficients converted once; n / den is correctly
     # rounded, so each equals float(Fraction(n, den)) and the result is
     # bit-identical to float(poly(v)), where Fraction.__radd__ does

@@ -19,10 +19,12 @@ the n + 1 points λ = 0, ..., n, then Lagrange interpolation.
 det(λD - A) is the sum over matchings M of (-1)^|M| times the product of
 d_w·λ over the vertices w that M leaves free (Godsil and Gutman, J. Graph
 Theory 5, 1981), with λ in place of d_w·λ for an isolated vertex, in
-integers, by one dynamic program per rooted tree. ``matching_number`` is
-greedy leaf matching, which is maximum on a forest: the Randic eigenvalue
-0 of a forest has multiplicity n - 2ν (Cvetkovic and Gutman, Mat. Vesnik
-9, 1972).
+integers, by one dynamic program per rooted tree. The diagonal D may also
+be given, so that a forest cut from a larger graph keeps that graph's
+degrees: the edge recurrence of a graph with cycles reduces it to such
+forests. ``matching_number`` is greedy leaf matching, which is maximum on
+a forest: the Randic eigenvalue 0 of a forest has multiplicity n - 2ν
+(Cvetkovic and Gutman, Mat. Vesnik 9, 1972).
 
 ``schoolbook_product`` multiplies two coefficient lists term by term in
 ``Fraction`` arithmetic, the reference for ``RatPoly``'s integer
@@ -265,14 +267,16 @@ def _forest_order(g: Graph) -> list[tuple[int, int]]:
     return visits
 
 
-def weighted_matching_polynomial(g: Graph) -> list[int]:
+def weighted_matching_polynomial(g: Graph, degrees=None) -> list[int]:
     """Ascending integer coefficients of det(λD - A) of a forest, with λ in
-    place of d_w·λ for an isolated vertex w: the sum over matchings M of
+    place of d_w·λ for a vertex w of degree 0: the sum over matchings M of
     (-1)^|M| times the product over the vertices w that M leaves free of
-    d_w·λ. Per vertex v of a rooted tree, ``free[v]`` sums the matchings of
-    v's subtree that leave v free, without v's own factor, and ``total[v]``
-    sums all of them with it; matching v to its child c takes -free[c]."""
-    degs = g.degrees
+    d_w·λ. D holds ``degrees``, by default the forest's own; a forest cut
+    from a larger graph can keep that graph's. Per vertex v of a rooted
+    tree, ``free[v]`` sums the matchings of v's subtree that leave v free,
+    without v's own factor, and ``total[v]`` sums all of them with it;
+    matching v to its child c takes -free[c]."""
+    degs = g.degrees if degrees is None else degrees
     visits = _forest_order(g)
     children: list[list[int]] = [[] for _ in range(g.n)]
     for v, up in visits:

@@ -456,6 +456,24 @@ def test_sweep_refuses_the_n_it_would_ignore(capsys):
     assert err.endswith("--sweep and --n are mutually exclusive")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["energy", "--family", "path", "--sweep", "2-8"], "--sweep expects a range like 2..8"),
+        (["energy", "--family", "path", "--sweep", "a..8"], "--sweep expects a range like 2..8"),
+        (["gen", "--n", "3"], "--family is required (or --input where supported)"),
+        (["energy", "--n", "3"], "--family is required (or --input where supported)"),
+        (["energy", "--input", "graph.txt", "--sweep", "2..4"], "--sweep requires --family, not --input"),
+    ],
+    ids=["sweep-dash", "sweep-letter", "gen-no-graph", "energy-no-graph", "energy-input-sweep"],
+)
+def test_malformed_or_missing_graph_options_are_usage_errors(capsys, argv, message):
+    # refused before any file is read or graph is built
+    code, out, err = run_refused(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"randic {argv[0]}: error: {message}"
+
+
 # ---------------------------------------------------------------- round trip
 
 

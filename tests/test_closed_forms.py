@@ -224,6 +224,8 @@ def test_path_graph_energy_analytic():
     assert path_graph_energy(1) == pytest.approx(0.0, abs=1e-15)
     assert path_graph_energy(2) == pytest.approx(2.0, abs=1e-12)
     assert path_graph_energy(3) == pytest.approx(2.0 * SQRT2, abs=1e-12)
+    with pytest.raises(DomainError, match="path order must be non-negative"):
+        path_graph_energy(-1)
 
 
 @pytest.mark.parametrize(

@@ -243,6 +243,8 @@ def test_graph_invariants_enforced():
         Graph(3, frozenset({(0, 3)}))
     with pytest.raises(ValueError):
         Graph(3, frozenset({(2, 1)}))  # stored pairs must be sorted
+    with pytest.raises(ValueError, match="vertex count must be non-negative"):
+        Graph(-1, frozenset())
     assert Graph.from_edges(3, [(2, 1)]).edges == frozenset({(1, 2)})
 
 
@@ -311,6 +313,11 @@ def test_edge_list_comments_and_blanks():
 def test_edge_list_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse_edge_list(text)
+
+
+def test_edge_list_rejects_an_edge_line_of_three_fields():
+    with pytest.raises(ValueError, match=r"edge line must be 'u v', got '0 1 2'"):
+        parse_edge_list("3 1\n0 1 2\n")
 
 
 def test_edge_list_header_order_limit():

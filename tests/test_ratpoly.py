@@ -89,6 +89,20 @@ def test_shift_and_monomial():
     assert RatPoly([1]).shift(3) == RatPoly([0, 0, 0, 1])
     assert RatPoly.zero().shift(5).is_zero
     assert RatPoly([Fr(1, 2)]).shift(2) == RatPoly([0, 0, Fr(1, 2)])
+    with pytest.raises(ValueError, match="shift must be non-negative"):
+        RatPoly([1]).shift(-1)
+
+
+def test_equality_truth_repr_and_str():
+    p = RatPoly([Fr(-1, 4), 0, 1])
+    # another type is not equal, whatever its value
+    assert p.__eq__(p(0)) is NotImplemented
+    assert RatPoly.one() != 1 and RatPoly.one() != (1,)
+    assert bool(p) and bool(RatPoly.one()) and not RatPoly.zero()
+    assert repr(p) == "RatPoly.from_numerators([-1, 0, 4], 4)"
+    assert eval(repr(p), {"RatPoly": RatPoly}) == p
+    assert eval(repr(RatPoly.zero()), {"RatPoly": RatPoly}) == RatPoly.zero()
+    assert str(p) == format_poly(p) == "λ^2 - 1/4"
 
 
 def test_evaluate_exact_and_float():

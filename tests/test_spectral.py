@@ -640,6 +640,11 @@ def test_bipartite_quotient_takes_the_half_order_bound(monkeypatch):
 # ---------------------------------------------------------------- eigensolver
 
 
+def _supports(mat):
+    """The support of each row of ``mat``, its nonzero columns as a bitmask."""
+    return [sum(1 << j for j, x in enumerate(r) if x) for r in mat.entries]
+
+
 def test_eigenvalues_exchange_matrix():
     spec = eigenvalues(SymMatrix(((0.0, 1.0), (1.0, 0.0))))
     assert spec.values == pytest.approx((1.0, -1.0), abs=1e-12)
@@ -835,10 +840,9 @@ def test_wide_irregular_band_roots_of_exact_charpoly(seed):
     n = 64 + 8 * (seed % 3)
     g = _shuffled(rng, _connected_graph(rng, n, 3 * n // 2))
     mat = randic_matrix(g)
-    supports = _supports(mat)
-    ((layers, bipartite),) = spectral._blocks(supports)
+    ((layers, bipartite),) = spectral._blocks(_supports(mat))
     assert not bipartite
-    position = {v: i for i, v in enumerate(v for layer in spectral._peripheral_layers(supports, layers) for v in layer)}
+    position = {v: i for i, v in enumerate(v for layer in layers for v in layer)}
     assert 20 <= max(abs(position[u] - position[v]) for u, v in g.edges) <= 35
     spectrum = eigenvalues(mat)
     assert _max_root_residual(charpoly_exact(g), spectrum) < 1e-9
@@ -888,8 +892,7 @@ def _assert_matches_rotation(mat, seed=0):
 
 def _twin_classes(mat):
     """The twin classes found in one pass over ``mat``, sorted."""
-    supports = [sum(1 << j for j, x in enumerate(r) if x) for r in mat.entries]
-    return sorted(spectral._twin_classes(mat.entries, supports))
+    return sorted(spectral._twin_classes(mat.entries, _supports(mat)))
 
 
 def _with_planted_twins(rng, n, m, copies):
@@ -1060,8 +1063,7 @@ def _with_diagonal(mat, i, x):
 
 
 def _blocks(mat):
-    supports = [sum(1 << j for j, x in enumerate(r) if x) for r in mat.entries]
-    return [(sorted(v for layer in layers for v in layer), bipartite) for layers, bipartite in spectral._blocks(supports)]
+    return [(sorted(v for layer in layers for v in layer), bipartite) for layers, bipartite in spectral._blocks(_supports(mat))]
 
 
 def test_bipartite_support_with_a_diagonal_entry_takes_the_tridiagonal_route():
@@ -1113,19 +1115,14 @@ def test_bidiagonalization_of_a_path_is_its_own_weights(n):
     odd, even = range(1, n, 2), range(0, n, 2)
     b = [[mat.entries[i][j] for j in even] for i in odd]
     weights = [mat.entries[i][i + 1] for i in range(n - 1)] + [0.0] * (1 - n % 2)
-    assert spectral._band_bidiagonalize(b, len(even)) == (weights[0::2], weights[1::2])
-
-
-def _supports(mat):
-    return [sum(1 << j for j, x in enumerate(r) if x) for r in mat.entries]
+    assert spectral._band_bidiagonalize(b) == (weights[0::2], weights[1::2])
 
 
 def _one_block_bidiagonal(mat):
     """The bidiagonal the band route makes of a connected bipartite matrix."""
-    supports = _supports(mat)
-    ((layers, bipartite),) = spectral._blocks(supports)
+    ((layers, bipartite),) = spectral._blocks(_supports(mat))
     assert bipartite
-    return spectral._block_bidiagonal(mat.entries, supports, layers)
+    return spectral._block_bidiagonal(mat.entries, layers)
 
 
 def test_band_route_reads_a_shuffled_path_off_its_weights():
