@@ -25,7 +25,7 @@ from .graphs import (
     parse_edge_list,
 )
 from .ratpoly import RatPoly, format_coeffs, format_poly
-from .spectral import ENERGY_ORDER_CAP, EXACT_ORDER_CAP, _check_order, charpoly_exact, graph_energy, randic_energy
+from .spectral import _check_energy_order, _check_exact_order, charpoly_exact, graph_energy, randic_energy
 from .verify import verify_all
 
 _FAMILY_CHOICES = sorted(family.replace("_", "-") for family in FAMILIES)
@@ -49,12 +49,13 @@ def _parse_sweep(text: str, parser) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def _family_specs(args, parser, cap: int | None = None, closed: bool = False) -> list[FamilySpec]:
+def _family_specs(args, parser, order_check=None, closed: bool = False) -> list[FamilySpec]:
     """The --family spec at --n, or at each --sweep end, checked before any
-    graph is built: against ``generate``'s domain, against ``cap``
-    non-isolated vertices when one is given, and against the closed forms'
-    domain when ``closed``. A refusal is a DomainError that names the spec
-    once: the library's messages leave it to the caller."""
+    graph is built: against ``generate``'s domain, by the route's
+    ``order_check`` of its non-isolated vertex count when one is given, and
+    against the closed forms' domain when ``closed``. A refusal is a
+    DomainError that names the spec once: the library's messages leave it to
+    the caller."""
     if args.family is None:
         parser.error("--family is required (or --input where supported)")
     sweep = getattr(args, "sweep", None)
@@ -71,8 +72,8 @@ def _family_specs(args, parser, cap: int | None = None, closed: bool = False) ->
     for spec in specs:
         try:
             _validate_spec(spec)
-            if cap is not None:
-                _check_order(_family_core_size(spec), cap)
+            if order_check is not None:
+                order_check(_family_core_size(spec))
             if closed:
                 _check_domain(spec, "form")
         except DomainError as exc:
@@ -80,8 +81,8 @@ def _family_specs(args, parser, cap: int | None = None, closed: bool = False) ->
     return specs
 
 
-def _graph_from_args(args, parser, cap: int) -> Graph:
-    """The --input graph, or the --family graph once its spec passes ``cap``."""
+def _graph_from_args(args, parser, order_check) -> Graph:
+    """The --input graph, or the --family graph once its spec passes the route's ``order_check``."""
     if args.input:
         given = (("family", args.family), ("n", args.n), ("m", args.m), ("minus-edge", args.minus_edge or None))
         for option, value in given:
@@ -89,7 +90,7 @@ def _graph_from_args(args, parser, cap: int) -> Graph:
                 parser.error(f"--input and --{option} are mutually exclusive")
         with open(args.input, encoding="utf-8") as fh:
             return parse_edge_list(fh.read())
-    return generate(_family_specs(args, parser, cap)[0])
+    return generate(_family_specs(args, parser, order_check)[0])
 
 
 def _poly_json(p: RatPoly) -> dict:
@@ -109,12 +110,12 @@ def _cmd_gen(args, parser) -> int:
 def _cmd_charpoly(args, parser) -> int:
     descending = args.order == "desc"
     if args.mode == "exact":
-        exact, closed = charpoly_exact(_graph_from_args(args, parser, EXACT_ORDER_CAP)), None
+        exact, closed = charpoly_exact(_graph_from_args(args, parser, _check_exact_order)), None
     else:
         if args.input:
             parser.error("--mode closed/both requires --family, not --input")
         both = args.mode == "both"
-        spec = _family_specs(args, parser, EXACT_ORDER_CAP if both else None, closed=True)[0]
+        spec = _family_specs(args, parser, _check_exact_order if both else None, closed=True)[0]
         closed = closed_charpoly(spec)
         exact = charpoly_exact(generate(spec)) if both else None
     if args.format == "json":
@@ -144,7 +145,7 @@ def _cmd_energy(args, parser) -> int:
         if args.input:
             parser.error("--sweep requires --family, not --input")
         # every family's limits and order bind at an end
-        lo, hi = _family_specs(args, parser, ENERGY_ORDER_CAP)
+        lo, hi = _family_specs(args, parser, _check_energy_order)
         rows = []
         for n in range(lo.n, hi.n + 1):
             spec = FamilySpec(lo.family, n, m=lo.m, minus_edge=lo.minus_edge)
@@ -166,7 +167,7 @@ def _cmd_energy(args, parser) -> int:
             lines.append(",".join([*cells, "true" if row["minus_edge"] else "false"]))
         print("\n".join(lines))
         return 0
-    g = _graph_from_args(args, parser, ENERGY_ORDER_CAP)
+    g = _graph_from_args(args, parser, _check_energy_order)
     energies = {"re": randic_energy(g)}
     if args.adjacency:
         energies["e"] = graph_energy(g)

@@ -206,12 +206,9 @@ def generate(spec: FamilySpec) -> Graph:
         for i in range(n):
             cycle = [0, *range((k - 1) * i + 1, (k - 1) * (i + 1) + 1)]
             edges += zip(cycle, cycle[1:] + [0])
-    order, _ = _family_size(spec)
-    g = Graph.from_edges(order, edges)
     if spec.minus_edge:
-        u, v = (0, spec.m) if fam == COMPLETE_BIPARTITE else (0, 1)
-        g = delete_edge(g, u, v)
-    return g
+        edges.remove((0, spec.m) if fam == COMPLETE_BIPARTITE else (0, 1))
+    return Graph.from_edges(_family_size(spec)[0], edges)
 
 
 def delete_edge(g: Graph, u: int, v: int) -> Graph:
@@ -297,4 +294,4 @@ def parse_edge_list(text: str) -> Graph:
         if key in edges:
             raise ValueError(f"duplicate edge {ln!r}")
         edges.add(key)
-    return Graph.from_edges(n, edges)
+    return Graph(n, frozenset(edges))

@@ -68,8 +68,6 @@ class RatPoly:
         """Multiply by x**k."""
         if k < 0:
             raise ValueError("shift must be non-negative")
-        if self.is_zero:
-            return self
         return RatPoly.from_numerators((0,) * k + self.nums, self.den)
 
     def __add__(self, other: RatPoly) -> RatPoly:

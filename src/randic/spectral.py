@@ -81,19 +81,24 @@ from .ratpoly import RatPoly, convolve
 
 ITERATION_CAP = 30
 EXACT_ORDER_CAP = 128
+
+
+def _check_exact_order(k: int) -> None:
+    """DomainError when ``k`` non-isolated vertices exceed ``EXACT_ORDER_CAP``."""
+    if k > EXACT_ORDER_CAP:
+        raise DomainError(f"exact characteristic polynomial capped at order {EXACT_ORDER_CAP} (got {k})")
+
+
 # the energies build a dense matrix of the non-isolated vertices; a sparse
 # block costs O(n^2*b) for its bandwidth b, but a dense one with no twins has
 # b near n and stays cubic, so beyond this order they raise DomainError
 ENERGY_ORDER_CAP = 1024
 
 
-def _check_order(k: int, cap: int) -> None:
-    """DomainError when ``k`` non-isolated vertices exceed ``cap``, the exact
-    route's ``EXACT_ORDER_CAP`` or the energies' ``ENERGY_ORDER_CAP``."""
-    if k > cap and cap == EXACT_ORDER_CAP:
-        raise DomainError(f"exact characteristic polynomial capped at order {cap} (got {k})")
-    if k > cap:
-        raise DomainError(f"energies capped at {cap} non-isolated vertices (got {k})")
+def _check_energy_order(k: int) -> None:
+    """DomainError when ``k`` non-isolated vertices exceed ``ENERGY_ORDER_CAP``."""
+    if k > ENERGY_ORDER_CAP:
+        raise DomainError(f"energies capped at {ENERGY_ORDER_CAP} non-isolated vertices (got {k})")
 
 
 class SymMatrix(FrozenRecord):
@@ -326,9 +331,7 @@ def charpoly_exact(g: Graph) -> RatPoly:
     degs = g.degrees
     isolated = degs.count(0)
     k = g.n - isolated
-    _check_order(k, EXACT_ORDER_CAP)
-    if k == 0:
-        return RatPoly.one().shift(isolated)
+    _check_exact_order(k)
     # the non-isolated vertices in reversed breadth-first order: the labeling
     # does not change the polynomial, and this one keeps the Hessenberg
     # fill-in of a sparse graph small
@@ -587,11 +590,11 @@ def _dqds_shift(q, e, n0, tail):
         b2 = math.sqrt(q[n0 - 1]) * math.sqrt(e[n0 - 2])
         a2 = q[n0 - 1] + e[n0 - 1]
         gap2 = dmin2 - a2 - dmin2 * 0.25
-        if gap2 > 0.0 and gap2 > b2:
+        if gap2 > b2:
             gap1 = a2 - dn - (b2 / gap2) * b2
         else:
             gap1 = a2 - dn - (b1 + b2)
-        if gap1 > 0.0 and gap1 > b1:
+        if gap1 > b1:
             return max(dn - (b1 / gap1) * b1, 0.5 * dmin)
         s = dn - b1 if dn > b1 else 0.0
         if a2 > b1 + b2:
@@ -991,7 +994,7 @@ def _energy_core(g: Graph) -> Graph:
     """
     degs = g.degrees
     core = g.n - degs.count(0)
-    _check_order(core, ENERGY_ORDER_CAP)
+    _check_energy_order(core)
     if core == g.n:
         return g
     index = {v: i for i, v in enumerate(v for v, d in enumerate(degs) if d)}

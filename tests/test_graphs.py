@@ -161,6 +161,23 @@ def test_minus_edge_canonical_deletions():
     assert len(kmn.edges) == 5
 
 
+@pytest.mark.parametrize("family", sorted(graphs.FAMILIES - graphs.WINDMILL_CYCLE.keys()))
+def test_minus_edge_is_the_full_graph_less_its_canonical_edge(family):
+    ms = range(1, 6) if family == "complete_bipartite" else [None]
+    checked = 0
+    for n in range(1, 13):
+        for m in ms:
+            spec = FamilySpec(family, n, m=m, minus_edge=True)
+            try:
+                got = generate(spec)
+            except DomainError:
+                continue
+            canonical = (0, m) if m is not None else (0, 1)
+            assert got == delete_edge(generate(FamilySpec(family, n, m=m)), *canonical), spec.label()
+            checked += 1
+    assert checked >= 10
+
+
 def test_delete_edge_cycle_gives_path_shape():
     g = delete_edge(generate(FamilySpec("cycle", 4)), 0, 1)
     assert sorted(g.degrees) == [1, 1, 2, 2]

@@ -1,6 +1,9 @@
+import ast
 import math
 import random
+import sys
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 import oracles
@@ -1386,6 +1389,17 @@ def test_dqds_writes_neither_list():
     assert q == q0 and e == e0
 
 
+def test_qd_pair_leaves_a_negligible_coupling_and_a_zero_t_alone():
+    tol2 = (100.0 * sys.float_info.epsilon) ** 2
+    # b <= c*tol^2: the coupling adds nothing, in either order of a and c
+    assert spectral._qd_pair(1.0, 1e-40, 0.5, tol2) == (1.0, 0.5)
+    assert spectral._qd_pair(0.5, 1e-40, 1.0, tol2) == (1.0, 0.5)
+    # b > c*tol^2 = 0, but t = 0.5*b rounds to 0: no division by t
+    tiny = 2.0**-1074
+    assert 0.5 * tiny == 0.0
+    assert spectral._qd_pair(0.0, tiny, 0.0, tol2) == (0.0, 0.0)
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_singular_values_of_bidiagonals_with_planted_zeros(seed):
     # m values, square or m x (m+1), with 1 to 3 zero diagonal entries; a
@@ -1426,6 +1440,33 @@ def test_energies_order_cap():
     for energy in (randic_energy, graph_energy):
         with pytest.raises(DomainError, match="capped"):
             energy(above)
+
+
+def test_exact_and_numeric_routes_share_no_name_of_the_module():
+    # each name defined at the top level of spectral.py, followed through
+    # every name its definition reads; imports such as Graph are not followed
+    tree = ast.parse(Path(spectral.__file__).read_text(encoding="utf-8"))
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                defined[target.id] = node
+
+    def reachable(*roots):
+        seen, todo = set(), list(roots)
+        while todo:
+            name = todo.pop()
+            if name not in seen:
+                seen.add(name)
+                todo += [n.id for n in ast.walk(defined[name]) if isinstance(n, ast.Name) and n.id in defined]
+        return seen
+
+    exact = reachable("charpoly_exact")
+    numeric = reachable("eigenvalues", "randic_energy", "graph_energy", "randic_matrix", "adjacency_matrix")
+    assert "_hessenberg_charpoly" in exact and "_dqds" in numeric
+    assert exact & numeric == set()
 
 
 @pytest.mark.parametrize(
