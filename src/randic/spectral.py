@@ -64,6 +64,10 @@ that T - sigma*I = LDL^T is positive definite, and dqds finds the
 eigenvalues of LDL^T from q_i = D_i, e_i = L_i^2*D_i, which sigma shifts
 back. Single indices are their own eigenvalues.
 
+Only ``eigenvalues`` scans its input for non-finite entries and asymmetry.
+The energies build their matrix from a ``Graph``, finite and symmetric by
+construction, and call the solver on it directly.
+
 ``SymMatrix`` and ``Spectrum`` are immutable, hashable value classes.
 """
 
@@ -931,19 +935,26 @@ def eigenvalues(mat: SymMatrix) -> Spectrum:
     back. ``ITERATION_CAP`` caps the dqds transforms of every call at that
     many per value; past it ConvergenceError carries the Frobenius norm of
     the superdiagonal still to be reduced. A non-finite entry or an
-    asymmetric matrix raises ValueError.
+    asymmetric matrix raises ValueError: only this function scans its
+    input, and the energies hand the matrices they build from a ``Graph``
+    to the solver (``_values``) directly.
     """
-    # one scan: each row is finite and equals the matching column, and its
-    # support is taken for the twin search and the blocks
-    bits = [1 << j for j in range(mat.order)]
-    supports = []
+    # one scan: each row is finite and equals the matching column
     for row, col in zip(mat.entries, zip(*mat.entries)):
         if not all(map(math.isfinite, row)):
             raise ValueError("matrix has a non-finite entry")
         if row != col:
             raise ValueError("matrix is not symmetric")
-        supports.append(sum(compress(bits, row)))
-    rows, found = mat.entries, []
+    return Spectrum(tuple(sorted(_values(mat.entries), reverse=True)))
+
+
+def _values(rows) -> list[float]:
+    """The eigenvalues of the finite symmetric matrix ``rows``, unordered;
+    ``eigenvalues`` without its input scan."""
+    # the support of each row, for the twin search and the blocks
+    bits = [1 << j for j in range(len(rows))]
+    supports = [sum(compress(bits, row)) for row in rows]
+    found: list[float] = []
     while classes := _twin_classes(rows, supports):
         rows, supports, known = _split_twins(rows, classes)
         found += known
@@ -982,7 +993,7 @@ def eigenvalues(mat: SymMatrix) -> Spectrum:
             f.append(t)
             q.append(dj - sigma - t)
         found += [x + sigma for x in _dqds(q, f)]
-    return Spectrum(tuple(sorted(found, reverse=True)))
+    return found
 
 
 def _energy_core(g: Graph) -> Graph:
@@ -1002,8 +1013,14 @@ def _energy_core(g: Graph) -> Graph:
 
 
 def _energy(g: Graph, matrix) -> float:
-    """Sum of absolute eigenvalues of ``matrix`` built on ``_energy_core(g)``."""
-    return sum((abs(v) for v in eigenvalues(matrix(_energy_core(g))).values), 0.0)
+    """Sum of absolute eigenvalues of ``matrix`` built on ``_energy_core(g)``.
+
+    The matrix is built from a ``Graph``, so it goes to the solver without
+    ``eigenvalues``' scan; the sum runs in ``eigenvalues``' order, so the
+    energy is the one its spectrum gives, bit for bit.
+    """
+    values = _values(matrix(_energy_core(g)).entries)
+    return sum(map(abs, sorted(values, reverse=True)), 0.0)
 
 
 def randic_energy(g: Graph) -> float:

@@ -3,12 +3,12 @@
 Each swept instance is checked three ways: the exact characteristic
 polynomial must equal the closed form coefficient-for-coefficient (never by
 tolerance), the numeric energy must match the closed-form energy within the
-report tolerance, and every numeric eigenvalue must be a root of the exact
-polynomial within the residual limit. Failures are recorded, not raised;
-the Report is the contract. A record keeps exactly the fields the report
-writes, and its verdict reads those alone, so each pass or fail can be
-recomputed from the report's records, its tolerance and
-``ROOT_RESIDUAL_LIMIT``.
+report tolerance, and the first four power sums of the numeric spectrum
+must match those of the exact polynomial's roots within
+``POWER_SUM_LIMIT``. Failures are recorded, not raised; the Report is the
+contract. A record keeps exactly the fields the report writes, and its
+verdict reads those alone, so each pass or fail can be recomputed from the
+report's records, its tolerance and ``POWER_SUM_LIMIT``.
 
 Expected values come from the closed forms, or from a definition written
 out beside the check (the isolated vertex, an integer energy), never from
@@ -22,6 +22,7 @@ field by field.
 from __future__ import annotations
 
 import json
+import operator
 import time
 from collections.abc import Callable
 from functools import cache, partial
@@ -53,7 +54,10 @@ from .spectral import (
 )
 
 REPORT_TOL = 1e-9
-ROOT_RESIDUAL_LIMIT = 1e-6
+# a Randic spectrum lies in [-1, 1], so its power sums are at most its order;
+# their float sums are off by 1.1e-13 at most through verify_all(128), and
+# moving two eigenvalues by 1e-9 moves them by more than this
+POWER_SUM_LIMIT = 1e-11
 # the witness table runs m = 2..WITNESS_MAX; the witness for m has 2m - 1
 # vertices, well within reach of the exact route
 WITNESS_MAX = 20
@@ -64,26 +68,26 @@ class VerdictRecord(Record):
     writes, and all that ``passed`` reads.
 
     ``charpoly_match`` is exact coefficient equality. ``energy_abs_err`` and
-    ``max_root_residual`` are None when nothing was checked: on a hard
-    failure, whose error text is in ``notes``. ``passed`` reads the errors
-    against ``REPORT_TOL`` and ``ROOT_RESIDUAL_LIMIT``; None fails. A record
-    holds no timing, so reports stay deterministic.
+    ``power_sum_err`` are None when nothing was checked: on a hard failure,
+    whose error text is in ``notes``. ``passed`` reads the errors against
+    ``REPORT_TOL`` and ``POWER_SUM_LIMIT``; None fails. A record holds no
+    timing, so reports stay deterministic.
     """
 
-    _fields = ("spec", "charpoly_match", "energy_abs_err", "max_root_residual", "notes")
+    _fields = ("spec", "charpoly_match", "energy_abs_err", "power_sum_err", "notes")
 
     def __init__(
         self,
         spec: FamilySpec,
         charpoly_match: bool,
         energy_abs_err: float | None,
-        max_root_residual: float | None,
+        power_sum_err: float | None,
         notes: str = "",
     ):
         self.spec = spec
         self.charpoly_match = charpoly_match
         self.energy_abs_err = energy_abs_err
-        self.max_root_residual = max_root_residual
+        self.power_sum_err = power_sum_err
         self.notes = notes
 
     def passed(self) -> bool:
@@ -91,8 +95,8 @@ class VerdictRecord(Record):
             self.charpoly_match is True
             and self.energy_abs_err is not None
             and self.energy_abs_err < REPORT_TOL
-            and self.max_root_residual is not None
-            and self.max_root_residual < ROOT_RESIDUAL_LIMIT
+            and self.power_sum_err is not None
+            and self.power_sum_err < POWER_SUM_LIMIT
         )
 
     def to_dict(self) -> dict:
@@ -103,7 +107,7 @@ class VerdictRecord(Record):
             "minus_edge": self.spec.minus_edge,
             "charpoly_match": self.charpoly_match,
             "energy_abs_err": self.energy_abs_err,
-            "max_root_residual": self.max_root_residual,
+            "power_sum_err": self.power_sum_err,
             "notes": self.notes,
         }
 
@@ -149,21 +153,30 @@ def _report_meta() -> dict:
     }
 
 
-def _max_root_residual(poly: RatPoly, spectrum: Spectrum) -> float:
-    # Horner in floats on coefficients converted once; n / den is correctly
-    # rounded, so each equals float(Fraction(n, den)) and the result is
-    # bit-identical to float(poly(v)), where Fraction.__radd__ does
-    # float(c) + acc every step
+def _power_sum_err(poly: RatPoly, spectrum: Spectrum) -> float:
+    """max over k = 1..4 of |p_k - sum(v**k for v in spectrum)|, where p_k is
+    the k-th power sum of the roots of the monic ``poly``.
+
+    p_k comes from Newton's identities on the top four coefficients, in
+    integers: with a_i = (-1)^i * nums[n - i], the i-th elementary symmetric
+    function of the roots is a_i / den, so den^k * p_k is an integer, divided
+    once (int / int is correctly rounded). Unlike a root residual, whose float
+    evaluation rounds in proportion to the coefficients, this error does not
+    grow with them, and a move of one eigenvalue by d moves p_1 by d.
+    """
     den = poly.den
-    coeffs = [c / den for c in reversed(poly.nums)]
-
-    def at(v: float) -> float:
-        acc = 0.0
-        for c in coeffs:
-            acc = acc * v + c
-        return acc
-
-    return max(abs(at(v)) for v in spectrum.values)
+    c = poly.nums[-2::-1] + (0,) * 4
+    a1, a2, a3, a4 = -c[0], c[1], -c[2], c[3]
+    exact = (
+        a1 / den,
+        (a1 * a1 - 2 * a2 * den) / den**2,
+        (a1**3 - 3 * a1 * a2 * den + 3 * a3 * den**2) / den**3,
+        (a1**4 - 4 * a1 * a1 * a2 * den + (4 * a1 * a3 + 2 * a2 * a2) * den**2 - 4 * a4 * den**3) / den**4,
+    )
+    v = spectrum.values
+    sq = [x * x for x in v]
+    sums = (sum(v), sum(sq), sum(map(operator.mul, sq, v)), sum(map(operator.mul, sq, sq)))
+    return max(abs(p - s) for p, s in zip(exact, sums))
 
 
 def _record(spec: FamilySpec, note: str, reference: Callable) -> VerdictRecord:
@@ -171,7 +184,7 @@ def _record(spec: FamilySpec, note: str, reference: Callable) -> VerdictRecord:
 
     ``reference()`` returns (graph, expected polynomial, expected energy).
     An error in it, in ``charpoly_exact`` or in ``eigenvalues`` makes a
-    hard-failure record (no match, no energy or residual, the error in
+    hard-failure record (no match, no energy or power-sum error, the error in
     ``notes``), so one bad instance never aborts a sweep.
     """
     try:
@@ -183,14 +196,14 @@ def _record(spec: FamilySpec, note: str, reference: Callable) -> VerdictRecord:
             spec=spec,
             charpoly_match=False,
             energy_abs_err=None,
-            max_root_residual=None,
+            power_sum_err=None,
             notes=f"{note}; error: {exc}" if note else f"error: {exc}",
         )
     return VerdictRecord(
         spec=spec,
         charpoly_match=p_exact == expected_poly,
         energy_abs_err=abs(sum(abs(v) for v in spectrum.values) - expected_energy),
-        max_root_residual=_max_root_residual(p_exact, spectrum),
+        power_sum_err=_power_sum_err(p_exact, spectrum),
         notes=note,
     )
 
@@ -284,8 +297,8 @@ def verify_all(max_n: int) -> Report:
     For each 2 <= m <= ``WITNESS_MAX`` the table holds a graph whose Randic
     energy is m: K_2 for m = 2, the friendship graph with m - 1 triangles
     for m >= 3. Each witness record checks the exact polynomial against the
-    closed form, the numeric energy against m, and the numeric spectrum
-    against the exact polynomial's roots. ``max_n`` runs from 5 to
+    closed form, the numeric energy against m, and the numeric spectrum's
+    power sums against the exact polynomial's. ``max_n`` runs from 5 to
     ``EXACT_ORDER_CAP``, as in ``check_edge_deletion_lemmas``; outside that
     range it is a DomainError.
     """

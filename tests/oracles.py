@@ -38,6 +38,10 @@ the tridiagonal determinants Λ_k = U_k(λ)/2^k. ``is_connected`` is a plain
 breadth-first search, ``randic_index`` the sum over the edges of
 1/sqrt(d_u d_v), and ``disjoint_union`` places a second graph's vertices
 after the first's.
+
+``_max_root_residual`` is max |φ(λ)| over a spectrum, by Horner in floats.
+Its rounding grows with the coefficients (about 2n·u·Σ|c_i||λ|^i), so it
+serves as a check at moderate orders only.
 """
 
 import math
@@ -45,7 +49,7 @@ from collections import deque
 from functools import cache
 from fractions import Fraction
 
-from randic import DomainError, Graph, RatPoly
+from randic import DomainError, Graph, RatPoly, Spectrum
 
 
 def cheb_u(k: int) -> RatPoly:
@@ -318,3 +322,20 @@ def matching_number(g: Graph) -> int:
                     leaves.append(x)
             left[w] = set()
     return size
+
+
+def _max_root_residual(poly: RatPoly, spectrum: Spectrum) -> float:
+    # Horner in floats on coefficients converted once; n / den is correctly
+    # rounded, so each equals float(Fraction(n, den)) and the result is
+    # bit-identical to float(poly(v)), where Fraction.__radd__ does
+    # float(c) + acc every step
+    den = poly.den
+    coeffs = [c / den for c in reversed(poly.nums)]
+
+    def at(v: float) -> float:
+        acc = 0.0
+        for c in coeffs:
+            acc = acc * v + c
+        return acc
+
+    return max(abs(at(v)) for v in spectrum.values)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 import oracles
 from graded import graded_qd, graded_weights, weighted_path
-from oracles import charpoly_at, charpoly_bruteforce, disjoint_union, randic_index
+from oracles import _max_root_residual, charpoly_at, charpoly_bruteforce, disjoint_union, randic_index
 
 from randic import spectral
 from randic import (
@@ -29,6 +29,7 @@ from randic import (
     permute_vertices,
     randic_energy,
     randic_matrix,
+    sweep_specs,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -747,6 +748,43 @@ def test_energy_additive_over_disjoint_union():
         assert whole == pytest.approx(randic_energy(g1) + randic_energy(g2), abs=1e-9)
 
 
+def _core(g):
+    # g less its isolated vertices, the others relabeled in order
+    keep = [v for v in range(g.n) if g.degrees[v]]
+    index = {v: i for i, v in enumerate(keep)}
+    return Graph.from_edges(len(keep), [(index[u], index[v]) for u, v in g.edges])
+
+
+def _graphs_with_isolated_vertices():
+    rng = random.Random(31)
+    graphs = []
+    for _ in range(20):
+        n = rng.randint(3, 40)
+        graphs.append(_random_graph(rng, n, rng.randint(1, n - 2)))
+    return graphs
+
+
+@pytest.mark.parametrize("energy, build", [(randic_energy, randic_matrix), (graph_energy, adjacency_matrix)])
+def test_energies_sum_the_spectrum_of_their_core_bit_for_bit(energy, build):
+    # the energies skip eigenvalues' input scan and its Spectrum, and sum in
+    # its order: the same float as summing the checked spectrum
+    isolated = _graphs_with_isolated_vertices()
+    assert all(0 in g.degrees for g in isolated)
+    for g in [generate(spec) for spec in sweep_specs(24)] + isolated:
+        assert energy(g) == sum((abs(v) for v in eigenvalues(build(_core(g))).values), 0.0)
+
+
+def test_energies_call_the_solver_without_the_input_scan(monkeypatch):
+    g = _graphs_with_isolated_vertices()[0]
+    want = randic_energy(g), graph_energy(g)
+
+    def scan(mat):
+        raise AssertionError("a matrix built from a Graph needs no input scan")
+
+    monkeypatch.setattr(spectral, "eigenvalues", scan)
+    assert (randic_energy(g), graph_energy(g)) == want
+
+
 # ---------------------------------------------------------------- eigensolver at larger orders
 
 
@@ -818,8 +856,6 @@ def test_eigenvalues_scale_with_the_matrix(scale):
 
 
 def test_eigenvalues_random_graph_roots_of_exact_charpoly():
-    from randic.verify import _max_root_residual
-
     rng = random.Random(7)
     n = 30
     edges = {(i - 1, i) for i in range(1, n)}  # a path keeps every degree positive
@@ -837,8 +873,6 @@ def test_wide_irregular_band_roots_of_exact_charpoly(seed):
     # labeling: its one block, ordered by Cuthill-McKee, has a band some 25
     # wide and ragged. The exact polynomial is a reference that shares no
     # code with the chase, as a rotated matrix's spectrum does not
-    from randic.verify import _max_root_residual
-
     rng = random.Random(f"wide-band:{seed}")
     n = 64 + 8 * (seed % 3)
     g = _shuffled(rng, _connected_graph(rng, n, 3 * n // 2))

@@ -50,7 +50,7 @@ def _record(notes=""):
             _record,
             _record(notes="other"),
             "VerdictRecord(spec=FamilySpec(family='path', n=3, m=None, minus_edge=False), "
-            "charpoly_match=True, energy_abs_err=0.0, max_root_residual=1e-15, notes='')",
+            "charpoly_match=True, energy_abs_err=0.0, power_sum_err=1e-15, notes='')",
         ),
         (
             lambda: Report(meta={"tool": "randic"}),

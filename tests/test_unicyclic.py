@@ -15,11 +15,10 @@ import math
 import random
 
 import pytest
-from oracles import is_connected, weighted_matching_polynomial
+from oracles import _max_root_residual, is_connected, weighted_matching_polynomial
 
 from randic import Graph, RatPoly, charpoly_exact, eigenvalues, randic_matrix
 from randic import spectral
-from randic.verify import ROOT_RESIDUAL_LIMIT, _max_root_residual
 
 # one cycle length per graph: 3 to 31, odd and even
 CYCLE_LENGTHS = (3, 4, 5, 6, 8, 11, 16, 20, 27, 31)
@@ -93,7 +92,7 @@ def test_unicyclic_eigenvalues_are_roots_of_the_sachs_polynomial(i):
     g = UNICYCLIC[i][0]
     spectrum = eigenvalues(randic_matrix(g))
     assert len(spectrum.values) == g.n
-    assert _max_root_residual(REFERENCES[i], spectrum) < ROOT_RESIDUAL_LIMIT
+    assert _max_root_residual(REFERENCES[i], spectrum) < 1e-6
     # a Randic polynomial is small all over [-1, 1] at these orders, so the
     # residual misses even a value moved by 0.3; the power sums do not
     for m, want in enumerate(_power_sums(REFERENCES[i], 4), 1):

@@ -24,8 +24,8 @@ from oracles import disjoint_union
 
 def _hard_failure(rec: VerdictRecord) -> bool:
     """The shape of a record whose reference or route raised: no match, no
-    energy or residual, and the error in its notes."""
-    checked = (rec.charpoly_match, rec.energy_abs_err, rec.max_root_residual)
+    energy or power-sum error, and the error in its notes."""
+    checked = (rec.charpoly_match, rec.energy_abs_err, rec.power_sum_err)
     return checked == (False, None, None) and "error:" in rec.notes
 
 
@@ -174,7 +174,23 @@ def test_witness_records_check_exact_polynomial_and_roots(monkeypatch):
     assert [r.notes for r in witnesses] == [f"integer energy witness m={m}" for m in range(2, 21)]
     for r in witnesses:
         assert not r.charpoly_match
-        assert r.max_root_residual > 0.5
+        assert not r.passed()
+    # a wrong constant term moves only the power sums from the degree on:
+    # K_2's p_2 and p_4 (λ² - 1 becomes λ², both from 2 to 0), and none of
+    # a friendship graph's first four (order 5 and up)
+    assert witnesses[0].power_sum_err == 2.0
+    assert all(r.power_sum_err < 1e-11 for r in witnesses[1:])
+
+    def wrong_trace(g):
+        return charpoly_exact(g) + RatPoly.x().shift(g.n - 2)
+
+    # one more λ^(n-1) lowers the sum of the roots, p_1, by 1
+    monkeypatch.setattr(randic.verify, "charpoly_exact", wrong_trace)
+    witnesses = [r for r in verify_all(5).records if r.notes.startswith("integer energy witness")]
+    assert len(witnesses) == 19
+    for r in witnesses:
+        assert not r.charpoly_match
+        assert r.power_sum_err > 0.5
         assert not r.passed()
 
 
@@ -311,11 +327,11 @@ def test_report_json_schema():
             spec=FamilySpec("path", 5),
             charpoly_match=True,
             energy_abs_err=1e-12,
-            max_root_residual=1e-13,
+            power_sum_err=1e-13,
             notes="",
         )
     )
-    assert VerdictRecord._fields == ("spec", "charpoly_match", "energy_abs_err", "max_root_residual", "notes")
+    assert VerdictRecord._fields == ("spec", "charpoly_match", "energy_abs_err", "power_sum_err", "notes")
     payload = json.loads(report.to_json())
     assert set(payload) == {"tolerance", "summary", "records", "meta"}
     assert payload["summary"] == {"pass": 1, "fail": 0}
@@ -327,7 +343,7 @@ def test_report_json_schema():
         "minus_edge",
         "charpoly_match",
         "energy_abs_err",
-        "max_root_residual",
+        "power_sum_err",
         "notes",
     }
 
@@ -337,9 +353,9 @@ def test_report_fail_accounting():
     good = VerdictRecord(FamilySpec("path", 5), True, 1e-12, 1e-12)
     bad_poly = VerdictRecord(FamilySpec("path", 6), False, 1e-12, 1e-12)
     bad_energy = VerdictRecord(FamilySpec("path", 7), True, 1e-3, 1e-12)
-    bad_residual = VerdictRecord(FamilySpec("path", 8), True, 1e-12, 1.0)
+    bad_power_sums = VerdictRecord(FamilySpec("path", 8), True, 1e-12, 1e-11)
     hard = VerdictRecord(FamilySpec("path", 9), False, None, None, "error: did not converge")
-    report.records += [good, bad_poly, bad_energy, bad_residual, hard]
+    report.records += [good, bad_poly, bad_energy, bad_power_sums, hard]
     assert report.n_pass == 1
     assert report.n_fail == 4
     # None is "not checked", which fails even beside a match
@@ -347,7 +363,7 @@ def test_report_fail_accounting():
     assert VerdictRecord(FamilySpec("path", 5), True, 1e-12, None).passed() is False
     assert VerdictRecord(FamilySpec("path", 5), None, 1e-12, 1e-12).passed() is False
     assert good.passed() is True
-    assert json.loads(report.to_json())["records"][4]["max_root_residual"] is None
+    assert json.loads(report.to_json())["records"][4]["power_sum_err"] is None
 
 
 def test_union_additivity_respects_energy_values():
@@ -367,8 +383,10 @@ def test_union_additivity_respects_energy_values():
     [FamilySpec("path", 9), FamilySpec("friendship", 6), FamilySpec("complete", 12, minus_edge=True)],
 )
 def test_max_root_residual_bit_identical_to_rational_horner(spec):
+    # the float residual in tests/oracles.py, with which test_spectral and
+    # test_unicyclic check spectra against exact polynomials
+    from oracles import _max_root_residual
     from randic import Spectrum, eigenvalues, randic_matrix
-    from randic.verify import _max_root_residual
 
     g = generate(spec)
     poly = charpoly_exact(g)
@@ -380,15 +398,15 @@ def test_max_root_residual_bit_identical_to_rational_horner(spec):
 
 def _verdicts_from_json(report: Report) -> list[bool]:
     """Each record's verdict recomputed from the serialized report alone,
-    its stated tolerance and the residual limit; null is "not checked"."""
-    from randic.verify import ROOT_RESIDUAL_LIMIT
+    its stated tolerance and the power-sum limit; null is "not checked"."""
+    from randic.verify import POWER_SUM_LIMIT
 
     payload = json.loads(report.to_json())
     tol = payload["tolerance"]
     verdicts = [
         r["charpoly_match"] is True
         and r["energy_abs_err"] is not None and r["energy_abs_err"] < tol
-        and r["max_root_residual"] is not None and r["max_root_residual"] < ROOT_RESIDUAL_LIMIT
+        and r["power_sum_err"] is not None and r["power_sum_err"] < POWER_SUM_LIMIT
         for r in payload["records"]
     ]
     assert payload["summary"] == {"pass": sum(verdicts), "fail": len(verdicts) - sum(verdicts)}
@@ -431,5 +449,51 @@ def test_report_explains_a_hard_failure(monkeypatch):
     assert verdicts.count(False) == 1
     bad = report.records[verdicts.index(False)].to_dict()
     assert (bad["family"], bad["n"], bad["charpoly_match"]) == ("cycle", 7, False)
-    assert (bad["energy_abs_err"], bad["max_root_residual"]) == (None, None)
+    assert (bad["energy_abs_err"], bad["power_sum_err"]) == (None, None)
     assert bad["notes"] == "error: dqds did not converge"
+
+
+def test_path_split_at_the_order_cap_passes():
+    # path(128) less edge (122, 123) is P_123 ∪ P_5. Its eigenvalues are
+    # right, but a float root residual rounds past 1e-6 on its polynomial,
+    # whose coefficients reach 4.7e9; the power sums stay near 1e-13
+    from randic import closed_energy, delete_edge
+    from randic.verify import POWER_SUM_LIMIT, _record
+
+    def split():
+        p, q = FamilySpec("path", 123), FamilySpec("path", 5)
+        g = delete_edge(generate(FamilySpec("path", 128)), 122, 123)
+        return g, closed_charpoly(p) * closed_charpoly(q), closed_energy(p) + closed_energy(q)
+
+    rec = _record(FamilySpec("path", 128, minus_edge=True), "path split r=123 s=5", split)
+    assert rec.charpoly_match and rec.power_sum_err < POWER_SUM_LIMIT
+    assert rec.passed()
+
+
+def test_power_sums_see_two_eigenvalues_moved_by_1e_9(monkeypatch):
+    # the largest eigenvalue up by 1e-9 and the least positive one down by as
+    # much: the trace and the energy stay, so only p_2..p_4 can see it
+    import randic.verify
+    from randic import Spectrum, randic_matrix
+    from randic.verify import POWER_SUM_LIMIT, REPORT_TOL
+
+    real = randic.verify.eigenvalues
+
+    def moved(mat):
+        v = list(real(mat).values)
+        last = max(i for i, x in enumerate(v) if x > 0.0)
+        v[0] += 1e-9
+        v[last] -= 1e-9
+        return Spectrum(tuple(sorted(v, reverse=True)))
+
+    def spread(spec):
+        positive = [x for x in real(randic_matrix(generate(spec))).values if x > 0.0]
+        return positive[0] - positive[-1]
+
+    specs = [spec for spec in sweep_specs(24) if spread(spec) > 1e-3]
+    assert len(specs) == 108
+    monkeypatch.setattr(randic.verify, "eigenvalues", moved)
+    for spec in specs:
+        rec = verify_instance(spec)
+        assert rec.charpoly_match and rec.energy_abs_err < REPORT_TOL
+        assert rec.power_sum_err >= POWER_SUM_LIMIT and not rec.passed()
