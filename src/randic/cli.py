@@ -13,7 +13,7 @@ import json
 import sys
 
 from .closed_forms import _check_domain, closed_charpoly, closed_energy
-from .errors import ConvergenceError, DomainError, EdgeNotFoundError
+from .errors import ConvergenceError, DomainError
 from .graphs import (
     FAMILIES,
     FamilySpec,
@@ -40,16 +40,16 @@ def _add_family_args(sub: argparse.ArgumentParser, with_input: bool) -> None:
     sub.add_argument("--minus-edge", action="store_true", help="delete the canonical edge")
 
 
-def _parse_sweep(text: str, parser) -> tuple[int, int]:
-    lo, sep, hi = text.partition("..")
+def _parse_sweep(args) -> tuple[int, int]:
+    lo, sep, hi = args.sweep.partition("..")
     if not sep or not lo.isdigit() or not hi.isdigit():
-        parser.error("--sweep expects a range like 2..8")
+        args.parser.error("--sweep expects a range like 2..8")
     if int(lo) > int(hi):
-        parser.error(f"--sweep range {text} is empty: N1 must not exceed N2")
+        args.parser.error(f"--sweep range {args.sweep} is empty: N1 must not exceed N2")
     return int(lo), int(hi)
 
 
-def _family_specs(args, parser, order_check=None, closed: bool = False) -> list[FamilySpec]:
+def _family_specs(args, order_check=None, closed: bool = False) -> list[FamilySpec]:
     """The --family spec at --n, or at each --sweep end, checked before any
     graph is built: against ``generate``'s domain, by the route's
     ``order_check`` of its non-isolated vertex count when one is given, and
@@ -57,14 +57,14 @@ def _family_specs(args, parser, order_check=None, closed: bool = False) -> list[
     DomainError that names the spec once: the library's messages leave it to
     the caller."""
     if args.family is None:
-        parser.error("--family is required (or --input where supported)")
+        args.parser.error("--family is required (or --input where supported)")
     sweep = getattr(args, "sweep", None)
     if sweep:
         if args.n is not None:
-            parser.error("--sweep and --n are mutually exclusive")
-        ends, where = _parse_sweep(sweep, parser), f"--sweep {sweep} reaches "
+            args.parser.error("--sweep and --n are mutually exclusive")
+        ends, where = _parse_sweep(args), f"--sweep {sweep} reaches "
     elif args.n is None:
-        parser.error("--n is required with --family")
+        args.parser.error("--n is required with --family")
     else:
         ends, where = (args.n,), ""
     family = args.family.replace("-", "_")
@@ -81,24 +81,24 @@ def _family_specs(args, parser, order_check=None, closed: bool = False) -> list[
     return specs
 
 
-def _graph_from_args(args, parser, order_check) -> Graph:
+def _graph_from_args(args, order_check) -> Graph:
     """The --input graph, or the --family graph once its spec passes the route's ``order_check``."""
     if args.input:
         given = (("family", args.family), ("n", args.n), ("m", args.m), ("minus-edge", args.minus_edge or None))
         for option, value in given:
             if value is not None:
-                parser.error(f"--input and --{option} are mutually exclusive")
+                args.parser.error(f"--input and --{option} are mutually exclusive")
         with open(args.input, encoding="utf-8") as fh:
             return parse_edge_list(fh.read())
-    return generate(_family_specs(args, parser, order_check)[0])
+    return generate(_family_specs(args, order_check)[0])
 
 
 def _poly_json(p: RatPoly) -> dict:
     return {"degree": p.degree, "coeffs_ascending": format_coeffs(p)}
 
 
-def _cmd_gen(args, parser) -> int:
-    text = format_edge_list(generate(_family_specs(args, parser)[0]))
+def _cmd_gen(args) -> int:
+    text = format_edge_list(generate(_family_specs(args)[0]))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -107,15 +107,15 @@ def _cmd_gen(args, parser) -> int:
     return 0
 
 
-def _cmd_charpoly(args, parser) -> int:
+def _cmd_charpoly(args) -> int:
     descending = args.order == "desc"
     if args.mode == "exact":
-        exact, closed = charpoly_exact(_graph_from_args(args, parser, _check_exact_order)), None
+        exact, closed = charpoly_exact(_graph_from_args(args, _check_exact_order)), None
     else:
         if args.input:
-            parser.error("--mode closed/both requires --family, not --input")
+            args.parser.error("--mode closed/both requires --family, not --input")
         both = args.mode == "both"
-        spec = _family_specs(args, parser, _check_exact_order if both else None, closed=True)[0]
+        spec = _family_specs(args, _check_exact_order if both else None, closed=True)[0]
         closed = closed_charpoly(spec)
         exact = charpoly_exact(generate(spec)) if both else None
     if args.format == "json":
@@ -138,14 +138,14 @@ def _cmd_charpoly(args, parser) -> int:
     return 0
 
 
-def _cmd_energy(args, parser) -> int:
+def _cmd_energy(args) -> int:
     if args.format == "csv" and not args.sweep:
-        parser.error("--format csv is only valid with --sweep")
+        args.parser.error("--format csv is only valid with --sweep")
     if args.sweep:
         if args.input:
-            parser.error("--sweep requires --family, not --input")
+            args.parser.error("--sweep requires --family, not --input")
         # every family's limits and order bind at an end
-        lo, hi = _family_specs(args, parser, _check_energy_order)
+        lo, hi = _family_specs(args, _check_energy_order)
         rows = []
         for n in range(lo.n, hi.n + 1):
             spec = FamilySpec(lo.family, n, m=lo.m, minus_edge=lo.minus_edge)
@@ -167,7 +167,7 @@ def _cmd_energy(args, parser) -> int:
             lines.append(",".join([*cells, "true" if row["minus_edge"] else "false"]))
         print("\n".join(lines))
         return 0
-    g = _graph_from_args(args, parser, _check_energy_order)
+    g = _graph_from_args(args, _check_energy_order)
     energies = {"re": randic_energy(g)}
     if args.adjacency:
         energies["e"] = graph_energy(g)
@@ -180,7 +180,7 @@ def _cmd_energy(args, parser) -> int:
     return 0
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args) -> int:
     report = verify_all(args.max_n)
     text = report.to_json()
     if args.report:
@@ -231,10 +231,10 @@ def main(argv: list[str] | None = None) -> int:
     # each subcommand's defaults carry its own parser, so a refusal prints
     # that subcommand's usage line
     try:
-        return args.func(args, args.parser)
+        return args.func(args)
     except DomainError as exc:  # a ValueError: caught before the runtime errors
         args.parser.error(str(exc))
-    except (EdgeNotFoundError, ConvergenceError, ValueError, OSError) as exc:
+    except (ConvergenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

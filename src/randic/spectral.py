@@ -64,10 +64,6 @@ that T - sigma*I = LDL^T is positive definite, and dqds finds the
 eigenvalues of LDL^T from q_i = D_i, e_i = L_i^2*D_i, which sigma shifts
 back. Single indices are their own eigenvalues.
 
-Only ``eigenvalues`` scans its input for non-finite entries and asymmetry.
-The energies build their matrix from a ``Graph``, finite and symmetric by
-construction, and call the solver on it directly.
-
 ``SymMatrix`` and ``Spectrum`` are immutable, hashable value classes.
 """
 
@@ -106,16 +102,29 @@ def _check_energy_order(k: int) -> None:
 
 
 class SymMatrix(FrozenRecord):
-    """Dense symmetric matrix of floats (row-major tuple of row tuples);
-    immutable and hashable."""
+    """Dense symmetric matrix of floats, stored row-major as a tuple of row
+    tuples; immutable and hashable.
+
+    ``entries`` may be any sequence of row sequences (tuples or lists).
+    ValueError when a row's length differs from the number of rows ("matrix
+    must be square"); then, row by row, when the row has a non-finite entry
+    ("matrix has a non-finite entry") or differs from the matching column
+    ("matrix is not symmetric").
+    """
 
     _fields = ("entries",)
 
-    def __init__(self, entries: tuple[tuple[float, ...], ...]):
+    def __init__(self, entries):
+        entries = tuple(map(tuple, entries))
         n = len(entries)
         for row in entries:
             if len(row) != n:
                 raise ValueError("matrix must be square")
+        for row, col in zip(entries, zip(*entries)):
+            if not all(map(math.isfinite, row)):
+                raise ValueError("matrix has a non-finite entry")
+            if row != col:
+                raise ValueError("matrix is not symmetric")
         self.__dict__["entries"] = entries
 
     @property
@@ -138,6 +147,14 @@ class Spectrum(FrozenRecord):
         return len(self.values)
 
 
+def _graph_matrix(rows: list[list[float]]) -> SymMatrix:
+    """The SymMatrix of ``rows`` built from a ``Graph``, without the
+    constructor's scan: such rows are finite and symmetric by construction."""
+    mat = object.__new__(SymMatrix)
+    mat.__dict__["entries"] = tuple(map(tuple, rows))
+    return mat
+
+
 def randic_matrix(g: Graph) -> SymMatrix:
     """Matrix with (i,j) entry 1/sqrt(d_i*d_j) when i~j, else 0."""
     n = g.n
@@ -147,7 +164,7 @@ def randic_matrix(g: Graph) -> SymMatrix:
         w = 1.0 / math.sqrt(degs[u] * degs[v])
         rows[u][v] = w
         rows[v][u] = w
-    return SymMatrix(tuple(tuple(r) for r in rows))
+    return _graph_matrix(rows)
 
 
 def adjacency_matrix(g: Graph) -> SymMatrix:
@@ -157,7 +174,7 @@ def adjacency_matrix(g: Graph) -> SymMatrix:
     for u, v in g.edges:
         rows[u][v] = 1.0
         rows[v][u] = 1.0
-    return SymMatrix(tuple(tuple(r) for r in rows))
+    return _graph_matrix(rows)
 
 
 # The moduli of the exact route, ascending, each a proven prime stored with
@@ -934,23 +951,9 @@ def eigenvalues(mat: SymMatrix) -> Spectrum:
     e_i = L_i^2*D_i (zero at the seams, where it splits), and sigma is added
     back. ``ITERATION_CAP`` caps the dqds transforms of every call at that
     many per value; past it ConvergenceError carries the Frobenius norm of
-    the superdiagonal still to be reduced. A non-finite entry or an
-    asymmetric matrix raises ValueError: only this function scans its
-    input, and the energies hand the matrices they build from a ``Graph``
-    to the solver (``_values``) directly.
+    the superdiagonal still to be reduced.
     """
-    # one scan: each row is finite and equals the matching column
-    for row, col in zip(mat.entries, zip(*mat.entries)):
-        if not all(map(math.isfinite, row)):
-            raise ValueError("matrix has a non-finite entry")
-        if row != col:
-            raise ValueError("matrix is not symmetric")
-    return Spectrum(tuple(sorted(_values(mat.entries), reverse=True)))
-
-
-def _values(rows) -> list[float]:
-    """The eigenvalues of the finite symmetric matrix ``rows``, unordered;
-    ``eigenvalues`` without its input scan."""
+    rows = mat.entries
     # the support of each row, for the twin search and the blocks
     bits = [1 << j for j in range(len(rows))]
     supports = [sum(compress(bits, row)) for row in rows]
@@ -993,7 +996,7 @@ def _values(rows) -> list[float]:
             f.append(t)
             q.append(dj - sigma - t)
         found += [x + sigma for x in _dqds(q, f)]
-    return found
+    return Spectrum(tuple(sorted(found, reverse=True)))
 
 
 def _energy_core(g: Graph) -> Graph:
@@ -1013,14 +1016,8 @@ def _energy_core(g: Graph) -> Graph:
 
 
 def _energy(g: Graph, matrix) -> float:
-    """Sum of absolute eigenvalues of ``matrix`` built on ``_energy_core(g)``.
-
-    The matrix is built from a ``Graph``, so it goes to the solver without
-    ``eigenvalues``' scan; the sum runs in ``eigenvalues``' order, so the
-    energy is the one its spectrum gives, bit for bit.
-    """
-    values = _values(matrix(_energy_core(g)).entries)
-    return sum(map(abs, sorted(values, reverse=True)), 0.0)
+    """Sum of absolute eigenvalues of ``matrix`` built on ``_energy_core(g)``."""
+    return sum(map(abs, eigenvalues(matrix(_energy_core(g))).values), 0.0)
 
 
 def randic_energy(g: Graph) -> float:

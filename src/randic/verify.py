@@ -245,26 +245,21 @@ def check_edge_deletion_lemmas(max_n: int = 20) -> Report:
         (p_r, e_r), (p_s, e_s) = path(r), path(n - r)
         return delete_edge(generate(FamilySpec(PATH, n)), r - 1, r), p_r * p_s, e_r + e_s
 
-    def cycle(n: int) -> tuple[Graph, RatPoly, float]:
-        return (delete_edge(generate(FamilySpec(CYCLE, n)), 0, 1), *path(n))
+    def cycle(spec: FamilySpec) -> tuple[Graph, RatPoly, float]:
+        return (generate(spec), *path(spec.n))
 
-    def star(n: int) -> tuple[Graph, RatPoly, float]:
-        smaller = closed_charpoly(FamilySpec(STAR, n - 1))
-        return delete_edge(generate(FamilySpec(STAR, n)), 0, 1), smaller.shift(1), 2.0
+    def star(spec: FamilySpec) -> tuple[Graph, RatPoly, float]:
+        smaller = closed_charpoly(FamilySpec(STAR, spec.n - 1))
+        return generate(spec), smaller.shift(1), 2.0
 
     checks = [
         (FamilySpec(PATH, n, minus_edge=True), f"path split r={r} s={n - r}", partial(split, n, r))
         for n in range(2, max_n + 1)
         for r in range(1, n)
     ]
-    checks += [
-        (FamilySpec(CYCLE, n, minus_edge=True), "cycle minus edge vs path", partial(cycle, n))
-        for n in range(3, max_n + 1)
-    ]
-    checks += [
-        (FamilySpec(STAR, n, minus_edge=True), "star minus edge vs 2", partial(star, n))
-        for n in range(3, max_n + 1)
-    ]
+    for family, note, reference in ((CYCLE, "cycle minus edge vs path", cycle), (STAR, "star minus edge vs 2", star)):
+        specs = [FamilySpec(family, n, minus_edge=True) for n in range(3, max_n + 1)]
+        checks += [(spec, note, partial(reference, spec)) for spec in specs]
     return Report([_record(*check) for check in checks], _report_meta())
 
 

@@ -691,6 +691,30 @@ def test_eigenvalues_rejects_bad_input():
         eigenvalues(SymMatrix(((0.0, 1.0), (0.5, 0.0))))
 
 
+def test_sym_matrix_stores_list_rows_as_tuples():
+    listed = SymMatrix([[0.0, 1.0], [1.0, 0.0]])
+    built = SymMatrix(((0.0, 1.0), (1.0, 0.0)))
+    assert listed == built and hash(listed) == hash(built)
+    assert eigenvalues(listed).values == (1.0, -1.0)
+
+
+@pytest.mark.parametrize(
+    "rows, text",
+    [
+        ([[0.0, 1.0], [1.0]], "must be square"),
+        ([[math.nan, 1.0], [1.0]], "must be square"),
+        # rows are scanned in order, each for a non-finite entry first
+        ([[math.nan, 1.0], [0.5, 0.0]], "non-finite"),
+        ([[0.0, 1.0], [0.5, math.nan]], "not symmetric"),
+        ([[0.0, 1.0], [0.5, 0.0]], "not symmetric"),
+    ],
+)
+def test_sym_matrix_rejects_bad_rows_at_construction(rows, text):
+    for entries in (rows, tuple(map(tuple, rows))):
+        with pytest.raises(ValueError, match=text):
+            SymMatrix(entries)
+
+
 def test_eigenvalues_trivial_orders():
     assert eigenvalues(SymMatrix(())).values == ()
     assert eigenvalues(SymMatrix(((3.5,),))).values == (3.5,)
@@ -766,8 +790,8 @@ def _graphs_with_isolated_vertices():
 
 @pytest.mark.parametrize("energy, build", [(randic_energy, randic_matrix), (graph_energy, adjacency_matrix)])
 def test_energies_sum_the_spectrum_of_their_core_bit_for_bit(energy, build):
-    # the energies skip eigenvalues' input scan and its Spectrum, and sum in
-    # its order: the same float as summing the checked spectrum
+    # the energies sum the spectrum of their core's matrix in its own order:
+    # the same float as summing it here
     isolated = _graphs_with_isolated_vertices()
     assert all(0 in g.degrees for g in isolated)
     for g in [generate(spec) for spec in sweep_specs(24)] + isolated:
@@ -775,14 +799,20 @@ def test_energies_sum_the_spectrum_of_their_core_bit_for_bit(energy, build):
 
 
 def test_energies_call_the_solver_without_the_input_scan(monkeypatch):
+    # a matrix built from a Graph skips SymMatrix's checking constructor, and
+    # the energies reach the solver through eigenvalues alone
     g = _graphs_with_isolated_vertices()[0]
     want = randic_energy(g), graph_energy(g)
 
-    def scan(mat):
+    def scan(self, entries):
         raise AssertionError("a matrix built from a Graph needs no input scan")
 
-    monkeypatch.setattr(spectral, "eigenvalues", scan)
+    orders = []
+    solve = spectral.eigenvalues
+    monkeypatch.setattr(SymMatrix, "__init__", scan)
+    monkeypatch.setattr(spectral, "eigenvalues", lambda mat: orders.append(mat.order) or solve(mat))
     assert (randic_energy(g), graph_energy(g)) == want
+    assert orders == [_core(g).n] * 2
 
 
 # ---------------------------------------------------------------- eigensolver at larger orders
