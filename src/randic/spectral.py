@@ -177,22 +177,17 @@ def adjacency_matrix(g: Graph) -> SymMatrix:
     return _graph_matrix(rows)
 
 
-# The moduli of the exact route, ascending, each a proven prime stored with
-# its certificate, so no primality test runs here: (p, None) for a Mersenne
-# prime p = 2^e - 1 (Lucas-Lehmer), and (p, a) for a Proth prime
-# p = k·2^e + 1 with k odd and k < 2^e, prime because a^((p-1)/2) = -1 mod p
-# (Proth's theorem). From 2^61 - 1 on there is a Proth prime of exactly 30j
-# bits for each j >= 3, so a residue is at most one 30-bit digit of a Python
-# int wider than the bound. The table ends at the first prime above the bound
-# 2·127^128·C(128, 64) of any quotient within EXACT_ORDER_CAP; a higher cap
-# needs larger primes here.
+# The moduli of the exact route, ascending: each entry (p, a) is a Proth
+# prime p = k·2^e + 1, k odd and k < 2^e, stored with its certificate a,
+# a^((p-1)/2) = -1 mod p (Proth's theorem), so no primality test runs here.
+# Entry i has exactly 30(i + 2) bits, so a residue is at most one 30-bit
+# digit of a Python int wider than the bound. The table ends at the first
+# prime above the bound 2·127^128·C(128, 64) of any quotient within
+# EXACT_ORDER_CAP; a higher cap needs larger primes here.
 CERTIFIED_PRIMES = (
-    ((1 << 61) - 1, None),
-    ((1 << 89) - 1, None),
+    ((65487 << 44) + 1, 5),
     ((65503 << 74) + 1, 3),
-    ((1 << 107) - 1, None),
     ((65521 << 104) + 1, 3),
-    ((1 << 127) - 1, None),
     ((65517 << 134) + 1, 7),
     ((65523 << 164) + 1, 7),
     ((65493 << 194) + 1, 5),
@@ -206,11 +201,9 @@ CERTIFIED_PRIMES = (
     ((64887 << 434) + 1, 7),
     ((65527 << 464) + 1, 3),
     ((65505 << 494) + 1, 13),
-    ((1 << 521) - 1, None),
     ((65515 << 524) + 1, 3),
     ((65139 << 554) + 1, 5),
     ((64767 << 584) + 1, 5),
-    ((1 << 607) - 1, None),
     ((65389 << 614) + 1, 3),
     ((65535 << 644) + 1, 7),
     ((64359 << 674) + 1, 5),

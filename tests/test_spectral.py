@@ -179,23 +179,9 @@ def test_charpoly_order_cap(monkeypatch):
 # ---------------------------------------------------------------- modular kernel
 
 
-MERSENNE_ENTRIES = [p for p, a in spectral.CERTIFIED_PRIMES if a is None]
-PROTH_ENTRIES = [(p, a) for p, a in spectral.CERTIFIED_PRIMES if a is not None]
-
-
-@pytest.mark.parametrize("e", [p.bit_length() for p in MERSENNE_ENTRIES])
-def test_mersenne_exponents_are_prime(e):
-    # Lucas-Lehmer: for an odd prime e, 2^e - 1 is prime iff s_{e-2} = 0
-    assert e > 2 and all(e % q for q in range(2, math.isqrt(e) + 1))
-    p = (1 << e) - 1
-    assert p in MERSENNE_ENTRIES
-    s = 4
-    for _ in range(e - 2):
-        s = (s * s - 2) % p
-    assert s == 0
-
-
-@pytest.mark.parametrize("p, a", PROTH_ENTRIES, ids=[f"{p.bit_length()}bit" for p, _ in PROTH_ENTRIES])
+@pytest.mark.parametrize(
+    "p, a", spectral.CERTIFIED_PRIMES, ids=[f"{p.bit_length()}bit" for p, _ in spectral.CERTIFIED_PRIMES]
+)
 def test_proth_entries_are_prime(p, a):
     # Proth: p = k·2^e + 1 with k odd, k < 2^e, is prime if a^((p-1)/2) = -1 mod p
     e = ((p - 1) & (1 - p)).bit_length() - 1
@@ -205,11 +191,10 @@ def test_proth_entries_are_prime(p, a):
 
 
 def test_certified_primes_table_shape():
-    primes = [p for p, _ in spectral.CERTIFIED_PRIMES]
-    assert primes == sorted(set(primes))
-    assert primes[0] == (1 << 61) - 1
-    # each entry is at most 32 bits above the one before it
-    assert all(b < a << 32 for a, b in zip(primes, primes[1:]))
+    # entry i has exactly 30(i + 2) bits, one 30-bit digit of a Python int
+    # more than the entry before it
+    bits = [p.bit_length() for p, _ in spectral.CERTIFIED_PRIMES]
+    assert bits == [30 * j for j in range(2, len(bits) + 2)]
 
 
 def test_certified_primes_reach_the_exact_order_cap():
@@ -225,7 +210,7 @@ def test_certified_primes_reach_the_exact_order_cap():
 
 @pytest.mark.parametrize(
     "bound, bits",
-    [(0, 61), ((1 << 53) - 1, 61), ((1 << 61) - 2, 61), ((1 << 61) - 1, 89), (1 << 151, 180), (1 << 1019, 1020)],
+    [(0, 60), ((1 << 53) - 1, 60), (65487 << 44, 60), ((65487 << 44) + 1, 90), (1 << 151, 180), (1 << 1019, 1020)],
 )
 def test_modulus_is_smallest_certified_prime_above_bound(bound, bits):
     p = spectral._modulus(bound)
@@ -301,7 +286,7 @@ def test_hessenberg_kernel_sparse_random_matches_cofactor_oracle(seed):
 
 def test_hessenberg_kernel_pivot_swap():
     # h[1][0] = 0 but h[2][0] != 0, so the first step swaps rows/columns 1, 2
-    p = (1 << 61) - 1
+    p = spectral.CERTIFIED_PRIMES[0][0]
     h = [[1, 2, 3], [0, 4, 5], [6, 7, 8]]
     # det(λI - H) = λ^3 - tr·λ^2 + (sum of principal 2-minors)·λ - det
     minors = (1 * 4 - 2 * 0) + (1 * 8 - 3 * 6) + (4 * 8 - 5 * 7)
@@ -310,7 +295,7 @@ def test_hessenberg_kernel_pivot_swap():
     assert spectral._hessenberg_charpoly(h, p) == want
 
 
-KERNEL_PRIMES = [101, (1 << 61) - 1, PROTH_ENTRIES[0][0]]
+KERNEL_PRIMES = [101] + [p for p, _ in spectral.CERTIFIED_PRIMES[:2]]
 KERNEL_PRIME_IDS = [f"{p.bit_length()}bit" for p in KERNEL_PRIMES]
 
 
@@ -396,14 +381,39 @@ def test_charpoly_label_invariant_order_100():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_charpoly_sparse_order_64_against_elimination(seed):
-    # coefficient bounds of ~150 bits, between the Mersenne primes 2^127 - 1
-    # and 2^521 - 1
+    # coefficient bounds of ~150 bits, each lifted modulo a prime of 150 or
+    # 180 bits
     rng = random.Random(f"sparse-64:{seed}")
     g = _connected_graph(rng, 64, 96)
     p = charpoly_exact(g)
     for x in (0, 2, Fr(-1, 2)):
         assert p(x) == charpoly_at(g, x)
     assert charpoly_exact(_shuffled(rng, g)) == p
+
+
+@pytest.fixture(scope="module")
+def lift_cases():
+    graphs = [generate(spec) for spec in sweep_specs(24)]
+    graphs.append(_connected_graph(random.Random("lift:48"), 48, 72))
+    return graphs, [charpoly_exact(g) for g in graphs]
+
+
+@pytest.mark.parametrize("pick", ["next", "last"])
+def test_charpoly_lift_does_not_depend_on_the_prime(monkeypatch, lift_cases, pick):
+    # any certified prime above the bound lifts to the same polynomial: here
+    # the table's next prime above the one chosen, or its 1,020-bit last one
+    primes = [p for p, _ in spectral.CERTIFIED_PRIMES]
+    modulus = spectral._modulus
+    chosen = []
+
+    def other(bound):
+        chosen.append(bound)
+        return primes[primes.index(modulus(bound)) + 1] if pick == "next" else primes[-1]
+
+    monkeypatch.setattr(spectral, "_modulus", other)
+    graphs, want = lift_cases
+    assert [charpoly_exact(g) for g in graphs] == want
+    assert len(chosen) == len(graphs)
 
 
 def _complement(g):
@@ -414,11 +424,11 @@ def _complement(g):
 
 def test_charpoly_beyond_largest_modulus_is_domain_error(monkeypatch):
     # the complement of a path of order >= 4 is twin-free, so its quotient is
-    # itself: 2·18^2·17^18·C(20, 10) has 101 bits, more than 2^89 - 1, the
+    # itself: 2·18^2·17^18·C(20, 10) has 101 bits, more than the 90-bit
     # largest prime of the table cut after its second entry
     monkeypatch.setattr(spectral, "CERTIFIED_PRIMES", spectral.CERTIFIED_PRIMES[:2])
     g = _complement(generate(FamilySpec("path", 20)))
-    with pytest.raises(DomainError, match="modulus above a 101-bit bound; the largest certified prime has 89 bits"):
+    with pytest.raises(DomainError, match="modulus above a 101-bit bound; the largest certified prime has 90 bits"):
         charpoly_exact(g)
 
 
@@ -686,11 +696,6 @@ def test_eigenvalues_sorted_and_sized():
     assert all(vals[i] >= vals[i + 1] for i in range(len(vals) - 1))
 
 
-def test_eigenvalues_rejects_bad_input():
-    with pytest.raises(ValueError):
-        eigenvalues(SymMatrix(((0.0, 1.0), (0.5, 0.0))))
-
-
 def test_sym_matrix_stores_list_rows_as_tuples():
     listed = SymMatrix([[0.0, 1.0], [1.0, 0.0]])
     built = SymMatrix(((0.0, 1.0), (1.0, 0.0)))
@@ -705,6 +710,10 @@ def test_sym_matrix_stores_list_rows_as_tuples():
         ([[math.nan, 1.0], [1.0]], "must be square"),
         # rows are scanned in order, each for a non-finite entry first
         ([[math.nan, 1.0], [0.5, 0.0]], "non-finite"),
+        ([[0.0, math.inf], [math.inf, 0.0]], "non-finite"),
+        ([[math.inf, 1.0], [1.0, 0.0]], "non-finite"),
+        ([[0.0, -math.inf], [-math.inf, 0.0]], "non-finite"),
+        ([[math.nan, 1.0], [1.0, 0.0]], "non-finite"),
         ([[0.0, 1.0], [0.5, math.nan]], "not symmetric"),
         ([[0.0, 1.0], [0.5, 0.0]], "not symmetric"),
     ],
@@ -1531,18 +1540,3 @@ def test_exact_and_numeric_routes_share_no_name_of_the_module():
     numeric = reachable("eigenvalues", "randic_energy", "graph_energy", "randic_matrix", "adjacency_matrix")
     assert "_hessenberg_charpoly" in exact and "_dqds" in numeric
     assert exact & numeric == set()
-
-
-@pytest.mark.parametrize(
-    "entries",
-    [
-        ((0.0, math.inf), (math.inf, 0.0)),
-        ((math.inf, 1.0), (1.0, 0.0)),
-        ((0.0, -math.inf), (-math.inf, 0.0)),
-        ((math.nan, 1.0), (1.0, 0.0)),
-    ],
-)
-def test_eigenvalues_rejects_nonfinite_entries(entries):
-    with pytest.raises(ValueError, match="non-finite"):
-        eigenvalues(SymMatrix(entries))
-
