@@ -218,6 +218,18 @@ def test_modulus_is_smallest_certified_prime_above_bound(bound, bits):
     assert all(q <= bound for q, _ in spectral.CERTIFIED_PRIMES if q < p)
 
 
+def test_modulus_steps_at_each_table_prime():
+    # a bound just below entry i gets entry i, the entry itself gets entry
+    # i + 1, and the last entry is past the table
+    primes = [p for p, _ in spectral.CERTIFIED_PRIMES]
+    for p, q in zip(primes, primes[1:]):
+        assert spectral._modulus(p - 1) == p
+        assert spectral._modulus(p) == q
+    assert spectral._modulus(primes[-1] - 1) == primes[-1]
+    with pytest.raises(DomainError, match="largest certified prime has 1020 bits"):
+        spectral._modulus(primes[-1])
+
+
 def _random_graph(rng, n, isolated):
     core = n - isolated
     pairs = [(u, v) for u in range(core) for v in range(u + 1, core)]
@@ -296,7 +308,10 @@ def test_hessenberg_kernel_pivot_swap():
 
 
 KERNEL_PRIMES = [101] + [p for p, _ in spectral.CERTIFIED_PRIMES[:2]]
-KERNEL_PRIME_IDS = [f"{p.bit_length()}bit" for p in KERNEL_PRIMES]
+# the structural cases also run modulo the table's last, 1,020-bit prime,
+# the one a quotient near EXACT_ORDER_CAP is reduced by
+STRUCTURE_PRIMES = KERNEL_PRIMES + [spectral.CERTIFIED_PRIMES[-1][0]]
+STRUCTURE_PRIME_IDS = [f"{p.bit_length()}bit" for p in STRUCTURE_PRIMES]
 
 
 def _random_mod_p(rng, n, per_row, p):
@@ -322,7 +337,7 @@ def test_hessenberg_kernel_matches_interpolated_determinant(n, density):
     assert spectral._hessenberg_charpoly([row[:] for row in h], p) == oracles.charpoly_mod_p(h, p)
 
 
-@pytest.mark.parametrize("p", KERNEL_PRIMES, ids=KERNEL_PRIME_IDS)
+@pytest.mark.parametrize("p", STRUCTURE_PRIMES, ids=STRUCTURE_PRIME_IDS)
 def test_hessenberg_kernel_block_triangular_splits(p):
     # H = [[A, B], [0, C]]: column 6 is zero below row 7, so the reduction
     # skips that step and the Hessenberg form splits into A's and C's
@@ -334,7 +349,7 @@ def test_hessenberg_kernel_block_triangular_splits(p):
     assert spectral._hessenberg_charpoly([row[:] for row in h], p) == oracles.charpoly_mod_p(h, p)
 
 
-@pytest.mark.parametrize("p", KERNEL_PRIMES, ids=KERNEL_PRIME_IDS)
+@pytest.mark.parametrize("p", STRUCTURE_PRIMES, ids=STRUCTURE_PRIME_IDS)
 def test_hessenberg_kernel_swaps_for_a_zero_first_column_entry(p):
     # h[1][0] = 0 and only h[5][0] is nonzero below it: the first step swaps
     # rows and columns 1 and 5 and then has no row to eliminate
@@ -393,9 +408,28 @@ def test_charpoly_sparse_order_64_against_elimination(seed):
 
 @pytest.fixture(scope="module")
 def lift_cases():
+    # each graph with its polynomial and the prime its unpatched lift chose
     graphs = [generate(spec) for spec in sweep_specs(24)]
     graphs.append(_connected_graph(random.Random("lift:48"), 48, 72))
-    return graphs, [charpoly_exact(g) for g in graphs]
+    modulus, chosen = spectral._modulus, []
+
+    def recording(bound):
+        chosen.append(modulus(bound))
+        return chosen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_modulus", recording)
+        want = [charpoly_exact(g) for g in graphs]
+    assert len(chosen) == len(graphs)
+    return graphs, want, chosen
+
+
+def test_sweep_graphs_lift_modulo_the_60_bit_prime(lift_cases):
+    # every sweep_specs(24) bound is below 2^60, so its residues are two
+    # 30-bit digits wide; a table whose first prime had 61 bits made them three
+    graphs, _, chosen = lift_cases
+    assert {p.bit_length() for p in chosen[:-1]} == {60}
+    assert len(chosen[:-1]) == len(sweep_specs(24))
 
 
 @pytest.mark.parametrize("pick", ["next", "last"])
@@ -411,7 +445,7 @@ def test_charpoly_lift_does_not_depend_on_the_prime(monkeypatch, lift_cases, pic
         return primes[primes.index(modulus(bound)) + 1] if pick == "next" else primes[-1]
 
     monkeypatch.setattr(spectral, "_modulus", other)
-    graphs, want = lift_cases
+    graphs, want, _ = lift_cases
     assert [charpoly_exact(g) for g in graphs] == want
     assert len(chosen) == len(graphs)
 
