@@ -226,19 +226,47 @@ def permute_vertices(g: Graph, perm: Sequence[int]) -> Graph:
     return Graph.from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges))
 
 
-def _bfs(g: Graph) -> tuple[list[int], list[int]]:
-    """Breadth-first visiting order of all vertices, and each vertex's depth:
-    each component from its smallest vertex on, neighbours ascending."""
-    depth = [-1] * g.n
+def _neighbour_masks(g: Graph) -> list[int]:
+    """One int per vertex, bit w set for each neighbour w: one pass over the edges."""
+    nb = [0] * g.n
+    for u, v in g.edges:
+        nb[u] |= 1 << v
+        nb[v] |= 1 << u
+    return nb
+
+
+def _members(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _bfs(nb: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Breadth-first visiting order of all vertices, and each vertex's depth,
+    from the neighbour masks ``nb``: each component from its smallest vertex
+    on, the unseen neighbours of each vertex in ascending order."""
+    depth = [-1] * len(nb)
     order: list[int] = []
-    for start in range(g.n):
+    seen = 0
+    for start, mask in enumerate(nb):
         if depth[start] < 0:
             depth[start] = 0
+            if not mask:  # isolated: kept out of ``seen``, whose updates cost its width
+                order.append(start)
+                continue
+            seen |= 1 << start
             queue = [start]
             for u in queue:
-                for w in g.adjacency[u]:
-                    if depth[w] < 0:
-                        depth[w] = depth[u] + 1
+                new = nb[u] & ~seen
+                if new:
+                    seen |= new
+                    below = depth[u] + 1
+                    for w in _members(new):
+                        depth[w] = below
                         queue.append(w)
             order += queue
     return order, depth
@@ -246,7 +274,7 @@ def _bfs(g: Graph) -> tuple[list[int], list[int]]:
 
 def is_bipartite(g: Graph) -> bool:
     """Whether no edge joins two vertices of equal breadth-first depth."""
-    depth = _bfs(g)[1]
+    depth = _bfs(_neighbour_masks(g))[1]
     return all(depth[u] != depth[v] for u, v in g.edges)
 
 
@@ -264,6 +292,15 @@ def format_edge_list(g: Graph) -> str:
 EDGE_LIST_MAX_ORDER = 100_000
 
 
+def _two_ints(tokens: list[str], rule: str, line: str) -> tuple[int, int]:
+    """The two tokens of ``line`` as ints; a ValueError stating ``rule`` and
+    naming the line when either is not an integer."""
+    try:
+        return int(tokens[0]), int(tokens[1])
+    except ValueError:
+        raise ValueError(f"{rule}, got {line!r}") from None
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format; blank lines and lines starting with '#' are ignored.
 
@@ -277,7 +314,7 @@ def parse_edge_list(text: str) -> Graph:
     head = rows[0].split()
     if len(head) != 2:
         raise ValueError(f"header must be 'n m', got {rows[0]!r}")
-    n, m = int(head[0]), int(head[1])
+    n, m = _two_ints(head, "header must be two integers 'n m'", rows[0])
     if n > EDGE_LIST_MAX_ORDER:
         raise DomainError(f"header declares {n} vertices; the limit is {EDGE_LIST_MAX_ORDER}")
     if len(rows) - 1 != m:
@@ -287,7 +324,7 @@ def parse_edge_list(text: str) -> Graph:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"edge line must be 'u v', got {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+        u, v = _two_ints(parts, "edge line must be two integers 'u v'", ln)
         if u == v:
             raise ValueError(f"self-loop {ln!r} not allowed")
         key = (min(u, v), max(u, v))

@@ -105,18 +105,29 @@ class RatPoly:
         return self.__mul__(other)
 
     def __pow__(self, exponent: int) -> RatPoly:
-        if exponent < 0:
+        """P^m by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).
+
+        With P·den = λ^low·A, a_0 != 0 and d = deg A, the power B = A^m has
+        b_0 = a_0^m and k·a_0·b_k = Σ_{i=1..min(k,d)} ((m+1)i - k)·a_i·b_{k-i},
+        a division that is exact in integers. So P^m = λ^(low·m)·B / den^m
+        costs m·d sums of at most d integer products each, in place of
+        repeated squaring's ever longer convolutions.
+        """
+        m = exponent
+        if m < 0:
             raise ValueError("exponent must be non-negative")
-        result = RatPoly.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        if not m:
+            return RatPoly.one()
+        if not self.nums:
+            return RatPoly.zero()
+        low = next(i for i, c in enumerate(self.nums) if c)
+        a = self.nums[low:]
+        a0, d = a[0], len(a) - 1
+        b = [a0**m]
+        for k in range(1, m * d + 1):
+            total = sum(((m + 1) * i - k) * a[i] * b[k - i] for i in range(1, min(k, d) + 1) if a[i])
+            b.append(total // (k * a0))
+        return RatPoly.from_numerators([0] * (low * m) + b, self.den**m)
 
     def __call__(self, x):
         """Evaluate by Horner's rule on ``coeffs``; exact for int or Fraction

@@ -76,7 +76,7 @@ from itertools import chain, compress, count, repeat
 
 from ._record import FrozenRecord
 from .errors import ConvergenceError, DomainError
-from .graphs import Graph, _bfs
+from .graphs import Graph, _bfs, _members, _neighbour_masks
 from .ratpoly import RatPoly, convolve
 
 ITERATION_CAP = 30
@@ -242,10 +242,11 @@ def _hessenberg_charpoly(h: list[list[int]], p: int) -> list[int]:
     is overwritten. Returns ascending coefficients in [0, p), c[n] = 1.
 
     Each step reads column m - 1 below the diagonal once for the pivot and
-    the rows it eliminates, and a row operation reads only the pivot row's
-    nonzeros right of the pivot, so a sparse matrix pays for its nonzeros and
-    their fill, not for every entry of the tail. The entries stay reduced in
-    [0, p) throughout.
+    the rows it eliminates; a step with nothing below the pivot ends at the
+    swap, with no inverse taken and no row read. A row operation reads only
+    the pivot row's nonzeros right of the pivot, so a sparse matrix pays for
+    its nonzeros and their fill, not for every entry of the tail. The entries
+    stay reduced in [0, p) throughout.
     """
     n = len(h)
     for m in range(1, n - 1):
@@ -260,6 +261,8 @@ def _hessenberg_charpoly(h: list[list[int]], p: int) -> list[int]:
             h[piv], h[m] = h[m], h[piv]
             for row in h:
                 row[piv], row[m] = row[m], row[piv]
+        if not idx:
+            continue  # the pivot alone: nothing to eliminate
         top = h[m]
         inv = pow(top[col], -1, p)
         # row_i -= u_i * row_m for each i > m (as row_i += (p - u_i) * row_m,
@@ -280,7 +283,7 @@ def _hessenberg_charpoly(h: list[list[int]], p: int) -> list[int]:
             i, u = idx[0], mults[0]
             for row in compress(h, map(operator.itemgetter(i), h)):
                 row[m] = (row[m] + u * row[i]) % p
-        elif idx:
+        else:
             # column_m += sum of u_i * column_i
             pick = operator.itemgetter(*idx)
             for row in h:
@@ -292,8 +295,8 @@ def _hessenberg_charpoly(h: list[list[int]], p: int) -> list[int]:
     for m in range(n):
         prev = polys[m]
         hm = h[m][m]
-        acc = [-hm * c for c in prev] + [0]
-        acc[1:] = [a + c for a, c in zip(acc[1:], prev)]
+        # (λ - h_mm)·P_m: coefficient j is P_m[j-1] - h_mm·P_m[j]
+        acc = [a - hm * c for a, c in zip([0, *prev], [*prev, 0])]
         top = next(compress(range(m), map(operator.itemgetter(m), h)), m)
         t = 1
         for i in range(1, m - top + 1):
@@ -313,8 +316,10 @@ def charpoly_exact(g: Graph) -> RatPoly:
 
     Computed on the similar rational matrix W = D^{-1}A after splitting off
     isolated vertices (factor λ each). The k vertices left are grouped by
-    open neighbourhood N(v) and by closed neighbourhood N[v]; no vertex is in
-    a class of two or more of each kind. A class of t open twins of degree d
+    open neighbourhood N(v) and by closed neighbourhood N[v], each an int
+    bitmask built in one pass over the edges, which also serve the
+    breadth-first search and the quotient's adjacency; no vertex is in a
+    class of two or more of each kind. A class of t open twins of degree d
     gives λ^(t-1), since W(e_u - e_v) = 0, and a class of t closed twins
     gives (λ + 1/d)^(t-1), since W(e_u - e_v) = -(e_u - e_v)/d. One
     representative per class remains, k' in all. The quotient has
@@ -349,39 +354,45 @@ def charpoly_exact(g: Graph) -> RatPoly:
     # the non-isolated vertices in reversed breadth-first order: the labeling
     # does not change the polynomial, and this one keeps the Hessenberg
     # fill-in of a sparse graph small
-    order, depth = _bfs(g)
+    nb = _neighbour_masks(g)
+    order, depth = _bfs(nb)
     core = [v for v in reversed(order) if degs[v]]
-    # twin classes: the vertices of one open neighbourhood N(v) (pairwise
-    # non-adjacent) or of one closed neighbourhood N[v] (pairwise adjacent).
-    # No N(u) equals an N[v], so one dict holds both kinds of key, and a
-    # vertex is in at most one class of two or more.
-    twins: dict[frozenset[int], list[int]] = {}
+    # twin classes: the vertices of one open neighbourhood N(v), mask nb[v]
+    # (pairwise non-adjacent), or of one closed neighbourhood N[v], mask
+    # nb[v] | 1 << v (pairwise adjacent). No N(u) equals an N[v], so one dict
+    # holds both kinds of key, and a vertex is in at most one class of two
+    # or more.
+    twins: dict[int, list[int]] = {}
     for v in core:
-        nbrs = frozenset(g.adjacency[v])
-        twins.setdefault(nbrs, []).append(v)
-        twins.setdefault(nbrs | {v}, []).append(v)
+        twins.setdefault(nb[v], []).append(v)
+        twins.setdefault(nb[v] | 1 << v, []).append(v)
     size = dict.fromkeys(core, 1)  # class size by representative
-    rep = {v: v for v in core}  # each vertex's class, by its representative
+    loops = 0  # the representatives of closed classes
     factors: dict[tuple[int, int], int] = {}  # (d, c) -> m for (dλ + c)^m
     for key, members in twins.items():
         if len(members) > 1:
             first = members[0]
             size[first] = len(members)
             for v in members[1:]:
-                rep[v] = first
                 del size[v]
-            factor = (degs[first], int(first in key))
+            loops |= key & 1 << first
+            factor = (degs[first], key >> first & 1)
             factors[factor] = factors.get(factor, 0) + len(members) - 1
     quotient = list(size)
     kq = len(quotient)
     scale = math.prod(degs[v] for v in core)
     scale_q = math.prod(degs[v] for v in quotient)
-    # the classes next to each class; a closed class is next to itself
-    near = {u: {rep[v] for v in g.adjacency[u]} for u in quotient}
+    # the classes next to each class, as a mask of their representatives:
+    # a twin of a neighbour is a neighbour, so a class is next to u when its
+    # representative is, and a closed class is next to itself
+    reps = sum(1 << u for u in quotient)
+    near = {u: nb[u] & reps | loops & 1 << u for u in quotient}
     # W' = [[0, X], [Y, 0]] when no class is next to one of the same depth
     # parity, itself included, so a closed class keeps the full route; the
     # kernel then gets XY, on the smaller half, and otherwise W' itself
-    halved = all(depth[u] % 2 != depth[r] % 2 for u in quotient for r in near[u])
+    odd = sum(1 << u for u in quotient if depth[u] % 2)
+    even = reps ^ odd
+    halved = not any(near[u] & (odd if depth[u] % 2 else even) for u in quotient)
     rows = quotient
     if halved:
         rows = [u for u in quotient if depth[u] % 2 == 0]
@@ -391,6 +402,7 @@ def charpoly_exact(g: Graph) -> RatPoly:
     p = _modulus(2 * scale_q * math.comb(s, s // 2))
     index = {v: i for i, v in enumerate(rows)}
     inverse = {d: pow(d, -1, p) for d in set(degs[v] for v in quotient)}
+    near = {u: _members(mask) for u, mask in near.items()}  # as lists
     h = [[0] * s for _ in range(s)]
     for row, u in zip(h, rows):
         inv = inverse[degs[u]]

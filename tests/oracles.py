@@ -32,6 +32,13 @@ convolution, and ``format_fractions`` renders a polynomial from its
 ``Fraction`` coefficients, the reference for ``format_poly``, which works
 from the integer numerators.
 
+``power_by_squaring`` raises a ``RatPoly`` to a power by repeated squaring,
+the reference for ``RatPoly.__pow__``, which uses Miller's recurrence.
+
+``bfs_order_and_depths`` is a breadth-first search over the sorted
+neighbour lists of ``Graph.adjacency``, the reference for ``graphs._bfs``,
+which walks neighbour bitmasks.
+
 ``cheb_u`` builds the Chebyshev polynomials of the second kind by their
 recurrence, an independent check on the library's explicit coefficients of
 the tridiagonal determinants Λ_k = U_k(λ)/2^k. ``is_connected`` is a plain
@@ -89,6 +96,38 @@ def format_fractions(p: RatPoly, descending: bool = True) -> str:
         sign = ("" if c > 0 else "-") if idx == 0 else ("+ " if c > 0 else "- ")
         parts.append(sign + body)
     return " ".join(parts)
+
+
+def power_by_squaring(p: RatPoly, m: int) -> RatPoly:
+    """p**m from products alone: square the base, multiply in the set bits of m."""
+    result = RatPoly.one()
+    while m:
+        if m & 1:
+            result = result * p
+        m >>= 1
+        if m:
+            p = p * p
+    return result
+
+
+def bfs_order_and_depths(g: Graph) -> tuple[list[int], list[int]]:
+    """Visiting order and depths of a breadth-first search of every
+    component from its smallest vertex, neighbours in ascending order."""
+    depth = [-1] * g.n
+    order = []
+    for root in range(g.n):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            order.append(u)
+            for w in g.adjacency[u]:
+                if depth[w] < 0:
+                    depth[w] = depth[u] + 1
+                    queue.append(w)
+    return order, depth
 
 
 def randic_index(g: Graph) -> float:

@@ -501,6 +501,13 @@ def test_energy_input_missing_file_exit1(capsys):
     assert "error:" in err
 
 
+def test_charpoly_input_with_a_non_integer_token_exit1_naming_the_line(capsys, tmp_path):
+    f = tmp_path / "g.txt"
+    f.write_text("2 1\n0 x\n")
+    code, out, err = run_cli(capsys, "charpoly", "--input", str(f))
+    assert (code, out, err) == (1, "", "error: edge line must be two integers 'u v', got '0 x'\n")
+
+
 @pytest.fixture
 def small_matrices_only(monkeypatch):
     """Fail, before any allocation, a matrix build above order 2."""

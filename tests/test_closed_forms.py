@@ -20,7 +20,7 @@ from randic import (
     spectral,
 )
 
-from oracles import cheb_u
+from oracles import cheb_u, power_by_squaring
 
 SQRT2 = math.sqrt(2.0)
 
@@ -113,6 +113,27 @@ def test_closed_charpoly_bipartite_minus_edge_is_path4():
 def test_closed_charpoly_dutch4_two_blades():
     p = closed_charpoly(FamilySpec("dutch4", 2))
     assert p == RatPoly([0, 0, 0, Fr(1, 2), 0, Fr(-3, 2), 0, 1])
+
+
+def test_closed_charpoly_powers_equal_repeated_squaring():
+    # the families whose closed forms take a power, each power rebuilt here by
+    # squaring and multiplying the same factors
+    x, one = RatPoly.x(), RatPoly.one()
+
+    def x_plus(num, den):
+        return x + RatPoly([Fr(num, den)])
+
+    for n in range(2, 61):
+        want = (x - one) * power_by_squaring(x_plus(1, n - 1), n - 1)
+        assert closed_charpoly(FamilySpec("complete", n)) == want
+    for n in range(3, 61):
+        want = x * (x - one) * x_plus(2, n - 1) * power_by_squaring(x_plus(1, n - 1), n - 3)
+        assert closed_charpoly(FamilySpec("complete", n, minus_edge=True)) == want
+    for family, k in (("friendship", 3), ("dutch4", 4)):
+        cycle = closed_charpoly(FamilySpec("cycle", k))
+        for n in range(2, 41):
+            want = power_by_squaring(lambda_poly(k - 1), n - 1) * cycle
+            assert closed_charpoly(FamilySpec(family, n)) == want
 
 
 @pytest.mark.parametrize(

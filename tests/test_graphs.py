@@ -17,7 +17,7 @@ from randic import (
     permute_vertices,
 )
 
-from oracles import disjoint_union, is_connected
+from oracles import bfs_order_and_depths, disjoint_union, is_connected
 
 from randic import graphs, spectral
 from randic.graphs import EDGE_LIST_MAX_ORDER, FAMILY_MAX_EDGES
@@ -286,9 +286,27 @@ def test_bfs_order_and_depths():
     # components in the order of their smallest vertex, each visited from
     # it with neighbours ascending; the isolated vertex 3 is a component
     g = Graph.from_edges(8, [(7, 4), (0, 5), (6, 5), (4, 1), (0, 2), (2, 5)])
-    order, depth = graphs._bfs(g)
+    order, depth = graphs._bfs(graphs._neighbour_masks(g))
     assert order == [0, 2, 5, 6, 1, 4, 7, 3]
     assert depth == [0, 0, 1, 0, 1, 1, 2, 2]
+
+
+def test_bfs_matches_a_search_over_sorted_neighbour_lists():
+    # the mask walk visits vertices in the order of the plain search, which
+    # fixes the labeling, and so the matrix, that charpoly_exact reduces
+    rng = random.Random(20261021)
+    for _ in range(20):
+        n = rng.randint(10, 128)
+        core = rng.sample(range(n), rng.randint(max(6, n // 2), n - 2))  # the rest isolated
+        parts = [core[i::3] for i in range(3)]  # three vertex sets, no edge between
+        edges = [
+            (u, v)
+            for part in parts
+            for _ in range(rng.randint(len(part) - 1, 2 * len(part)))
+            for u, v in [rng.sample(part, 2)]
+        ]
+        g = Graph.from_edges(n, edges)
+        assert graphs._bfs(graphs._neighbour_masks(g)) == bfs_order_and_depths(g)
 
 
 def test_bipartite_detection_matches_two_colourings():
@@ -335,6 +353,20 @@ def test_edge_list_rejects_malformed(text):
 def test_edge_list_rejects_an_edge_line_of_three_fields():
     with pytest.raises(ValueError, match=r"edge line must be 'u v', got '0 1 2'"):
         parse_edge_list("3 1\n0 1 2\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2 x\n", "header must be two integers 'n m', got '2 x'"),
+        ("2 1\n0 x\n", "edge line must be two integers 'u v', got '0 x'"),
+        ("2 1\n0 1.0\n", "edge line must be two integers 'u v', got '0 1.0'"),
+    ],
+)
+def test_edge_list_names_the_line_with_a_non_integer_token(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_edge_list(text)
+    assert str(err.value) == message
 
 
 def test_edge_list_header_order_limit():

@@ -1,6 +1,8 @@
 import math
+import operator
 import random
 from fractions import Fraction as Fr
+from functools import reduce
 from itertools import zip_longest
 
 import pytest
@@ -76,6 +78,29 @@ def test_pow_binomial():
         RatPoly.x() ** -1
 
 
+def test_pow_matches_repeated_multiplication():
+    # Miller's recurrence divides by k·a_0 at each step: random numerators of
+    # both signs over a denominator above 1, half of them with no constant term
+    rng = random.Random(20261021)
+    for i in range(30):
+        degree = i % 6
+        nums = [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice([-3, -2, -1, 1, 2, 3])]
+        if i % 2:
+            nums[0] = 0
+        p = RatPoly.from_numerators(nums, rng.randint(2, 12))
+        for m in (0, 1, 2, 3, 7, 20):
+            assert p**m == reduce(operator.mul, [p] * m, RatPoly.one())
+
+
+def test_pow_of_zero_and_negative_exponents():
+    zero = RatPoly.zero()
+    assert zero**0 == RatPoly.one()
+    assert all(zero**m == zero for m in (1, 2, 5))
+    for p in (zero, RatPoly([Fr(1, 2), 0, -3])):
+        with pytest.raises(ValueError):
+            p ** -2
+
+
 def test_add_sub_scalar_mul():
     p = RatPoly([1, 2, 3])
     q = RatPoly([0, -2, -3])
@@ -121,8 +146,8 @@ def test_hash_consistent_with_eq():
 
 
 def test_products_convolve_from_the_lowest_nonzero_coefficients(monkeypatch):
-    # Λ_3 = λ^3 - λ/2 has no constant term: its powers in the dutch4 closed
-    # form are shifted, and no convolution carries their low zeros
+    # Λ_3 = λ^3 - λ/2 has no constant term: the dutch4 closed form multiplies
+    # its shifted power by φ(C_4), and no convolution carries the low zeros
     import randic.ratpoly
     from randic import FamilySpec, closed_charpoly, lambda_poly
 
