@@ -97,98 +97,97 @@ def _poly_json(p: RatPoly) -> dict:
     return {"degree": p.degree, "coeffs_ascending": format_coeffs(p)}
 
 
-def _cmd_gen(args) -> int:
-    text = format_edge_list(generate(_family_specs(args)[0]))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+def _emit(args, payload, lines) -> int:
+    """Print a result in its --format: ``payload()`` as JSON, or the text or
+    CSV ``lines()``. Only the printed form is rendered."""
+    print(json.dumps(payload()) if args.format == "json" else "\n".join(lines()))
+    return 0
+
+
+def _write(path: str | None, text: str) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when there is none."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _cmd_gen(args) -> int:
+    _write(args.out, format_edge_list(generate(_family_specs(args)[0])))
     return 0
 
 
 def _cmd_charpoly(args) -> int:
-    descending = args.order == "desc"
     if args.mode == "exact":
-        exact, closed = charpoly_exact(_graph_from_args(args, _check_exact_order)), None
+        polys = {"exact": charpoly_exact(_graph_from_args(args, _check_exact_order))}
     else:
         if args.input:
             args.parser.error("--mode closed/both requires --family, not --input")
         both = args.mode == "both"
         spec = _family_specs(args, _check_exact_order if both else None, closed=True)[0]
-        closed = closed_charpoly(spec)
-        exact = charpoly_exact(generate(spec)) if both else None
-    if args.format == "json":
-        if args.mode == "both":
-            payload = {
-                "exact": _poly_json(exact),
-                "closed": _poly_json(closed),
-                "equal": exact == closed,
-            }
-        else:
-            payload = _poly_json(exact if exact is not None else closed)
-        print(json.dumps(payload))
-        return 0
-    if args.mode == "both":
-        print(f"exact: {format_poly(exact, descending=descending)}")
-        print(f"closed: {format_poly(closed, descending=descending)}")
-        print(f"equal: {'true' if exact == closed else 'false'}")
-    else:
-        print(format_poly(exact if exact is not None else closed, descending=descending))
-    return 0
+        polys = {"exact": charpoly_exact(generate(spec))} if both else {}
+        polys["closed"] = closed_charpoly(spec)
+    descending = args.order == "desc"
+    equal = polys["exact"] == polys["closed"] if len(polys) == 2 else None
+
+    # one polynomial prints bare, a pair by name and then whether the two are equal
+    def named(form, flag):
+        out = {name: form(p) for name, p in polys.items()}
+        return out.popitem()[1] if equal is None else {**out, "equal": flag}
+
+    def lines():
+        text = named(lambda p: format_poly(p, descending=descending), "true" if equal else "false")
+        return [text] if equal is None else [f"{name}: {t}" for name, t in text.items()]
+
+    return _emit(args, lambda: named(_poly_json, equal), lines)
 
 
 def _cmd_energy(args) -> int:
     if args.format == "csv" and not args.sweep:
         args.parser.error("--format csv is only valid with --sweep")
-    if args.sweep:
-        if args.input:
-            args.parser.error("--sweep requires --family, not --input")
-        # every family's limits and order bind at an end
-        lo, hi = _family_specs(args, _check_energy_order)
-        rows = []
-        for n in range(lo.n, hi.n + 1):
-            spec = FamilySpec(lo.family, n, m=lo.m, minus_edge=lo.minus_edge)
-            re_num = randic_energy(generate(spec))
-            try:
-                re_closed: float | None = closed_energy(spec)
-            except DomainError:
-                re_closed = None
-            err = None if re_closed is None else abs(re_num - re_closed)
-            rows.append({"family": spec.family, "n": n, "m": spec.m, "minus_edge": spec.minus_edge,
-                         "re_numeric": re_num, "re_closed": re_closed, "abs_err": err})
-        if args.format == "json":
-            print(json.dumps(rows))
-            return 0
-        columns = ("family", "n", "m", "re_numeric", "re_closed", "abs_err")
-        lines = [",".join(columns) + ",minus_edge"] if args.format == "csv" else []
+    if not args.sweep:
+        g = _graph_from_args(args, _check_energy_order)
+        energies = {"re": randic_energy(g)}
+        if args.adjacency:
+            energies["e"] = graph_energy(g)
+        # one energy prints bare, both by name
+        return _emit(args, lambda: energies,
+                     lambda: [f"{name.upper()} {e}" if args.adjacency else str(e) for name, e in energies.items()])
+    if args.input:
+        args.parser.error("--sweep requires --family, not --input")
+    if args.adjacency:
+        args.parser.error("--sweep and --adjacency are mutually exclusive")
+    # every family's limits and order bind at an end
+    lo, hi = _family_specs(args, _check_energy_order)
+    rows = []
+    for n in range(lo.n, hi.n + 1):
+        spec = FamilySpec(lo.family, n, m=lo.m, minus_edge=lo.minus_edge)
+        re_num = randic_energy(generate(spec))
+        try:
+            re_closed: float | None = closed_energy(spec)
+        except DomainError:
+            re_closed = None
+        err = None if re_closed is None else abs(re_num - re_closed)
+        rows.append({"family": spec.family, "n": n, "m": spec.m, "minus_edge": spec.minus_edge,
+                     "re_numeric": re_num, "re_closed": re_closed, "abs_err": err})
+    columns = ("family", "n", "m", "re_numeric", "re_closed", "abs_err")
+
+    def lines():
+        if args.format == "csv":
+            yield ",".join(columns) + ",minus_edge"
         for row in rows:
             cells = ["" if row[c] is None else str(row[c]) for c in columns]
-            lines.append(",".join([*cells, "true" if row["minus_edge"] else "false"]))
-        print("\n".join(lines))
-        return 0
-    g = _graph_from_args(args, _check_energy_order)
-    energies = {"re": randic_energy(g)}
-    if args.adjacency:
-        energies["e"] = graph_energy(g)
-    if args.format == "json":
-        print(json.dumps(energies))
-    elif args.adjacency:
-        print(f"RE {energies['re']}\nE {energies['e']}")
-    else:
-        print(energies["re"])
-    return 0
+            yield ",".join([*cells, "true" if row["minus_edge"] else "false"])
+
+    return _emit(args, lambda: rows, lines)
 
 
 def _cmd_verify(args) -> int:
     report = verify_all(args.max_n)
-    text = report.to_json()
+    _write(args.report, report.to_json())
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
         print(f"pass={report.n_pass} fail={report.n_fail}")
-    else:
-        sys.stdout.write(text)
     return 0 if report.n_fail == 0 else 1
 
 

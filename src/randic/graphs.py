@@ -53,8 +53,8 @@ _MIN_N = {
 class Graph(FrozenRecord):
     """Simple undirected graph: vertex count plus a set of sorted vertex pairs.
 
-    Immutable and hashable; ``degrees`` and ``adjacency`` are computed on
-    first use and cached on the instance.
+    Immutable and hashable; ``degrees`` is computed on first use and cached
+    on the instance.
     """
 
     _fields = ("n", "edges")
@@ -82,15 +82,6 @@ class Graph(FrozenRecord):
             degs[u] += 1
             degs[v] += 1
         return tuple(degs)
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbor lists, each sorted ascending."""
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(ns)) for ns in nbrs)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={sorted(self.edges)})"
@@ -137,24 +128,17 @@ def _family_size(spec: FamilySpec) -> tuple[int, int]:
 
 def _family_core_size(spec: FamilySpec) -> int:
     """Non-isolated vertices of a family instance, from its parameters alone:
-    its order, less each end of the deleted edge that had no other edge (0
-    for an instance with no edge at all)."""
+    its order, less the ends that deleting the canonical edge isolates (0 for
+    an instance with no edge at all)."""
     order, size = _family_size(spec)
     if not size:
         return 0
-    if not spec.minus_edge:
+    if not spec.minus_edge or spec.family in (CYCLE, COMPLETE):
         return order
-    # the degrees of the canonical edge's ends, (0, 1) or (0, m), before it goes
-    fam, n = spec.family, spec.n
-    if fam == COMPLETE_BIPARTITE:
-        ends = (n, spec.m)
-    elif fam == PATH:
-        ends = (1, 2)
-    elif fam == STAR:
-        ends = (n - 1, 1)
-    else:
-        ends = (n - 1, n - 1) if fam == COMPLETE else (2, 2)
-    return order - ends.count(1)
+    if spec.family == COMPLETE_BIPARTITE:
+        # the edge (0, m) isolates an end in each part of size 1
+        return order - (spec.m, spec.n).count(1)
+    return order - 1  # a path loses vertex 0, a star its leaf 1
 
 
 def _validate_spec(spec: FamilySpec) -> None:

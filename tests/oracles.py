@@ -35,9 +35,9 @@ from the integer numerators.
 ``power_by_squaring`` raises a ``RatPoly`` to a power by repeated squaring,
 the reference for ``RatPoly.__pow__``, which uses Miller's recurrence.
 
-``bfs_order_and_depths`` is a breadth-first search over the sorted
-neighbour lists of ``Graph.adjacency``, the reference for ``graphs._bfs``,
-which walks neighbour bitmasks.
+``neighbours`` gives a graph's neighbour lists, each sorted ascending; the
+library keeps none. ``bfs_order_and_depths`` is a breadth-first search over
+them, the reference for ``graphs._bfs``, which walks neighbour bitmasks.
 
 ``cheb_u`` builds the Chebyshev polynomials of the second kind by their
 recurrence, an independent check on the library's explicit coefficients of
@@ -110,9 +110,19 @@ def power_by_squaring(p: RatPoly, m: int) -> RatPoly:
     return result
 
 
+def neighbours(g: Graph) -> list[list[int]]:
+    """Neighbour lists of ``g``, each sorted ascending."""
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return [sorted(ns) for ns in nbrs]
+
+
 def bfs_order_and_depths(g: Graph) -> tuple[list[int], list[int]]:
     """Visiting order and depths of a breadth-first search of every
     component from its smallest vertex, neighbours in ascending order."""
+    nbrs = neighbours(g)
     depth = [-1] * g.n
     order = []
     for root in range(g.n):
@@ -123,7 +133,7 @@ def bfs_order_and_depths(g: Graph) -> tuple[list[int], list[int]]:
         while queue:
             u = queue.popleft()
             order.append(u)
-            for w in g.adjacency[u]:
+            for w in nbrs[u]:
                 if depth[w] < 0:
                     depth[w] = depth[u] + 1
                     queue.append(w)
@@ -147,13 +157,14 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
 def is_connected(g: Graph) -> bool:
     if g.n <= 1:
         return True
+    nbrs = neighbours(g)
     seen = [False] * g.n
     seen[0] = True
     queue = deque([0])
     count = 1
     while queue:
         u = queue.popleft()
-        for w in g.adjacency[u]:
+        for w in nbrs[u]:
             if not seen[w]:
                 seen[w] = True
                 count += 1
@@ -185,7 +196,7 @@ def det_poly(mat: list[list[RatPoly]]) -> RatPoly:
 
 
 def charpoly_bruteforce(g: Graph) -> RatPoly:
-    degs = g.degrees
+    degs, nbrs = g.degrees, neighbours(g)
     lam = RatPoly.x()
     mat = []
     for i in range(g.n):
@@ -193,7 +204,7 @@ def charpoly_bruteforce(g: Graph) -> RatPoly:
         for j in range(g.n):
             if i == j:
                 row.append(lam)
-            elif j in g.adjacency[i]:
+            elif j in nbrs[i]:
                 row.append(RatPoly((-Fraction(1, degs[i]),)))
             else:
                 row.append(RatPoly.zero())
@@ -211,8 +222,8 @@ def charpoly_at(g: Graph, x) -> Fraction:
         raise ValueError("isolated vertex: D is singular")
     x = Fraction(x)
     a, b = x.numerator, x.denominator
-    n = g.n
-    rows = [[a * degs[i] if i == j else -b if j in g.adjacency[i] else 0 for j in range(n)] for i in range(n)]
+    n, nbrs = g.n, neighbours(g)
+    rows = [[a * degs[i] if i == j else -b if j in nbrs[i] else 0 for j in range(n)] for i in range(n)]
     sign, prev = 1, 1
     for c in range(n):
         piv = next((r for r in range(c, n) if rows[r][c]), None)
@@ -291,6 +302,7 @@ def _poly_add(a: list[int], b: list[int]) -> list[int]:
 def _forest_order(g: Graph) -> list[tuple[int, int]]:
     """(vertex, parent) pairs of a breadth-first search from each component's
     least vertex, parents first; ValueError if ``g`` has a cycle."""
+    nbrs = neighbours(g)
     parent = [None] * g.n
     visits = []
     for root in range(g.n):
@@ -301,7 +313,7 @@ def _forest_order(g: Graph) -> list[tuple[int, int]]:
         while queue:
             u = queue.popleft()
             visits.append((u, parent[u]))
-            for w in g.adjacency[u]:
+            for w in nbrs[u]:
                 if parent[w] is None:
                     parent[w] = u
                     queue.append(w)
@@ -345,7 +357,7 @@ def matching_number(g: Graph) -> int:
     """Size of a maximum matching of a forest, by greedy leaf matching: a
     leaf is matched to its neighbour, both leave, and so on."""
     _forest_order(g)
-    left = [set(nbrs) for nbrs in g.adjacency]
+    left = [set(nbrs) for nbrs in neighbours(g)]
     leaves = [v for v in range(g.n) if len(left[v]) == 1]
     size = 0
     while leaves:

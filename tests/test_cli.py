@@ -456,6 +456,19 @@ def test_sweep_refuses_the_n_it_would_ignore(capsys):
     assert err.endswith("--sweep and --n are mutually exclusive")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_sweep_refuses_the_adjacency_it_would_ignore(capsys, monkeypatch, fmt):
+    # a sweep prints Randic energies only: --adjacency is refused, not dropped
+    monkeypatch.setattr(spectral, "eigenvalues", lambda *a: pytest.fail("computed an energy"))
+    with pytest.raises(SystemExit) as err:
+        main(["energy", "--family", "cycle", "--sweep", "4..5", "--adjacency", "--format", fmt])
+    out = capsys.readouterr()
+    assert (err.value.code, out.out) == (2, "")
+    lines = out.err.splitlines()
+    assert lines[0].startswith("usage: randic energy [-h]")
+    assert lines[-1] == "randic energy: error: --sweep and --adjacency are mutually exclusive"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -484,7 +484,7 @@ def _cloned(rng, g, clones, kind):
     for _ in range(clones):
         v = rng.randrange(g.n)
         closed = kind == "closed" or (kind == "mixed" and rng.random() < 0.5)
-        new = [(u, g.n) for u in g.adjacency[v]] + ([(v, g.n)] if closed else [])
+        new = [(u, g.n) for u in oracles.neighbours(g)[v]] + ([(v, g.n)] if closed else [])
         g = Graph.from_edges(g.n + 1, [*g.edges, *new])
     return g
 
@@ -503,9 +503,9 @@ def _twin_classes_of(g):
     """Sizes of the classes of two or more vertices with one open or one
     closed neighbourhood, non-isolated vertices only."""
     keys = {}
-    for v in range(g.n):
-        if g.adjacency[v]:
-            for key in (frozenset(g.adjacency[v]), frozenset(g.adjacency[v]) | {v}):
+    for v, nbrs in enumerate(oracles.neighbours(g)):
+        if nbrs:
+            for key in (frozenset(nbrs), frozenset(nbrs) | {v}):
                 keys.setdefault(key, []).append(v)
     return sorted(len(m) for m in keys.values() if len(m) > 1)
 

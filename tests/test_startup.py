@@ -98,10 +98,9 @@ def test_defaults_and_keywords():
     assert second.records == [] and second.meta == {}
 
 
-def test_graph_caches_degrees_and_adjacency_and_validates():
+def test_graph_caches_degrees_and_validates():
     g = Graph.from_edges(3, [(1, 0), (2, 1)])
     assert g.degrees == (1, 2, 1) and g.degrees is g.degrees
-    assert g.adjacency == ((1,), (0, 2), (1,)) and g.adjacency is g.adjacency
     assert hash(g) == hash(Graph(3, frozenset({(0, 1), (1, 2)})))
     with pytest.raises(ValueError, match="out of range"):
         Graph(2, frozenset({(0, 2)}))
