@@ -104,17 +104,13 @@ def _emit(args, payload, lines) -> int:
     return 0
 
 
-def _write(path: str | None, text: str) -> None:
-    """Write ``text`` to the file ``path``, or to stdout when there is none."""
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
+def _cmd_gen(args) -> int:
+    text = format_edge_list(generate(_family_specs(args)[0]))
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _cmd_gen(args) -> int:
-    _write(args.out, format_edge_list(generate(_family_specs(args)[0])))
     return 0
 
 
@@ -185,9 +181,13 @@ def _cmd_energy(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = verify_all(args.max_n)
-    _write(args.report, report.to_json())
+    text = report.to_json()
     if args.report:
+        with open(args.report, "w", encoding="utf-8") as fh:
+            fh.write(text)
         print(f"pass={report.n_pass} fail={report.n_fail}")
+    else:
+        sys.stdout.write(text)
     return 0 if report.n_fail == 0 else 1
 
 
