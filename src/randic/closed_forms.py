@@ -122,7 +122,7 @@ def path_graph_energy(k: int) -> float:
     """Adjacency energy of a k-vertex path from its analytic spectrum 2cos(jπ/(k+1))."""
     if k < 0:
         raise DomainError("path order must be non-negative")
-    return sum(2.0 * abs(math.cos(j * math.pi / (k + 1))) for j in range(1, k + 1))
+    return math.fsum(2.0 * abs(math.cos(j * math.pi / (k + 1))) for j in range(1, k + 1))
 
 
 def _cycle_energy(n: int) -> float:
@@ -131,7 +131,7 @@ def _cycle_energy(n: int) -> float:
         h = n // 2
         return 2.0 * math.sin((h // 2 + 0.5) * math.pi / h) / math.sin(math.pi / (2 * h))
     # odd cycle: analytic spectrum of the normalized matrix is cos(2πk/n)
-    return sum(abs(math.cos(2.0 * math.pi * k / n)) for k in range(n))
+    return math.fsum(abs(math.cos(2.0 * math.pi * k / n)) for k in range(n))
 
 
 def closed_energy(spec: FamilySpec) -> float:

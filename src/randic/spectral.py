@@ -109,7 +109,9 @@ class SymMatrix(FrozenRecord):
     ValueError when a row's length differs from the number of rows ("matrix
     must be square"); then, row by row, when the row has a non-finite entry
     ("matrix has a non-finite entry") or differs from the matching column
-    ("matrix is not symmetric").
+    ("matrix is not symmetric"); then when the order times the largest
+    |entry| exceeds 2^1020. Every |eigenvalue| is at most that product, so
+    below the limit every value the eigensolver forms stays finite.
     """
 
     _fields = ("entries",)
@@ -125,6 +127,8 @@ class SymMatrix(FrozenRecord):
                 raise ValueError("matrix has a non-finite entry")
             if row != col:
                 raise ValueError("matrix is not symmetric")
+        if n * max(map(abs, chain.from_iterable(entries)), default=0.0) > 2.0**1020:
+            raise ValueError("matrix order times its largest |entry| exceeds 2^1020")
         self.__dict__["entries"] = entries
 
     @property
@@ -709,7 +713,7 @@ def _dqds(q: list[float], e: list[float]) -> list[float]:
             tau = _dqds_shift(q, e, n0, tail)
             while True:
                 if iterations >= ITERATION_CAP * n:
-                    residual = math.sqrt(sum(e[i0:n0]) + sum(sum(s[4][s[0] : s[1]]) for s in stack))
+                    residual = math.sqrt(math.fsum(chain(e[i0:n0], *(s[4][s[0] : s[1]] for s in stack))))
                     raise ConvergenceError(
                         f"dqds did not converge in {ITERATION_CAP} iterations per value: "
                         f"{len(out)} of {n} found (residual {residual:.3e})",
@@ -1022,14 +1026,14 @@ def _energy_core(g: Graph) -> Graph:
 
 def _energy(g: Graph, matrix) -> float:
     """Sum of absolute eigenvalues of ``matrix`` built on ``_energy_core(g)``."""
-    return sum(map(abs, eigenvalues(matrix(_energy_core(g))).values), 0.0)
+    return math.fsum(map(abs, eigenvalues(matrix(_energy_core(g))).values))
 
 
 def randic_energy(g: Graph) -> float:
-    """Sum of absolute eigenvalues of the Randic matrix (isolated vertices add 0)."""
+    """``math.fsum`` of the absolute eigenvalues of the Randic matrix (isolated vertices add 0)."""
     return _energy(g, randic_matrix)
 
 
 def graph_energy(g: Graph) -> float:
-    """Sum of absolute eigenvalues of the adjacency matrix (isolated vertices add 0)."""
+    """``math.fsum`` of the absolute eigenvalues of the adjacency matrix (isolated vertices add 0)."""
     return _energy(g, adjacency_matrix)

@@ -22,6 +22,7 @@ field by field.
 from __future__ import annotations
 
 import json
+import math
 import operator
 import time
 from collections.abc import Callable
@@ -175,7 +176,7 @@ def _power_sum_err(poly: RatPoly, spectrum: Spectrum) -> float:
     )
     v = spectrum.values
     sq = [x * x for x in v]
-    sums = (sum(v), sum(sq), sum(map(operator.mul, sq, v)), sum(map(operator.mul, sq, sq)))
+    sums = map(math.fsum, (v, sq, map(operator.mul, sq, v), map(operator.mul, sq, sq)))
     return max(abs(p - s) for p, s in zip(exact, sums))
 
 
@@ -202,7 +203,7 @@ def _record(spec: FamilySpec, note: str, reference: Callable) -> VerdictRecord:
     return VerdictRecord(
         spec=spec,
         charpoly_match=p_exact == expected_poly,
-        energy_abs_err=abs(sum(abs(v) for v in spectrum.values) - expected_energy),
+        energy_abs_err=abs(math.fsum(map(abs, spectrum.values)) - expected_energy),
         power_sum_err=_power_sum_err(p_exact, spectrum),
         notes=note,
     )

@@ -315,6 +315,7 @@ def test_closed_forms_share_one_domain():
         FamilySpec("star", 8),
         FamilySpec("dutch4", 5),
         FamilySpec("complete_bipartite", 6, m=2, minus_edge=True),
+        FamilySpec("friendship", 60),
     ],
 )
 def test_closed_energy_matches_numeric(spec):

@@ -833,12 +833,12 @@ def _graphs_with_isolated_vertices():
 
 @pytest.mark.parametrize("energy, build", [(randic_energy, randic_matrix), (graph_energy, adjacency_matrix)])
 def test_energies_sum_the_spectrum_of_their_core_bit_for_bit(energy, build):
-    # the energies sum the spectrum of their core's matrix in its own order:
-    # the same float as summing it here
+    # the energies sum the spectrum of their core's matrix by math.fsum, the
+    # library's one rule for a float total: the same float as summing it here
     isolated = _graphs_with_isolated_vertices()
     assert all(0 in g.degrees for g in isolated)
     for g in [generate(spec) for spec in sweep_specs(24)] + isolated:
-        assert energy(g) == sum((abs(v) for v in eigenvalues(build(_core(g))).values), 0.0)
+        assert energy(g) == math.fsum(abs(v) for v in eigenvalues(build(_core(g))).values)
 
 
 def test_energies_call_the_solver_without_the_input_scan(monkeypatch):
@@ -909,12 +909,14 @@ def test_eigenvalues_random_symmetric_trace_and_frobenius(offset):
     assert sum(v * v for v in vals) == pytest.approx(frob, rel=1e-13)
 
 
-@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-150, 1e150, 1e200, 1e300])
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-150, 1e150, 1e200, 1e300, 2.0**1015, 2.0**1020])
 def test_eigenvalues_scale_with_the_matrix(scale):
     # every deflation test is relative, and a bipartite block's entries are
     # scaled by a power of two before they are squared, so a matrix scaled
     # far from 1 keeps its spectrum to the same relative accuracy on both
-    # block routes
+    # block routes, up to SymMatrix's limit: order times the largest |entry|
+    # at most 2^1020 (2^1015 times 20 entries below 1 is within it, 2^1020
+    # times them is past it)
     rng = random.Random(17)
     n = 20
     for bipartite in (False, True):
@@ -923,8 +925,13 @@ def test_eigenvalues_scale_with_the_matrix(scale):
             for j in range(i, n):
                 if not bipartite or i < 9 <= j:
                     rows[i][j] = rows[j][i] = rng.uniform(-1.0, 1.0)
+        scaled = tuple(tuple(scale * x for x in r) for r in rows)
+        if n * max(abs(x) for r in scaled for x in r) > 2.0**1020:
+            with pytest.raises(ValueError, match=r"exceeds 2\^1020"):
+                SymMatrix(scaled)
+            continue
         want = eigenvalues(SymMatrix(tuple(map(tuple, rows)))).values
-        got = eigenvalues(SymMatrix(tuple(tuple(scale * x for x in r) for r in rows))).values
+        got = eigenvalues(SymMatrix(scaled)).values
         assert [x / scale for x in got] == pytest.approx(want, abs=1e-13)
 
 
